@@ -21,13 +21,10 @@ from .roots import RootSystem, build_root_system, cartan_datum, root_str
 from .weyl import (
     Composition,
     WeylElement,
-    enumerate_min_reps,
     from_one_line,
     one_line,
     one_line_str,
 )
-
-CACHE_VERSION = 1
 
 
 # -- serialization helpers ---------------------------------------------------
@@ -133,73 +130,17 @@ def _config_doc(cfg: hess.HessConfig, w: Optional[WeylElement] = None) -> Dict[s
     return doc
 
 
-# -- enumeration cache --------------------------------------------------------
-
-
-def _cache_key(cfg: hess.HessConfig) -> str:
-    return f"{cfg.rs.cartan.family}:{cfg.rs.rank}:{','.join(map(str, sorted(cfg.J)))}"
-
-
-def _load_cached_reps(path: str, cfg: hess.HessConfig) -> Optional[List[WeylElement]]:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if data.get("version") != CACHE_VERSION:
-        return None
-    words = data.get("cosets", {}).get(_cache_key(cfg))
-    if words is None:
-        return None
-    return [WeylElement.from_word(cfg.rs, word) for word in words]
-
-
-def _store_cached_reps(path: str, cfg: hess.HessConfig, reps: Sequence[WeylElement]) -> None:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        if data.get("version") != CACHE_VERSION:
-            data = {"version": CACHE_VERSION, "cosets": {}}
-    except (OSError, ValueError):
-        data = {"version": CACHE_VERSION, "cosets": {}}
-    data["cosets"][_cache_key(cfg)] = [list(v.word()) for v in reps]
-    with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True)
-
-
-def _min_reps(cfg: hess.HessConfig, bound: int, cache: Optional[str]) -> List[WeylElement]:
-    if cache:
-        cached = _load_cached_reps(cache, cfg)
-        if cached is not None:
-            return cached
-    reps = list(enumerate_min_reps(cfg.rs, cfg.J, bound))
-    if cache:
-        _store_cached_reps(cache, cfg, reps)
-    return reps
-
-
 # -- subcommand handlers -------------------------------------------------------
 
 
 def _cmd_admissible(args) -> int:
     cfg = _resolve_config(args)
-    reps = _min_reps(cfg, args.bound, args.cache)
-    elements = []
-    count = 0
-    for v in reps:
-        dv = sorted(hess.delta_v(v, cfg))
-        count += 2 ** len(dv)
-        if args.list:
-            import itertools as it
-
-            from .weyl import longest_element
-
-            for size in range(len(dv) + 1):
-                for K in it.combinations(dv, size):
-                    elements.append(longest_element(cfg.rs, K) * v)
-    payload: Dict[str, object] = {"count": count}
+    payload: Dict[str, object]
     if args.list:
-        payload["elements"] = [_element(w) for w in elements]
+        elements = [_element(w) for w, _, _ in hess.enumerate_admissible(cfg, args.bound)]
+        payload = {"count": len(elements), "elements": elements}
+    else:
+        payload = {"count": hess.admissible_count(cfg, args.bound)}
     _emit(
         {
             "command": "admissible",
@@ -451,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--list", action="store_true")
     p.add_argument("--bound", type=int, default=10**6)
-    p.add_argument("--cache", help="path of a JSON cache of coset representatives")
     p.set_defaults(func=_cmd_admissible)
 
     p = sub.add_parser("decompose", help="full decomposition data of an admissible element")

@@ -13,16 +13,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
 
-from .errors import DomainError, EnumerationBoundError
+from .errors import DomainError
 from .roots import (
-    Coeffs,
     ParabolicSubsystem,
     RootSystem,
     build_root_system,
-    is_positive,
     negate,
     parabolic,
-    root_key,
 )
 from .weyl import (
     DEFAULT_ENUMERATION_BOUND,
@@ -30,6 +27,7 @@ from .weyl import (
     WeylElement,
     descent_decomposition,
     enumerate_min_reps,
+    enumerate_parabolic_group,
     in_parabolic,
     is_min_rep,
     longest_element,
@@ -70,14 +68,10 @@ def config_from_mu(mu: Sequence[int]) -> HessConfig:
 def is_admissible(w: WeylElement, cfg: HessConfig) -> bool:
     """Whether the Schubert cell of w meets the Hessenberg variety: every
     root of J is carried by w^{-1} into the positives or the negative simples."""
-    winv = w.inverse()
-    for j in cfg.J:
-        im = winv.act(cfg.rs.simple_root(j))
-        if is_positive(im):
-            continue
-        if sum(im) != -1:  # negative simple roots have height -1
-            return False
-    return True
+    rs = cfg.rs
+    # w.perm.index(j - 1) is the index of w^{-1}(alpha_j); negative simple
+    # roots have indices npos .. npos + rank - 1
+    return all(w.perm.index(j - 1) < rs.npos + rs.rank for j in cfg.J)
 
 
 def require_admissible(w: WeylElement, cfg: HessConfig) -> None:
@@ -92,11 +86,11 @@ def delta_v(v: WeylElement, cfg: HessConfig) -> FrozenSet[int]:
     if not is_min_rep(v, cfg.J):
         raise DomainError("delta_v requires a shortest right coset representative")
     out = set()
-    for im in v.images:
-        if is_positive(im) and rs.support(im) <= cfg.J:
-            if sum(im) != 1:
+    for k in v.perm[: rs.rank]:
+        if k < rs.npos and rs.support(rs.root_list[k]) <= cfg.J:
+            if k >= rs.rank:
                 raise RuntimeError("v(Delta) meets the parabolic in a non-simple root")
-            out.add(im.index(1) + 1)
+            out.add(k + 1)
     return frozenset(out)
 
 
@@ -135,14 +129,14 @@ def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposi
     des = w.descents()
     if not is_min_rep(tau, cfg.J):
         raise RuntimeError("tau is not a shortest right coset representative mod J")
-    tau_inv = tau.inverse()
+    tau_inv = tau.inverse().perm
     Jw = set()
     for j in cfg.J:
-        im = tau_inv.act(rs.simple_root(j))
-        if rs.support(im) <= des:
-            if not (is_positive(im) and sum(im) == 1):
+        k = tau_inv[j - 1]
+        if rs.support(rs.root_list[k]) <= des:
+            if k >= rs.rank:
                 raise RuntimeError("tau^{-1}(J) meets the Levi in a non-simple root")
-            Jw.add(im.index(1) + 1)
+            Jw.add(k + 1)
     Jw = frozenset(Jw)
     if not Jw <= des:
         raise RuntimeError("J_w is not contained in des(w)")
@@ -154,10 +148,10 @@ def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposi
         raise RuntimeError("descent and coset factorizations are inconsistent")
     vinv_K = set()
     for k in K:
-        im = vinv.act(rs.simple_root(k))
-        if not (is_positive(im) and sum(im) == 1):
+        image = vinv.perm[k - 1]
+        if image >= rs.rank:
             raise RuntimeError("v^{-1}(K) is not a set of simple roots")
-        vinv_K.add(im.index(1) + 1)
+        vinv_K.add(image + 1)
     if des != v.descents() | vinv_K or (v.descents() & vinv_K):
         raise RuntimeError("descent set does not split as des(v) u v^{-1}(K)")
     return AdmissibleDecomposition(
@@ -190,7 +184,7 @@ def enumerate_admissible(
         dv = sorted(delta_v(v, cfg))
         for size in range(len(dv) + 1):
             for K in itertools.combinations(dv, size):
-                w = longest_element(rs, K) * v
+                w = longest_element(rs, K) * v if K else v
                 yield w, v, frozenset(K)
 
 
@@ -198,32 +192,6 @@ def admissible_count(cfg: HessConfig, bound: int = DEFAULT_ENUMERATION_BOUND) ->
     return sum(
         2 ** len(delta_v(v, cfg)) for v in enumerate_min_reps(cfg.rs, cfg.J, bound)
     )
-
-
-def enumerate_parabolic_group(
-    rs: RootSystem, K: Iterable[int], bound: int = DEFAULT_ENUMERATION_BOUND
-) -> Iterator[WeylElement]:
-    """Elements of the parabolic subgroup W_K, by (length, canonical word)."""
-    Kset = sorted(frozenset(K))
-    order = parabolic(rs, Kset).weyl_order()
-    if order > bound:
-        raise EnumerationBoundError(
-            f"parabolic order {order} exceeds enumeration bound {bound}"
-        )
-    level = [WeylElement.identity(rs)]
-    seen = {level[0]}
-    while level:
-        for w in sorted(level, key=lambda x: x.word()):
-            yield w
-        nxt = []
-        for w in level:
-            for i in Kset:
-                if is_positive(w.act(rs.simple_root(i))):
-                    w2 = w * WeylElement.simple(rs, i)
-                    if w2 not in seen:
-                        seen.add(w2)
-                        nxt.append(w2)
-        level = nxt
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from operator import mul
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from .errors import DomainError
 
@@ -195,13 +196,26 @@ class RootSystem:
         self.simple_roots: Tuple[Coeffs, ...] = tuple(
             tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
         )
-        positives = self._reflection_closure()
-        self.positive_roots: Tuple[Coeffs, ...] = tuple(sorted(positives, key=root_key))
-        self.positive_index: Dict[Coeffs, int] = {
-            r: k for k, r in enumerate(self.positive_roots)
-        }
-        self.roots: FrozenSet[Coeffs] = frozenset(positives) | frozenset(
-            negate(r) for r in positives
+        self._coroot_columns = tuple(zip(*cartan.matrix))
+        reflections = self._reflection_closure()
+        self.positive_roots: Tuple[Coeffs, ...] = tuple(sorted(reflections, key=root_key))
+        if self.positive_roots[:n] != self.simple_roots:
+            raise RuntimeError("simple roots do not lead the positive root order")
+        # Weyl elements are permutations of root indices: k < npos names
+        # positive_roots[k] and k + npos its negative
+        self.npos = len(self.positive_roots)
+        self.root_list: Tuple[Coeffs, ...] = self.positive_roots + tuple(
+            negate(r) for r in self.positive_roots
+        )
+        self.root_index: Dict[Coeffs, int] = {r: k for k, r in enumerate(self.root_list)}
+        self.roots: FrozenSet[Coeffs] = frozenset(self.root_list)
+        N = self.npos
+        halves = [
+            [self.root_index[reflections[r][i]] for r in self.positive_roots]
+            for i in range(n)
+        ]
+        self.simple_perms: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(half + [(k + N) % (2 * N) for k in half]) for half in halves
         )
         self.highest_root: Coeffs = self.positive_roots[-1]
         expected = POSITIVE_COUNT[cartan.family](n)
@@ -216,26 +230,28 @@ class RootSystem:
         self._longest_cache: Dict[FrozenSet[int], object] = {}
         self._component_rs_cache: Dict[CartanDatum, "RootSystem"] = {}
 
-    def _reflection_closure(self) -> Set[Coeffs]:
-        positives: Set[Coeffs] = set(self.simple_roots)
-        frontier = list(self.simple_roots)
+    def _reflection_closure(self) -> Dict[Coeffs, List[Coeffs]]:
+        """Each positive root with its images under s_1 .. s_n."""
+        reflections: Dict[Coeffs, List[Coeffs]] = {}
+        frontier = set(self.simple_roots)
         while frontier:
-            new: List[Coeffs] = []
             for r in frontier:
-                for i in range(1, self.rank + 1):
-                    image = self.reflect_simple(r, i)
-                    if all(c >= 0 for c in image) and image not in positives:
-                        positives.add(image)
-                        new.append(image)
-            frontier = new
-        return positives
+                reflections[r] = [self.reflect_simple(r, i) for i in range(1, self.rank + 1)]
+            frontier = {
+                image
+                for r in frontier
+                for image in reflections[r]
+                if image not in reflections and all(c >= 0 for c in image)
+            }
+        return reflections
 
     # -- elementary root arithmetic -------------------------------------
 
     def pairing(self, root: Coeffs, i: int) -> int:
         """Pairing of ``root`` against the coroot of alpha_i (1-based)."""
-        col = i - 1
-        return sum(c * self.cartan.matrix[k][col] for k, c in enumerate(root) if c)
+        if not 1 <= i <= self.rank:
+            raise DomainError(f"simple index {i} out of range for {self.cartan.name}")
+        return sum(map(mul, root, self._coroot_columns[i - 1]))
 
     def reflect_simple(self, root: Coeffs, i: int) -> Coeffs:
         """Image of ``root`` under the simple reflection s_i."""

@@ -1,16 +1,18 @@
 """Weyl group elements and the coset decompositions the package relies on.
 
-An element is stored by its images of the simple roots, so products, inverses
-and root actions are integer matrix operations.  Words are never part of an
-element's identity: equality and hashing use the image tuple only, and the
-canonical word (least-index greedy descent stripping) is computed on demand.
+An element is stored as the permutation it induces on the 2N root indices of
+its root system (index k < N is the k-th positive root, k + N its negative),
+following W. Casselman, "Machine calculations in Weyl groups" (Invent. Math.
+116, 1994).  Products, inverses, root actions, descents and lengths are index
+arithmetic.  Words are never part of an element's identity: equality and
+hashing use the permutation only, and the canonical word (least-index greedy
+descent stripping) is computed on demand or carried along by enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import DomainError, EnumerationBoundError
 from .roots import Coeffs, RootSystem, is_positive, negate, parabolic
@@ -19,105 +21,131 @@ DEFAULT_ENUMERATION_BOUND = 10**6
 E8_ORDER = 696729600
 
 
+def _check_simple(rs: RootSystem, indices: Iterable[int]) -> None:
+    for i in indices:
+        if not 1 <= i <= rs.rank:
+            raise DomainError(f"simple index {i} out of range for {rs.cartan.name}")
+
+
+def _simple_perm(rs: RootSystem, i: int) -> Tuple[int, ...]:
+    _check_simple(rs, (i,))
+    return rs.simple_perms[i - 1]
+
+
 class WeylElement:
-    __slots__ = ("rs", "images", "_word", "_hash")
+    __slots__ = ("rs", "perm", "_word", "_hash")
 
     def __init__(self, rs: RootSystem, images: Tuple[Coeffs, ...]):
+        """The linear map sending alpha_{i+1} to images[i].  A root carried
+        to a non-root gets index -1; validate() rejects such elements."""
+        n = rs.rank
         self.rs = rs
-        self.images = images
+        self.perm = tuple(
+            rs.root_index.get(
+                tuple(sum(c * im[k] for c, im in zip(r, images) if c) for k in range(n)), -1
+            )
+            for r in rs.root_list
+        )
         self._word: Optional[Tuple[int, ...]] = None
         self._hash: Optional[int] = None
+
+    @classmethod
+    def _of(
+        cls, rs: RootSystem, perm: Tuple[int, ...], word: Optional[Tuple[int, ...]] = None
+    ) -> "WeylElement":
+        w = cls.__new__(cls)
+        w.rs = rs
+        w.perm = perm
+        w._word = word
+        w._hash = None
+        return w
 
     # -- construction ----------------------------------------------------
 
     @staticmethod
     def identity(rs: RootSystem) -> "WeylElement":
-        return WeylElement(rs, rs.simple_roots)
+        return WeylElement._of(rs, tuple(range(2 * rs.npos)), ())
 
     @staticmethod
     def simple(rs: RootSystem, i: int) -> "WeylElement":
-        images = tuple(rs.reflect_simple(a, i) for a in rs.simple_roots)
-        return WeylElement(rs, images)
+        return WeylElement._of(rs, _simple_perm(rs, i), (i,))
 
     @staticmethod
     def from_word(rs: RootSystem, word: Iterable[int]) -> "WeylElement":
-        w = WeylElement.identity(rs)
+        p = tuple(range(2 * rs.npos))
         for i in word:
-            w = w * WeylElement.simple(rs, i)
-        return w
+            p = tuple(map(p.__getitem__, _simple_perm(rs, i)))
+        return WeylElement._of(rs, p)
+
+    @property
+    def images(self) -> Tuple[Coeffs, ...]:
+        """Images of the simple roots alpha_1 .. alpha_n."""
+        roots = self.rs.root_list
+        return tuple(roots[k] for k in self.perm[: self.rs.rank])
 
     # -- group structure -------------------------------------------------
 
     def act(self, root: Coeffs) -> Coeffs:
         """Linear action on a root coefficient vector."""
-        n = self.rs.rank
-        out = [0] * n
-        for i, c in enumerate(root):
-            if c:
-                img = self.images[i]
-                for k in range(n):
-                    out[k] += c * img[k]
-        result = tuple(out)
-        if result not in self.rs.roots:
+        k = self.rs.root_index.get(tuple(root))
+        if k is None or self.perm[k] < 0:
             raise DomainError(f"{root} is not carried to a root; not a root itself?")
-        return result
+        return self.rs.root_list[self.perm[k]]
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.rs is not other.rs:
             raise DomainError("elements live in different root systems")
-        return WeylElement(self.rs, tuple(self.act(im) for im in other.images))
+        return WeylElement._of(self.rs, tuple(map(self.perm.__getitem__, other.perm)))
 
     def inverse(self) -> "WeylElement":
-        n = self.rs.rank
-        # solve M * x = e_i where column i of M is the image of alpha_{i+1}
-        m = [[Fraction(self.images[j][i]) for j in range(n)] for i in range(n)]
-        inv = _invert(m)
-        images = tuple(tuple(int(inv[i][j]) for i in range(n)) for j in range(n))
-        return WeylElement(self.rs, images)
+        inv = [0] * len(self.perm)
+        for k, image in enumerate(self.perm):
+            inv[image] = k
+        return WeylElement._of(self.rs, tuple(inv))
 
     def is_identity(self) -> bool:
-        return self.images == self.rs.simple_roots
+        return self.perm == tuple(range(len(self.perm)))
 
     def validate(self) -> None:
-        """On-demand sanity check: the images define a bijection of the
-        root set carrying exactly length-many positives below zero."""
-        n = self.rs.rank
-        m = [[Fraction(self.images[j][i]) for j in range(n)] for i in range(n)]
-        det = _det(m)
-        if det not in (1, -1):
-            raise DomainError(f"image matrix has determinant {det}")
-        images = {self.act(r) for r in self.rs.positive_roots}
-        if len(images) != len(self.rs.positive_roots) or not images <= self.rs.roots:
+        """On-demand sanity check: the element permutes the root set."""
+        if sorted(self.perm) != list(range(2 * self.rs.npos)):
             raise DomainError("images do not permute the roots")
 
     # -- combinatorial statistics -----------------------------------------
 
     def inversions(self) -> FrozenSet[Coeffs]:
-        return frozenset(
-            r for r in self.rs.positive_roots if not is_positive(self.act(r))
-        )
+        N = self.rs.npos
+        roots = self.rs.positive_roots
+        return frozenset(roots[k] for k, image in enumerate(self.perm[:N]) if image >= N)
 
     def length(self) -> int:
-        return sum(1 for r in self.rs.positive_roots if not is_positive(self.act(r)))
+        N = self.rs.npos
+        return sum(1 for image in self.perm[:N] if image >= N)
 
     def descents(self) -> FrozenSet[int]:
         """Right descents, as 1-based simple indices."""
+        N = self.rs.npos
         return frozenset(
-            i + 1 for i, im in enumerate(self.images) if not is_positive(im)
+            i + 1 for i, image in enumerate(self.perm[: self.rs.rank]) if image >= N
         )
 
     def word(self) -> Tuple[int, ...]:
-        """Canonical reduced word via least-index greedy descent stripping."""
+        """Canonical reduced word via least-index greedy descent stripping.
+
+        Works on the inversion set: inv(w s_i) = s_i(inv(w) - {alpha_i}) for
+        a descent i, and since the simple roots carry the lowest indices, the
+        least descent is the least index in the set.
+        """
         if self._word is None:
-            rev: List[int] = []
-            w = self
-            while True:
-                des = w.descents()
-                if not des:
-                    break
-                i = min(des)
-                rev.append(i)
-                w = w * WeylElement.simple(self.rs, i)
+            rs = self.rs
+            N = rs.npos
+            inv = [k for k in range(N) if self.perm[k] >= N]
+            rev = []
+            while inv:
+                i = min(inv)
+                rev.append(i + 1)
+                image = rs.simple_perms[i].__getitem__
+                inv = [image(k) for k in inv if k != i]
             self._word = tuple(reversed(rev))
         return self._word
 
@@ -127,12 +155,12 @@ class WeylElement:
         return (
             isinstance(other, WeylElement)
             and self.rs is other.rs
-            and self.images == other.images
+            and self.perm == other.perm
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self.images)
+            self._hash = hash(self.perm)
         return self._hash
 
     def __repr__(self) -> str:
@@ -140,41 +168,6 @@ class WeylElement:
         if not word:
             return "e"
         return "*".join(f"s{i}" for i in word)
-
-
-def _det(m: List[List[Fraction]]) -> Fraction:
-    n = len(m)
-    work = [row[:] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        pv = work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                f = work[r][col] / pv
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return det
-
-
-def _invert(m: List[List[Fraction]]) -> List[List[Fraction]]:
-    n = len(m)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 # -- longest elements and coset decompositions ----------------------------
@@ -186,13 +179,11 @@ def longest_element(rs: RootSystem, K: Iterable[int]) -> WeylElement:
     cached = rs._longest_cache.get(key)
     if cached is not None:
         return cached  # type: ignore[return-value]
-    for i in key:
-        if not 1 <= i <= rs.rank:
-            raise DomainError(f"simple index {i} out of range")
+    _check_simple(rs, key)
     y = WeylElement.identity(rs)
     ks = sorted(key)
     while True:
-        i = next((i for i in ks if is_positive(y.act(rs.simple_root(i)))), None)
+        i = next((i for i in ks if y.perm[i - 1] < rs.npos), None)
         if i is None:
             break
         y = y * WeylElement.simple(rs, i)
@@ -202,8 +193,10 @@ def longest_element(rs: RootSystem, K: Iterable[int]) -> WeylElement:
 
 def is_min_rep(w: WeylElement, J: Iterable[int]) -> bool:
     """Whether w is the shortest element of its right coset W_J w."""
-    winv = w.inverse()
-    return all(is_positive(winv.act(w.rs.simple_root(j))) for j in J)
+    J = frozenset(J)
+    _check_simple(w.rs, J)
+    # perm.index(j - 1) is the index of w^{-1}(alpha_j)
+    return all(w.perm.index(j - 1) < w.rs.npos for j in J)
 
 
 def in_parabolic(w: WeylElement, K: Iterable[int]) -> bool:
@@ -220,13 +213,12 @@ def min_right_coset_rep(w: WeylElement, J: Iterable[int]) -> Tuple[WeylElement, 
     """
     rs = w.rs
     Jset = sorted(frozenset(J))
+    _check_simple(rs, Jset)
     y = WeylElement.identity(rs)
     v = w
     vinv = w.inverse()
     while True:
-        j = next(
-            (j for j in Jset if not is_positive(vinv.act(rs.simple_root(j)))), None
-        )
+        j = next((j for j in Jset if vinv.perm[j - 1] >= rs.npos), None)
         if j is None:
             break
         s = WeylElement.simple(rs, j)
@@ -245,12 +237,46 @@ def descent_decomposition(w: WeylElement) -> Tuple[WeylElement, WeylElement]:
     tau = w * y  # y is an involution
     if tau.length() + y.length() != w.length():
         raise RuntimeError("descent factorization is not reduced")
-    if not all(is_positive(tau.act(rs.simple_root(i))) for i in des):
+    if any(tau.perm[i - 1] >= rs.npos for i in des):
         raise RuntimeError("tau is not a shortest left coset representative")
     return tau, y
 
 
 # -- enumeration ----------------------------------------------------------
+
+
+def _level_order(
+    rs: RootSystem, gens: Iterable[int], J: Iterable[int] = ()
+) -> Iterator[WeylElement]:
+    """Elements generated by the simple reflections ``gens`` that are
+    shortest in their right W_J coset, ordered by (length, canonical word).
+
+    Each element w other than e is reached once, from its canonical parent
+    w * s_m with m = min des(w), so its word is the parent's plus (m).
+    Parents come in word order and children in increasing m, so every level
+    is born sorted.  By Deodhar's lemma, a length-increasing step v -> v s_i
+    from a shortest representative leaves ^J W exactly when v(alpha_i) is a
+    simple root of J.
+    """
+    N = rs.npos
+    steps = [(i, rs.simple_perms[i - 1]) for i in sorted(frozenset(gens))]
+    blocked = frozenset(j - 1 for j in J)
+    level = [WeylElement.identity(rs)]
+    while level:
+        yield from level
+        nxt = []
+        for v in level:
+            p, word = v.perm, v._word
+            for i, refl in steps:
+                k = p[i - 1]
+                if k >= N or k in blocked:
+                    continue
+                # (v s_i)(alpha_j) = v(s_i alpha_j): a descent j < i means
+                # v s_i is reached from its canonical parent instead
+                if max(map(p.__getitem__, refl[: i - 1]), default=-1) >= N:
+                    continue
+                nxt.append(WeylElement._of(rs, tuple(map(p.__getitem__, refl)), word + (i,)))
+        level = nxt
 
 
 def enumerate_group(rs: RootSystem, bound: int = DEFAULT_ENUMERATION_BOUND) -> Iterator[WeylElement]:
@@ -268,20 +294,20 @@ def enumerate_group(rs: RootSystem, bound: int = DEFAULT_ENUMERATION_BOUND) -> I
         raise EnumerationBoundError(
             f"group order {order} exceeds enumeration bound {bound}"
         )
-    level = [WeylElement.identity(rs)]
-    seen = {level[0]}
-    while level:
-        for w in sorted(level, key=lambda x: x.word()):
-            yield w
-        nxt = []
-        for w in level:
-            for i in range(1, rs.rank + 1):
-                if is_positive(w.act(rs.simple_root(i))):
-                    w2 = w * WeylElement.simple(rs, i)
-                    if w2 not in seen:
-                        seen.add(w2)
-                        nxt.append(w2)
-        level = nxt
+    yield from _level_order(rs, range(1, rs.rank + 1))
+
+
+def enumerate_parabolic_group(
+    rs: RootSystem, K: Iterable[int], bound: int = DEFAULT_ENUMERATION_BOUND
+) -> Iterator[WeylElement]:
+    """Elements of the parabolic subgroup W_K, by (length, canonical word)."""
+    Kset = frozenset(K)
+    order = parabolic(rs, Kset).weyl_order()
+    if order > bound:
+        raise EnumerationBoundError(
+            f"parabolic order {order} exceeds enumeration bound {bound}"
+        )
+    yield from _level_order(rs, Kset)
 
 
 def coset_count(rs: RootSystem, J: Iterable[int]) -> int:
@@ -304,26 +330,7 @@ def enumerate_min_reps(
         raise EnumerationBoundError(
             f"coset count {count} exceeds enumeration bound {bound}"
         )
-    simples = [WeylElement.simple(rs, i) for i in range(1, rs.rank + 1)]
-    e = WeylElement.identity(rs)
-    level: List[Tuple[WeylElement, WeylElement]] = [(e, e)]  # (v, v^{-1})
-    seen = {e}
-    while level:
-        for v, _ in sorted(level, key=lambda p: p[0].word()):
-            yield v
-        nxt = []
-        for v, vinv in level:
-            for i in range(1, rs.rank + 1):
-                if not is_positive(v.act(rs.simple_root(i))):
-                    continue  # length would drop
-                v2 = v * simples[i - 1]
-                if v2 in seen:
-                    continue
-                vinv2 = simples[i - 1] * vinv
-                if all(is_positive(vinv2.act(rs.simple_root(j))) for j in Jset):
-                    seen.add(v2)
-                    nxt.append((v2, vinv2))
-        level = nxt
+    yield from _level_order(rs, range(1, rs.rank + 1), Jset)
 
 
 # -- type A one-line notation ----------------------------------------------

@@ -170,19 +170,21 @@ def test_notation_flags(capsys):
     assert doc["config"]["w"]["one_line"] == "3421"
 
 
-def test_cache_round_trip(tmp_path, capsys):
-    cache = tmp_path / "cosets.json"
-    doc1 = run_json(
-        capsys,
-        "admissible", "--family", "A", "--rank", "3", "--J", "1,3",
-        "--cache", str(cache),
+def test_cache_flag_is_usage_error(tmp_path):
+    """Enumeration is cheaper than loading a cache, so there is none."""
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "admissible", "--family", "A", "--rank", "3", "--J", "1,3",
+            "--cache", str(tmp_path / "cosets.json"),
+        ])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("w", ["s0", "1,5"])
+def test_out_of_range_simple_index_is_domain_error(capsys, w):
+    code, out, err = run(
+        capsys, "decompose", "--family", "B", "--rank", "4", "--J", "1,2,4", "--w", w
     )
-    assert cache.exists()
-    data = json.loads(cache.read_text())
-    assert data["version"] == 1
-    doc2 = run_json(
-        capsys,
-        "admissible", "--family", "A", "--rank", "3", "--J", "1,3",
-        "--cache", str(cache),
-    )
-    assert doc1 == doc2
+    assert code == 1
+    assert not out
+    assert json.loads(err)["error"]["kind"] == "domain"

@@ -6,6 +6,8 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minhess.errors import DomainError, EnumerationBoundError
 from minhess.roots import build_root_system, is_positive, negate
@@ -15,6 +17,7 @@ from minhess.weyl import (
     descent_decomposition,
     enumerate_group,
     enumerate_min_reps,
+    enumerate_parabolic_group,
     from_one_line,
     in_parabolic,
     is_min_rep,
@@ -162,6 +165,41 @@ def test_enumerate_group_e8_always_refused():
         list(enumerate_group(e8, bound=10**10))
 
 
+@pytest.mark.parametrize(
+    "family,rank,J", [("B", 3, None), ("F", 4, None), ("E", 6, [1, 3, 5]), ("D", 5, [2])]
+)
+def test_enumeration_carries_canonical_words_in_order(family, rank, J):
+    rs = build_root_system(family, rank)
+    els = list(enumerate_group(rs) if J is None else enumerate_min_reps(rs, J))
+    words = [w.word() for w in els]
+    assert words == sorted(words, key=lambda word: (len(word), word))
+    assert len(set(els)) == len(els)
+    for w, word in zip(els, words):
+        assert WeylElement(rs, w.images).word() == word
+    if J is not None:
+        assert all(is_min_rep(v, J) for v in els)
+
+
+def test_parabolic_enumeration_matches_group_filter():
+    rs = build_root_system("B", 3)
+    K = [2, 3]
+    members = [w for w in enumerate_group(rs) if in_parabolic(w, K)]
+    assert list(enumerate_parabolic_group(rs, K)) == members
+
+
+def test_simple_index_range():
+    rs = build_root_system("B", 4)
+    for i in (0, -1, 5):
+        with pytest.raises(DomainError):
+            WeylElement.simple(rs, i)
+        with pytest.raises(DomainError):
+            WeylElement.from_word(rs, [1, i])
+        with pytest.raises(DomainError):
+            rs.pairing(rs.highest_root, i)
+        with pytest.raises(DomainError):
+            rs.reflect_simple(rs.highest_root, i)
+
+
 def test_min_rep_enumeration_tables():
     a3 = build_root_system("A", 3)
     J = Composition((2, 2)).to_J()
@@ -216,3 +254,67 @@ def test_canonical_words_deterministic():
     v = from_one_line(rs, (1, 3, 4, 2))
     assert v.word() == (2, 3)
     assert WeylElement.from_word(rs, w.word()) == w
+
+
+# -- properties over every family, from random words ------------------------
+
+SYSTEMS = [
+    ("A", 1), ("A", 6), ("B", 5), ("C", 4), ("D", 6),
+    ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2),
+]
+
+
+@st.composite
+def elements(draw, count=1):
+    family, rank = draw(st.sampled_from(SYSTEMS))
+    rs = build_root_system(family, rank)
+    words = [draw(st.lists(st.integers(1, rank), max_size=30)) for _ in range(count)]
+    return rs, [WeylElement.from_word(rs, word) for word in words]
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements(count=3))
+def test_group_axioms(drawn):
+    rs, (u, v, w) = drawn
+    e = WeylElement.identity(rs)
+    assert (u * v) * w == u * (v * w)
+    assert e * u == u == u * e
+    assert u * u.inverse() == e == u.inverse() * u
+    assert (u * v).inverse() == v.inverse() * u.inverse()
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements())
+def test_length_inversions_and_words(drawn):
+    rs, (w,) = drawn
+    word = w.word()
+    assert w.length() == len(w.inversions()) == len(word)
+    assert WeylElement.from_word(rs, word) == w
+    assert w.inverse() == WeylElement.from_word(rs, reversed(word))
+    assert w.descents() == {
+        i for i in range(1, rs.rank + 1) if not is_positive(w.act(rs.simple_root(i)))
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements())
+def test_images_round_trip(drawn):
+    rs, (w,) = drawn
+    rebuilt = WeylElement(rs, w.images)
+    rebuilt.validate()
+    assert rebuilt == w and hash(rebuilt) == hash(w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SYSTEMS).flatmap(
+    lambda t: st.tuples(st.just(t), st.lists(st.integers(1, t[1]), max_size=30))
+))
+def test_act_matches_reflecting_letter_by_letter(drawn):
+    (family, rank), word = drawn
+    rs = build_root_system(family, rank)
+    w = WeylElement.from_word(rs, word)
+    for root in rs.root_list:
+        image = root
+        for i in reversed(word):
+            image = rs.reflect_simple(image, i)
+        assert w.act(root) == image
