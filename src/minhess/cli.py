@@ -3,15 +3,19 @@
 Every query prints one JSON document on stdout (or DOT when asked for a
 graph) with a stable shape: the echoed command, the resolved configuration,
 an operation-specific payload, and the rule tags the classification relied
-on.  Domain failures print a machine-readable error object on stderr and
-exit with status 1; usage errors exit 2; verification failures exit 3.
+on.  Domain and input failures print a machine-readable error object on
+stderr and exit with status 1; usage errors exit 2; verification failures
+exit 3; any other exception is reported the same way with kind ``internal``
+and exits 4.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+import traceback
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -62,10 +66,14 @@ def _emit(doc: Dict[str, object]) -> None:
     sys.stdout.write("\n")
 
 
-def _fail(kind: str, message: str) -> int:
-    json.dump({"error": {"kind": kind, "message": message}}, sys.stderr, sort_keys=True)
+INTERNAL_ERROR_EXIT = 4
+
+
+def _fail(kind: str, message: str, code: int = 1, **extra: str) -> int:
+    error = {"kind": kind, "message": message, **extra}
+    json.dump({"error": error}, sys.stderr, sort_keys=True)
     sys.stderr.write("\n")
-    return 1
+    return code
 
 
 # -- configuration and element parsing ---------------------------------------
@@ -230,6 +238,7 @@ def _cmd_closure(args) -> int:
 def _cmd_fixed_point_smooth(args) -> int:
     cfg = _resolve_config(args)
     w = _parse_element(cfg.rs, args.w, args.notation)
+    hess.require_admissible(w, cfg)
     if cfg.is_type_a:
         verdict = singular.typeA_fixed_point_smooth(w, cfg.mu)
     else:
@@ -305,6 +314,14 @@ def _cmd_class(args) -> int:
     return 0
 
 
+def _is_matrix(raw) -> bool:
+    return isinstance(raw, list) and all(
+        isinstance(row, list)
+        and all(isinstance(x, (int, float, str)) and not isinstance(x, bool) for x in row)
+        for row in raw
+    )
+
+
 def _cmd_oracle(args) -> int:
     mu = Composition(tuple(_ints(args.mu)))
     cfg = hess.config_from_mu(mu)
@@ -315,6 +332,8 @@ def _cmd_oracle(args) -> int:
                 raw = json.load(fh)
         else:
             raw = json.loads(args.u1)
+        if not _is_matrix(raw):
+            raise ValueError("--u1 must be a JSON list of rows of numbers or strings")
         u1 = [[Fraction(str(x)) for x in row] for row in raw]
         res = oracle.jacobian_at_cell_point(w, mu, u1, size_bound=args.size_bound)
     else:
@@ -378,7 +397,10 @@ def _add_element_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: building it costs
+    far more than parsing one command line."""
     parser = argparse.ArgumentParser(
         prog="minhess",
         description=(
@@ -456,6 +478,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail("domain", str(exc))
     except (ValueError, OSError) as exc:
         return _fail("input", str(exc))
+    except Exception as exc:  # a bug, still reported as one JSON error
+        return _fail(
+            "internal",
+            f"{type(exc).__name__}: {exc}",
+            INTERNAL_ERROR_EXIT,
+            traceback=traceback.format_exc(),
+        )
 
 
 if __name__ == "__main__":

@@ -1,22 +1,24 @@
 """Independent type A verification engine.
 
 Everything here works with explicit matrices over exact rationals: the
-regular element is an integer matrix, coordinate charts are products of
-elementary unipotent factors with degree-one jet entries, and smoothness is
-decided by the rank of the Jacobian of the chart's defining equations.  No
-result from the rest of the package feeds the computation, which is the
-point: verdicts can be cross-checked against the combinatorial routes.
+regular element X is a matrix, the coordinate chart at a fixed point is the
+generic unipotent element I + Z with Z = sum_k z_k E_k over the chart's matrix
+units, and smoothness is decided by the rank of the Jacobian of the chart's
+defining equations.  No result from the rest of the package feeds the
+computation, which is the point: verdicts can be cross-checked against the
+combinatorial routes.
 
-A jet is a polynomial truncated above degree one; conjugating the regular
-element by the generic chart element in the jet ring yields exactly the
-linear parts of the defining equations, which is all the Jacobian needs.
+To first order (I + Z)^-1 X (I + Z) = X + [X, Z], so the linear parts of the
+defining equations, which are all the Jacobian needs, are the entries of the
+commutator [X, Z]; their rank is computed by integer Bareiss elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from math import lcm
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .hess import HessConfig, config_from_mu, is_admissible
@@ -32,89 +34,6 @@ CELL_POINT_NOTE = (
     "full rank certifies a smooth point; a rank deficit certifies a singular "
     "point of the local chart model"
 )
-
-
-# -- degree-one jets ---------------------------------------------------------
-
-
-class Jet:
-    """A rational constant plus a rational linear form; products truncate."""
-
-    __slots__ = ("const", "lin")
-
-    def __init__(self, const: Fraction = Fraction(0), lin: Optional[Dict[int, Fraction]] = None):
-        self.const = const
-        self.lin = {k: c for k, c in (lin or {}).items() if c != 0}
-
-    @staticmethod
-    def of(value) -> "Jet":
-        if isinstance(value, Jet):
-            return value
-        return Jet(Fraction(value))
-
-    @staticmethod
-    def variable(k: int) -> "Jet":
-        return Jet(Fraction(0), {k: Fraction(1)})
-
-    def __add__(self, other) -> "Jet":
-        other = Jet.of(other)
-        lin = dict(self.lin)
-        for k, c in other.lin.items():
-            c2 = lin.get(k, Fraction(0)) + c
-            if c2:
-                lin[k] = c2
-            else:
-                lin.pop(k, None)
-        return Jet(self.const + other.const, lin)
-
-    def __neg__(self) -> "Jet":
-        return Jet(-self.const, {k: -c for k, c in self.lin.items()})
-
-    def __sub__(self, other) -> "Jet":
-        return self + (-Jet.of(other))
-
-    def __mul__(self, other) -> "Jet":
-        other = Jet.of(other)
-        lin: Dict[int, Fraction] = {}
-        if other.const:
-            for k, c in self.lin.items():
-                lin[k] = c * other.const
-        if self.const:
-            for k, c in other.lin.items():
-                lin[k] = lin.get(k, Fraction(0)) + self.const * c
-        return Jet(self.const * other.const, lin)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.const == 0 and not self.lin
-
-    def __repr__(self) -> str:
-        terms = [str(self.const)] if self.const else []
-        terms += [f"{c}*z{k}" for k, c in sorted(self.lin.items())]
-        return " + ".join(terms) if terms else "0"
-
-
-def _jet_matmul(A: List[List[Jet]], B: List[List[Jet]]) -> List[List[Jet]]:
-    n = len(A)
-    out = [[Jet() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            a = A[i][k]
-            if a.is_zero():
-                continue
-            rowB = B[k]
-            rowO = out[i]
-            for j in range(n):
-                b = rowB[j]
-                if not b.is_zero():
-                    rowO[j] = rowO[j] + a * b
-    return out
-
-
-def _jet_identity(n: int) -> List[List[Jet]]:
-    return [[Jet(Fraction(int(i == j))) for j in range(n)] for i in range(n)]
 
 
 # -- exact rational matrices -------------------------------------------------
@@ -152,22 +71,29 @@ def _mat_inverse(A: Matrix) -> Matrix:
 
 
 def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    rows = [list(map(Fraction, row)) for row in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
+    """Rank by Bareiss fraction-free elimination (Bareiss, Math. Comp. 22,
+    1968).  Each row is first scaled by the lowest common denominator of its
+    entries, which leaves the rank unchanged and makes every step an exact
+    integer division."""
+    rows = []
+    for row in matrix:
+        lcd = lcm(*(x.denominator for x in row))
+        if any(row):
+            rows.append([x.numerator * (lcd // x.denominator) for x in row])
     r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+    prev = 1
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        top = rows[r]
+        pv = top[col]
+        for i in range(r + 1, len(rows)):
+            row = rows[i]
+            f = row[col]
+            rows[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
+        prev = pv
         r += 1
         if r == len(rows):
             break
@@ -287,42 +213,27 @@ class JacobianResult:
 
 
 def _jacobian_from_conjugation(
-    w: WeylElement,
-    cfg: HessConfig,
-    base: Matrix,
-    factor_order: Optional[Sequence[int]] = None,
-    note: str = "",
+    w: WeylElement, cfg: HessConfig, base: Matrix, note: str = ""
 ) -> JacobianResult:
-    """Conjugate ``base`` by the generic chart element in the jet ring and
-    read off the linear parts of the defining equations."""
+    """Linear parts of the defining equations of the chart at w, read off the
+    commutator [base, Z]: the coefficient of z_gamma, gamma = (a, b), in the
+    entry eta = (i, j) is base[i][a] [b = j] - [i = a] base[b][j]."""
     rs = cfg.rs
-    n = rs.rank + 1
     cols, rows = _chart_roots(w, cfg)
-    order = list(range(len(cols))) if factor_order is None else list(factor_order)
-    if sorted(order) != list(range(len(cols))):
-        raise DomainError("factor order must permute the chart variables")
-
-    u = _jet_identity(n)
-    uinv = _jet_identity(n)
-    for k in order:
-        i, j = _pair(rs, cols[k])
-        f = _jet_identity(n)
-        f[i - 1][j - 1] = Jet.variable(k)
-        u = _jet_matmul(u, f)
-        finv = _jet_identity(n)
-        finv[i - 1][j - 1] = -Jet.variable(k)
-        uinv = _jet_matmul(finv, uinv)
-
-    base_jet = [[Jet(x) for x in row] for row in base]
-    M = _jet_matmul(_jet_matmul(uinv, base_jet), u)
-
+    units = [(a - 1, b - 1) for a, b in (_pair(rs, gamma) for gamma in cols)]
+    zero = Fraction(0)
     matrix: List[Tuple[Fraction, ...]] = []
     for eta in rows:
         i, j = _pair(rs, eta)
-        jet = M[i - 1][j - 1]
-        if jet.const != 0:
+        i, j = i - 1, j - 1
+        if base[i][j] != 0:
             raise RuntimeError("defining equation has a nonzero constant term")
-        matrix.append(tuple(jet.lin.get(k, Fraction(0)) for k in range(len(cols))))
+        matrix.append(
+            tuple(
+                (base[i][a] if b == j else zero) - (base[b][j] if a == i else zero)
+                for a, b in units
+            )
+        )
     rk = rank(matrix)
     verdict = SMOOTH if rk == len(rows) else SINGULAR
     return JacobianResult(tuple(rows), tuple(cols), tuple(matrix), rk, verdict, note)
@@ -333,7 +244,6 @@ def jacobian_at_fixed_point(
     mu,
     s_values: Optional[Sequence] = None,
     size_bound: int = DEFAULT_SIZE_BOUND,
-    factor_order: Optional[Sequence[int]] = None,
 ) -> JacobianResult:
     """Jacobian of the chart equations at the torus-fixed point of w.
 
@@ -348,7 +258,7 @@ def jacobian_at_fixed_point(
     element = _as_element(w, cfg)
     if not is_admissible(element, cfg):
         raise DomainError("the fixed point does not lie in the variety")
-    return _jacobian_from_conjugation(element, cfg, reg.X, factor_order)
+    return _jacobian_from_conjugation(element, cfg, reg.X)
 
 
 def linear_terms_closed_form(
@@ -358,8 +268,8 @@ def linear_terms_closed_form(
 
     The (eta, gamma) entry is the eigenvalue difference eta(S) on the
     diagonal, minus the elementary-matrix structure constant whenever eta
-    differs from gamma by a block simple root.  Kept independent of the jet
-    pipeline so the two can be compared entrywise.
+    differs from gamma by a block simple root.  Kept independent of the
+    commutator of explicit matrices so the two can be compared entrywise.
     """
     reg = regular_matrix(mu, s_values)
     cfg = config_from_mu(reg.mu)
@@ -422,7 +332,7 @@ def jacobian_at_cell_point(
 
     The chart is recentered by conjugating the regular element by u1 first;
     membership of the translated point in the variety is checked exactly
-    before any jet work.
+    before the Jacobian is built.
     """
     reg = regular_matrix(mu, s_values)
     cfg = config_from_mu(reg.mu)

@@ -211,11 +211,11 @@ def suite_cross_validate(max_rank: int = 4) -> List[Check]:
                 total += 1
                 general = singular.hess_fixed_point_smooth(w, cfg).verdict
                 pattern = singular.typeA_fixed_point_smooth(w, mu).verdict
-                jet = oracle.jacobian_at_fixed_point(w, mu)
+                conj = oracle.jacobian_at_fixed_point(w, mu)
                 closed = oracle.linear_terms_closed_form(w, mu)
-                if not (general == pattern == jet.verdict):
+                if not (general == pattern == conj.verdict):
                     mismatches += 1
-                if (jet.matrix, jet.rows, jet.cols) != (
+                if (conj.matrix, conj.rows, conj.cols) != (
                     closed.matrix,
                     closed.rows,
                     closed.cols,

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import minhess
 from minhess.cli import main
 
 
@@ -32,7 +37,7 @@ def test_fixed_point_smooth_type_a(capsys):
     doc = run_json(
         capsys,
         "fixed-point-smooth", "--family", "A", "--rank", "5", "--mu", "4,2",
-        "--w", "654312",
+        "--w", "653214",
     )
     assert doc["payload"]["verdict"] == "smooth"
     doc = run_json(capsys, "fixed-point-smooth", "--mu", "4,2", "--w", "521634")
@@ -188,3 +193,63 @@ def test_out_of_range_simple_index_is_domain_error(capsys, w):
     assert code == 1
     assert not out
     assert json.loads(err)["error"]["kind"] == "domain"
+
+
+def test_fixed_point_smooth_rejects_non_admissible(capsys):
+    """Type A has a pattern criterion that would answer for any permutation;
+    outside the variety the only right answer is the domain error."""
+    for config, w in [
+        (["--mu", "2,2"], "3241"),
+        (["--family", "A", "--rank", "5", "--mu", "4,2"], "654312"),
+        (["--family", "B", "--rank", "4", "--J", "1,2,4"], "2,1"),
+    ]:
+        code, out, err = run(capsys, "fixed-point-smooth", *config, "--w", w)
+        assert code == 1
+        assert not out
+        assert json.loads(err)["error"]["kind"] == "domain"
+
+
+@pytest.mark.parametrize("u1", ["5", "null", "[1,2]", "[[1,0],[0,true]]", '{"a": 1}'])
+def test_oracle_u1_must_be_a_matrix(capsys, u1):
+    code, out, err = run(capsys, "oracle", "--mu", "1,1", "--w", "21", "--u1", u1)
+    assert code == 1
+    assert not out
+    assert json.loads(err)["error"]["kind"] == "input"
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    from minhess import hess
+
+    def broken(w, cfg):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(hess, "decompose_admissible", broken)
+    code, out, err = run(capsys, "decompose", "--mu", "2,2", "--w", "3421")
+    assert code == 4
+    assert not out
+    error = json.loads(err)["error"]
+    assert error["kind"] == "internal"
+    assert error["message"] == "TypeError: injected"
+    assert "Traceback" in error["traceback"]
+
+
+def test_reused_parser_matches_fresh_processes(capsys):
+    """The parser is built once per process; successive commands through it
+    print what each prints in a process of its own."""
+    from minhess.cli import build_parser
+
+    assert build_parser() is build_parser()
+    commands = [
+        ["oracle", "--mu", "3,1", "--w", "s2"],
+        ["decompose", "--family", "B", "--rank", "4", "--J", "1,2,4", "--w", "1,3,4"],
+        ["count-smooth", "--mu", "4,3,1"],
+    ]
+    src = str(Path(minhess.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "minhess.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)

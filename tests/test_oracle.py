@@ -1,6 +1,7 @@
 """The exact Jacobian engine: regression against the worked chart, the
-dual-path identity between jet conjugation and the assembled linear terms,
-and invariance properties of the verdict."""
+commutator form against exact conjugation, the dual-path identity between
+the commutator and the assembled linear terms, Bareiss rank against
+Gauss-Jordan, and invariance properties of the verdict."""
 
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 
 from minhess import hess, oracle, singular
 from minhess.errors import DomainError
-from minhess.oracle import Jet
 from minhess.weyl import from_one_line
 
 
@@ -33,33 +33,144 @@ def compositions(n):
     return out
 
 
-# -- jets ----------------------------------------------------------------------
+SAMPLE_MUS = [(2, 2), (3, 1), (1, 2, 1), (2, 1, 2)]
 
-jet_strategy = st.builds(
-    Jet,
-    st.fractions(max_denominator=6),
-    st.dictionaries(st.integers(0, 3), st.fractions(max_denominator=6), max_size=3),
-)
+
+def matrix_unit(root):
+    """The 0-based (i, j) with root = eps_i - eps_j, read off its support."""
+    support = [k for k, c in enumerate(root) if c]
+    first, last = support[0], support[-1] + 1
+    return (first, last) if root[first] > 0 else (last, first)
+
+
+def matmul(A, B):
+    n = len(A)
+    return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def unipotent(n, entries):
+    """I plus the given {(i, j): value} off-diagonal entries."""
+    return [[entries.get((i, j), Fraction(int(i == j))) for j in range(n)] for i in range(n)]
+
+
+# -- the commutator form ---------------------------------------------------------
+
+
+def test_columns_are_linear_terms_of_exact_conjugation():
+    """Column k is the t-linear coefficient of (I - tE_k) X (I + tE_k).
+
+    The conjugate is X + t C_1 + t^2 C_2, so (M(t) - X) / t = C_1 + t C_2
+    at two rational values of t determines C_1 exactly.
+    """
+    t1, t2 = Fraction(1, 3), Fraction(-5, 2)
+    for mu in SAMPLE_MUS:
+        s_values = [Fraction(3, 2), Fraction(0), Fraction(-7, 3)][: len(mu)]
+        reg = oracle.regular_matrix(mu, s_values)
+        X, n = reg.X, reg.n
+        for w, _, _ in hess.enumerate_admissible(hess.config_from_mu(mu)):
+            res = oracle.jacobian_at_fixed_point(w, mu, s_values)
+            for k, gamma in enumerate(res.cols):
+                a, b = matrix_unit(gamma)
+                slopes = []
+                for t in (t1, t2):
+                    M = matmul(matmul(unipotent(n, {(a, b): -t}), X), unipotent(n, {(a, b): t}))
+                    slopes.append([[(M[i][j] - X[i][j]) / t for j in range(n)] for i in range(n)])
+                for row, eta in zip(res.matrix, res.rows):
+                    i, j = matrix_unit(eta)
+                    assert X[i][j] == 0  # no constant term at the fixed point
+                    s1, s2 = slopes[0][i][j], slopes[1][i][j]
+                    assert row[k] == (t2 * s1 - t1 * s2) / (t2 - t1)
+
+
+def dual_matmul(A, B):
+    """Product of matrices over the dual numbers a + b*eps, eps^2 = 0."""
+    n = len(A)
+    return [
+        [
+            (
+                sum(A[i][k][0] * B[k][j][0] for k in range(n)),
+                sum(A[i][k][0] * B[k][j][1] + A[i][k][1] * B[k][j][0] for k in range(n)),
+            )
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def dual_unipotent(n, i, j, value):
+    """I + value * eps * E_ij over the dual numbers."""
+    return [
+        [(Fraction(int(r == c)), value if (r, c) == (i, j) else Fraction(0)) for c in range(n)]
+        for r in range(n)
+    ]
+
+
+def test_linear_terms_do_not_depend_on_factor_order():
+    """The product of the factors I + z_k E_k is I + Z to first order, in
+    any order: along z = eps * c the conjugate's linear part is the
+    Jacobian applied to c."""
+    rng = random.Random(7)
+    for mu in SAMPLE_MUS:
+        reg = oracle.regular_matrix(mu)
+        n = reg.n
+        X = [[(x, Fraction(0)) for x in row] for row in reg.X]
+        for w, _, _ in hess.enumerate_admissible(hess.config_from_mu(mu)):
+            res = oracle.jacobian_at_fixed_point(w, mu)
+            c = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in res.cols]
+            order = list(range(len(res.cols)))
+            rng.shuffle(order)
+            u = uinv = dual_unipotent(n, 0, 0, Fraction(0))  # the identity
+            for k in order:
+                a, b = matrix_unit(res.cols[k])
+                u = dual_matmul(u, dual_unipotent(n, a, b, c[k]))
+                uinv = dual_matmul(dual_unipotent(n, a, b, -c[k]), uinv)
+            M = dual_matmul(dual_matmul(uinv, X), u)
+            for row, eta in zip(res.matrix, res.rows):
+                i, j = matrix_unit(eta)
+                assert M[i][j] == (0, sum(x * ck for x, ck in zip(row, c)))
+
+
+# -- Bareiss rank ------------------------------------------------------------------
+
+
+def gauss_jordan_rank(matrix):
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+fractions_small = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Random rational matrices, padded with zero rows and with rows that
+    are rational combinations of earlier ones, in shuffled order."""
+    ncols = draw(st.integers(0, 7))
+    rows = draw(st.lists(st.lists(fractions_small, min_size=ncols, max_size=ncols), max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.append([Fraction(0)] * ncols)
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        coeffs = draw(st.lists(fractions_small, min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)])
+    return draw(st.permutations(rows))
 
 
 @settings(max_examples=200, deadline=None)
-@given(jet_strategy, jet_strategy, jet_strategy)
-def test_jet_ring_is_a_quotient(a, b, c):
-    left = (a * b) * c
-    right = a * (b * c)
-    assert left.const == right.const and left.lin == right.lin
-    d1 = a * (b + c)
-    d2 = a * b + a * c
-    assert d1.const == d2.const and d1.lin == d2.lin
-
-
-def test_jet_truncation():
-    z0, z1 = Jet.variable(0), Jet.variable(1)
-    prod = z0 * z1
-    assert prod.is_zero()
-    affine = (Jet.of(2) + z0) * (Jet.of(3) + z1)
-    assert affine.const == 6
-    assert affine.lin == {0: Fraction(3), 1: Fraction(2)}
+@given(rational_matrices())
+def test_bareiss_rank_matches_gauss_jordan(matrix):
+    assert oracle.rank(matrix) == gauss_jordan_rank(matrix)
 
 
 # -- the regular element --------------------------------------------------------
@@ -163,29 +274,14 @@ def test_rejects_inadmissible_and_oversize():
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_dual_path_identity(n):
-    """Jet conjugation and the assembled closed form agree entrywise."""
+    """The commutator and the assembled closed form agree entrywise."""
     for mu in compositions(n):
         cfg = hess.config_from_mu(mu)
         for w, _, _ in hess.enumerate_admissible(cfg):
-            jet = oracle.jacobian_at_fixed_point(w, mu)
+            conj = oracle.jacobian_at_fixed_point(w, mu)
             closed = oracle.linear_terms_closed_form(w, mu)
-            assert jet.rows == closed.rows and jet.cols == closed.cols
-            assert jet.matrix == closed.matrix
-
-
-def test_factor_order_invariance_of_rank():
-    rng = random.Random(7)
-    for mu in [(2, 2), (3, 1), (2, 1, 1), (4,)]:
-        cfg = hess.config_from_mu(mu)
-        for w, _, _ in hess.enumerate_admissible(cfg):
-            base = oracle.jacobian_at_fixed_point(w, mu)
-            m = len(base.cols)
-            for _ in range(3):
-                order = list(range(m))
-                rng.shuffle(order)
-                shuffled = oracle.jacobian_at_fixed_point(w, mu, factor_order=order)
-                assert shuffled.rank == base.rank
-                assert shuffled.verdict == base.verdict
+            assert conj.rows == closed.rows and conj.cols == closed.cols
+            assert conj.matrix == closed.matrix
 
 
 def test_s_assignment_independence():
