@@ -3,7 +3,7 @@ classification of regular Hessenberg varieties for the minimal
 indecomposable Hessenberg space, in every simple Lie type, with an
 independent exact-arithmetic Jacobian oracle in type A."""
 
-from .errors import DomainError, EnumerationBoundError, VerificationError
+from .errors import DomainError, EnumerationBoundError
 from .roots import (
     CartanDatum,
     Component,
@@ -18,6 +18,7 @@ from .roots import (
 from .weyl import (
     Composition,
     WeylElement,
+    compositions,
     descent_decomposition,
     enumerate_group,
     enumerate_min_reps,
@@ -25,6 +26,7 @@ from .weyl import (
     longest_element,
     min_right_coset_rep,
     one_line,
+    root_pair,
 )
 from .hess import (
     AdmissibleDecomposition,
@@ -39,6 +41,7 @@ from .hess import (
     hess_config,
     is_admissible,
     poincare_polynomial,
+    typeA_point,
 )
 from .classes import (
     ClassExpression,

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Tuple
 from .errors import DomainError
 from .hess import HessConfig, require_admissible
 from .roots import Coeffs, RootSystem, negate, parabolic, root_key
-from .weyl import WeylElement
+from .weyl import WeylElement, root_pair
 
 K_THEORY = "k_theory"
 COHOMOLOGY = "cohomology"
@@ -161,9 +161,7 @@ def expand_typeA(expr: ClassExpression, rs: RootSystem) -> ChernPolynomial:
         raise DomainError("polynomial expansion requires a type A ambient")
     n = rs.rank + 1
     out = poly_constant(n, expr.scalar)
-    from .weyl import _pair_of_root  # type A root <-> (i, j) translation
-
     for root in expr.factor_roots:
-        i, j = _pair_of_root(rs, rs.check_root(negate(root)))
+        i, j = root_pair(rs, rs.check_root(negate(root)))
         out = poly_mul(out, _linear_factor(n, i, j))
     return out

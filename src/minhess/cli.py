@@ -22,13 +22,7 @@ from typing import Dict, List, Optional, Sequence
 from . import classes, hess, oracle, singular, verification
 from .errors import DomainError
 from .roots import RootSystem, build_root_system, cartan_datum, root_str
-from .weyl import (
-    Composition,
-    WeylElement,
-    from_one_line,
-    one_line,
-    one_line_str,
-)
+from .weyl import Composition, WeylElement, from_one_line, one_line_str
 
 
 # -- serialization helpers ---------------------------------------------------
@@ -61,7 +55,16 @@ def _verdict(v: singular.SmoothnessVerdict) -> Dict[str, object]:
     }
 
 
-def _emit(doc: Dict[str, object]) -> None:
+def _emit(
+    command: str, config: Dict[str, object], payload: Dict[str, object], citations: Sequence[str]
+) -> None:
+    """Print the one JSON document every query answers with."""
+    doc = {
+        "command": command,
+        "config": config,
+        "payload": payload,
+        "citations": list(citations),
+    }
     json.dump(doc, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
 
@@ -149,14 +152,7 @@ def _cmd_admissible(args) -> int:
         payload = {"count": len(elements), "elements": elements}
     else:
         payload = {"count": hess.admissible_count(cfg, args.bound)}
-    _emit(
-        {
-            "command": "admissible",
-            "config": _config_doc(cfg),
-            "payload": payload,
-            "citations": ["cell-nonemptiness-criterion"],
-        }
-    )
+    _emit("admissible", _config_doc(cfg), payload, ["cell-nonemptiness-criterion"])
     return 0
 
 
@@ -176,14 +172,8 @@ def _cmd_decompose(args) -> int:
         ],
         "cell_dimension": d.dimension,
     }
-    _emit(
-        {
-            "command": "decompose",
-            "config": _config_doc(cfg, w),
-            "payload": payload,
-            "citations": ["coset-factorization", "descent-factorization"],
-        }
-    )
+    citations = ["coset-factorization", "descent-factorization"]
+    _emit("decompose", _config_doc(cfg, w), payload, citations)
     return 0
 
 
@@ -224,14 +214,7 @@ def _cmd_closure(args) -> int:
             {"v": _element(c.v), "x": _element(c.x), "dim": c.dim} for c in cells
         ]
     }
-    _emit(
-        {
-            "command": "closure",
-            "config": _config_doc(cfg, w),
-            "payload": payload,
-            "citations": ["closure-intersection-criterion"],
-        }
-    )
+    _emit("closure", _config_doc(cfg, w), payload, ["closure-intersection-criterion"])
     return 0
 
 
@@ -243,14 +226,7 @@ def _cmd_fixed_point_smooth(args) -> int:
         verdict = singular.typeA_fixed_point_smooth(w, cfg.mu)
     else:
         verdict = singular.hess_fixed_point_smooth(w, cfg)
-    _emit(
-        {
-            "command": "fixed-point-smooth",
-            "config": _config_doc(cfg, w),
-            "payload": _verdict(verdict),
-            "citations": list(verdict.citations),
-        }
-    )
+    _emit("fixed-point-smooth", _config_doc(cfg, w), _verdict(verdict), verdict.citations)
     return 0
 
 
@@ -258,12 +234,10 @@ def _cmd_peterson_singular_locus(args) -> int:
     datum = cartan_datum(args.family, args.rank)
     locus = singular.peterson_singular_locus(datum, bound=args.bound)
     _emit(
-        {
-            "command": "peterson-singular-locus",
-            "config": {"family": datum.family, "rank": datum.rank},
-            "payload": {"singular_K": [list(K) for K in locus]},
-            "citations": ["peterson-singular-set"],
-        }
+        "peterson-singular-locus",
+        {"family": datum.family, "rank": datum.rank},
+        {"singular_K": [list(K) for K in locus]},
+        ["peterson-singular-set"],
     )
     return 0
 
@@ -272,12 +246,10 @@ def _cmd_count_smooth(args) -> int:
     mu = Composition(tuple(_ints(args.mu)))
     count = singular.count_smooth_flags(mu)
     _emit(
-        {
-            "command": "count-smooth",
-            "config": {"family": "A", "rank": mu.n - 1, "mu": list(mu.parts)},
-            "payload": {"count": str(count)},
-            "citations": ["smooth-count-formula"],
-        }
+        "count-smooth",
+        {"family": "A", "rank": mu.n - 1, "mu": list(mu.parts)},
+        {"count": str(count)},
+        ["smooth-count-formula"],
     )
     return 0
 
@@ -303,14 +275,7 @@ def _cmd_class(args) -> int:
             ],
             "pretty": str(poly),
         }
-    _emit(
-        {
-            "command": "class",
-            "config": _config_doc(cfg, w),
-            "payload": payload,
-            "citations": ["class-product-formula"],
-        }
-    )
+    _emit("class", _config_doc(cfg, w), payload, ["class-product-formula"])
     return 0
 
 
@@ -348,14 +313,7 @@ def _cmd_oracle(args) -> int:
     }
     if res.note:
         payload["note"] = res.note
-    _emit(
-        {
-            "command": "oracle",
-            "config": _config_doc(cfg, w),
-            "payload": payload,
-            "citations": ["jacobian-rank"],
-        }
-    )
+    _emit("oracle", _config_doc(cfg, w), payload, ["jacobian-rank"])
     return 0
 
 
@@ -363,17 +321,13 @@ def _cmd_verify(args) -> int:
     checks = verification.run_suite(args.suite, args.max_rank)
     failures = [c for c in checks if not c.ok]
     _emit(
+        "verify",
+        {"suite": args.suite, "max_rank": args.max_rank},
         {
-            "command": "verify",
-            "config": {"suite": args.suite, "max_rank": args.max_rank},
-            "payload": {
-                "checks": [
-                    {"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks
-                ],
-                "failures": len(failures),
-            },
-            "citations": ["verification-harness"],
-        }
+            "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks],
+            "failures": len(failures),
+        },
+        ["verification-harness"],
     )
     return 3 if failures else 0
 

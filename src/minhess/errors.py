@@ -14,7 +14,3 @@ class DomainError(ValueError):
 
 class EnumerationBoundError(DomainError):
     """An enumeration would exceed the caller-supplied size bound."""
-
-
-class VerificationError(RuntimeError):
-    """A verification suite detected a failing check."""

@@ -28,6 +28,7 @@ from .weyl import (
     descent_decomposition,
     enumerate_min_reps,
     enumerate_parabolic_group,
+    from_one_line,
     in_parabolic,
     is_min_rep,
     longest_element,
@@ -65,9 +66,25 @@ def config_from_mu(mu: Sequence[int]) -> HessConfig:
     return HessConfig(rs, comp.to_J(), comp)
 
 
+def typeA_point(w, mu) -> Tuple[WeylElement, HessConfig]:
+    """The type A configuration of the composition mu, and w, given as a
+    WeylElement or in one-line notation, as an element of its root system."""
+    cfg = config_from_mu(mu)
+    if not isinstance(w, WeylElement):
+        w = from_one_line(cfg.rs, tuple(w))
+    _require_same_system(w, cfg)
+    return w, cfg
+
+
+def _require_same_system(w: WeylElement, cfg: HessConfig) -> None:
+    if w.rs is not cfg.rs:
+        raise DomainError(f"{w!r} lies in {w.rs.cartan.name}, not in {cfg.rs.cartan.name}")
+
+
 def is_admissible(w: WeylElement, cfg: HessConfig) -> bool:
     """Whether the Schubert cell of w meets the Hessenberg variety: every
     root of J is carried by w^{-1} into the positives or the negative simples."""
+    _require_same_system(w, cfg)
     rs = cfg.rs
     # w.perm.index(j - 1) is the index of w^{-1}(alpha_j); negative simple
     # roots have indices npos .. npos + rank - 1

@@ -21,9 +21,9 @@ from math import lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .hess import HessConfig, config_from_mu, is_admissible
+from .hess import HessConfig, is_admissible, typeA_point
 from .roots import Coeffs, RootSystem, negate, root_key
-from .weyl import Composition, WeylElement, from_one_line, one_line
+from .weyl import Composition, WeylElement, one_line, root_pair
 
 DEFAULT_SIZE_BOUND = 6
 
@@ -170,16 +170,16 @@ def regular_matrix(mu, s_values: Optional[Sequence] = None) -> RegularMatrix:
 # -- charts and Jacobians ----------------------------------------------------
 
 
-def _as_element(w, cfg: HessConfig) -> WeylElement:
-    if isinstance(w, WeylElement):
-        return w
-    return from_one_line(cfg.rs, tuple(w))
-
-
-def _pair(rs: RootSystem, root: Coeffs) -> Tuple[int, int]:
-    from .weyl import _pair_of_root
-
-    return _pair_of_root(rs, root)
+def _oracle_input(
+    w, mu, s_values: Optional[Sequence], size_bound: int
+) -> Tuple[RegularMatrix, WeylElement, HessConfig]:
+    """The regular element of mu, and w as an element of mu's configuration;
+    an n above the size bound is refused before its root system is built."""
+    reg = regular_matrix(mu, s_values)
+    if reg.n > size_bound:
+        raise DomainError(f"n={reg.n} exceeds the size bound {size_bound}")
+    element, cfg = typeA_point(w, reg.mu)
+    return reg, element, cfg
 
 
 def _chart_roots(w: WeylElement, cfg: HessConfig) -> Tuple[List[Coeffs], List[Coeffs]]:
@@ -220,11 +220,11 @@ def _jacobian_from_conjugation(
     entry eta = (i, j) is base[i][a] [b = j] - [i = a] base[b][j]."""
     rs = cfg.rs
     cols, rows = _chart_roots(w, cfg)
-    units = [(a - 1, b - 1) for a, b in (_pair(rs, gamma) for gamma in cols)]
+    units = [(a - 1, b - 1) for a, b in (root_pair(rs, gamma) for gamma in cols)]
     zero = Fraction(0)
     matrix: List[Tuple[Fraction, ...]] = []
     for eta in rows:
-        i, j = _pair(rs, eta)
+        i, j = root_pair(rs, eta)
         i, j = i - 1, j - 1
         if base[i][j] != 0:
             raise RuntimeError("defining equation has a nonzero constant term")
@@ -251,11 +251,7 @@ def jacobian_at_fixed_point(
     the chart variables; the point is smooth exactly when the matrix has
     full row rank.
     """
-    reg = regular_matrix(mu, s_values)
-    cfg = config_from_mu(reg.mu)
-    if reg.n > size_bound:
-        raise DomainError(f"n={reg.n} exceeds the size bound {size_bound}")
-    element = _as_element(w, cfg)
+    reg, element, cfg = _oracle_input(w, mu, s_values, size_bound)
     if not is_admissible(element, cfg):
         raise DomainError("the fixed point does not lie in the variety")
     return _jacobian_from_conjugation(element, cfg, reg.X)
@@ -271,11 +267,7 @@ def linear_terms_closed_form(
     differs from gamma by a block simple root.  Kept independent of the
     commutator of explicit matrices so the two can be compared entrywise.
     """
-    reg = regular_matrix(mu, s_values)
-    cfg = config_from_mu(reg.mu)
-    if reg.n > size_bound:
-        raise DomainError(f"n={reg.n} exceeds the size bound {size_bound}")
-    element = _as_element(w, cfg)
+    reg, element, cfg = _oracle_input(w, mu, s_values, size_bound)
     if not is_admissible(element, cfg):
         raise DomainError("the fixed point does not lie in the variety")
     rs = cfg.rs
@@ -283,7 +275,7 @@ def linear_terms_closed_form(
     J = sorted(cfg.J)
     matrix = []
     for eta in rows:
-        i, j = _pair(rs, eta)
+        i, j = root_pair(rs, eta)
         row = []
         for k, gamma in enumerate(cols):
             val = Fraction(0)
@@ -302,9 +294,9 @@ def linear_terms_closed_form(
 
 def _structure_constant(rs: RootSystem, gamma: Coeffs, alpha: Coeffs, eta: Coeffs) -> Fraction:
     """Coefficient of the eta matrix unit in [E_gamma, E_alpha]."""
-    a, b = _pair(rs, gamma)
-    c, d = _pair(rs, alpha)
-    i, j = _pair(rs, eta)
+    a, b = root_pair(rs, gamma)
+    c, d = root_pair(rs, alpha)
+    i, j = root_pair(rs, eta)
     out = Fraction(0)
     if b == c and (a, d) == (i, j):
         out += 1
@@ -315,10 +307,9 @@ def _structure_constant(rs: RootSystem, gamma: Coeffs, alpha: Coeffs, eta: Coeff
 
 def admissibility_matrix_check(w, mu) -> bool:
     """Matrix form of the cell-nonemptiness test: conjugate the nilpotent
-    part by the permutation and check membership in the Hessenberg space."""
-    reg = regular_matrix(mu)
-    cfg = config_from_mu(reg.mu)
-    element = _as_element(w, cfg)
+    part by the permutation and check membership in the Hessenberg space.
+    Like the Jacobians, it refuses n above DEFAULT_SIZE_BOUND."""
+    reg, element, _ = _oracle_input(w, mu, None, DEFAULT_SIZE_BOUND)
     P = permutation_matrix(one_line(element))
     conj = _matmul(_matmul(_mat_inverse(P), reg.N), P)
     return in_hessenberg_space(conj)
@@ -334,12 +325,8 @@ def jacobian_at_cell_point(
     membership of the translated point in the variety is checked exactly
     before the Jacobian is built.
     """
-    reg = regular_matrix(mu, s_values)
-    cfg = config_from_mu(reg.mu)
+    reg, element, cfg = _oracle_input(w, mu, s_values, size_bound)
     n = reg.n
-    if n > size_bound:
-        raise DomainError(f"n={n} exceeds the size bound {size_bound}")
-    element = _as_element(w, cfg)
     U = _mat(u1)
     if len(U) != n or any(len(row) != n for row in U):
         raise DomainError("u1 has the wrong shape")

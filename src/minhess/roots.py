@@ -262,9 +262,6 @@ class RootSystem:
         out[i - 1] -= p
         return tuple(out)
 
-    def is_root(self, vec: Coeffs) -> bool:
-        return tuple(vec) in self.roots
-
     def check_root(self, vec: Coeffs) -> Coeffs:
         v = tuple(vec)
         if v not in self.roots:

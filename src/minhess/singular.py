@@ -12,23 +12,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import factorial
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, EnumerationBoundError
-from .hess import HessConfig, config_from_mu, decompose_admissible, require_admissible
+from .hess import HessConfig, decompose_admissible, delta_v, require_admissible, typeA_point
 from .roots import (
     CartanDatum,
     Coeffs,
-    Component,
     ParabolicSubsystem,
-    RootSystem,
     bracket_set,
     cartan_datum,
     from_cartan,
     is_positive,
     negate,
     parabolic,
-    root_key,
 )
 from .weyl import Composition, WeylElement, longest_element, one_line
 
@@ -148,15 +146,11 @@ def cominuscule_check(component: CartanDatum, K: Iterable[int]) -> bool:
     Holds exactly when K omits a single node whose coefficient in the
     highest root is 1 (a cominuscule node).
     """
-    rs = _component_system(component)
+    rs = from_cartan(component)
     Kset = frozenset(K)
     y = longest_element(rs, Kset)
     image = y.act(negate(rs.highest_root))
     return (not is_positive(image)) and sum(image) == -1
-
-
-def _component_system(datum: CartanDatum) -> RootSystem:
-    return from_cartan(datum)
 
 
 # -- fixed points of Peterson and Hessenberg varieties -----------------------
@@ -195,8 +189,6 @@ def hess_fixed_point_smooth(w: WeylElement, cfg: HessConfig) -> SmoothnessVerdic
     variety of the Levi named by J."""
     require_admissible(w, cfg)
     dec = decompose_admissible(w, cfg)
-    from .hess import delta_v
-
     if delta_v(dec.v, cfg) != cfg.J:
         return SmoothnessVerdict(
             SINGULAR,
@@ -245,16 +237,9 @@ def typeA_fixed_point_smooth(w, mu) -> SmoothnessVerdict:
     precondition (the flag lying in the variety); the verdict agrees with
     the geometric routes on every admissible element.
     """
-    mu = mu if isinstance(mu, Composition) else Composition(tuple(mu))
-    cfg = config_from_mu(mu)
-    if isinstance(w, WeylElement):
-        element = w
-    else:
-        from .weyl import from_one_line
-
-        element = from_one_line(cfg.rs, tuple(w))
+    element, cfg = typeA_point(w, mu)
     line = one_line(element)
-    for p, positions in _block_windows(line, mu):
+    for p, positions in _block_windows(line, cfg.mu):
         if positions[-1] - positions[0] != len(positions) - 1:
             return SmoothnessVerdict(
                 SINGULAR,
@@ -262,7 +247,7 @@ def typeA_fixed_point_smooth(w, mu) -> SmoothnessVerdict:
                 ("block-pattern-criterion",),
                 detail=(p, positions),
             )
-    for p, positions in _block_windows(line, mu):
+    for p, positions in _block_windows(line, cfg.mu):
         induced = [line[i] for i in positions]
         for pattern in ((1, 2, 3), (2, 1, 4, 3)):
             hit = contains_pattern(induced, pattern)
@@ -280,11 +265,9 @@ def typeA_fixed_point_smooth(w, mu) -> SmoothnessVerdict:
 def count_smooth_flags(mu) -> int:
     """Closed-form count of smooth permutation flags."""
     mu = mu if isinstance(mu, Composition) else Composition(tuple(mu))
-    import math
-
     threes = sum(1 for p in mu.parts if p >= 3)
     twos = sum(1 for p in mu.parts if p == 2)
-    return math.factorial(mu.length) * 3**threes * 2**twos
+    return factorial(mu.length) * 3**threes * 2**twos
 
 
 # -- Hessenberg-Schubert varieties -------------------------------------------
@@ -318,17 +301,10 @@ def typeA_hess_schubert_smooth(w, mu) -> SmoothnessVerdict:
     """One-line form of the bracket criterion: every i with alpha_i in K must
     appear as ...a, i+1, i, b... with a < i and i+1 < b (boundary values
     w(0)=0, w(n+1)=n+1)."""
-    mu = mu if isinstance(mu, Composition) else Composition(tuple(mu))
-    cfg = config_from_mu(mu)
-    if isinstance(w, WeylElement):
-        element = w
-    else:
-        from .weyl import from_one_line
-
-        element = from_one_line(cfg.rs, tuple(w))
+    element, cfg = typeA_point(w, mu)
     dec = decompose_admissible(element, cfg)
     line = one_line(element)
-    n = mu.n
+    n = len(line)
     pos = {v: i + 1 for i, v in enumerate(line)}  # 1-based positions
 
     def value(p: int) -> int:

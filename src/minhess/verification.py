@@ -13,13 +13,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from . import classes, hess, oracle, singular
-from .roots import build_root_system, cartan_datum, negate
+from .roots import build_root_system, cartan_datum, from_cartan, negate
 from .weyl import (
-    Composition,
     WeylElement,
+    compositions,
     enumerate_min_reps,
     from_one_line,
     longest_element,
@@ -32,21 +32,6 @@ class Check:
     name: str
     ok: bool
     detail: str = ""
-
-
-def _compositions(n: int) -> List[Tuple[int, ...]]:
-    out = []
-    for cuts in range(2 ** (n - 1)):
-        parts, run = [], 1
-        for i in range(n - 1):
-            if cuts >> i & 1:
-                parts.append(run)
-                run = 1
-            else:
-                run += 1
-        parts.append(run)
-        out.append(tuple(parts))
-    return out
 
 
 def suite_paper_tables() -> List[Check]:
@@ -205,7 +190,7 @@ def suite_cross_validate(max_rank: int = 4) -> List[Check]:
     schubert = 0
     total = 0
     for n in range(2, max_rank + 2):
-        for mu in _compositions(n):
+        for mu in compositions(n):
             cfg = hess.config_from_mu(mu)
             for w, v, K in hess.enumerate_admissible(cfg):
                 total += 1
@@ -258,7 +243,7 @@ def suite_cominuscule(max_rank: int = 8) -> List[Check]:
     for family, ranks in _FAMILY_RANKS.items():
         for rank in ranks(max_rank):
             datum = cartan_datum(family, rank)
-            rs = singular._component_system(datum)
+            rs = from_cartan(datum)
             theta = rs.highest_root
             universe = range(1, rank + 1)
             for size in range(rank):

@@ -12,7 +12,7 @@ descent stripping) is computed on demand or carried along by enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, EnumerationBoundError
 from .roots import Coeffs, RootSystem, is_positive, negate, parabolic
@@ -342,12 +342,12 @@ def _require_type_a(rs: RootSystem) -> int:
     return rs.rank + 1
 
 
-def _pair_of_root(rs: RootSystem, root: Coeffs) -> Tuple[int, int]:
-    """The (i, j) with root = eps_i - eps_j, for type A."""
+def root_pair(rs: RootSystem, root: Coeffs) -> Tuple[int, int]:
+    """The 1-based (i, j) with root = eps_i - eps_j, for type A."""
     if is_positive(root):
         support = [i + 1 for i, c in enumerate(root) if c]
         return support[0], support[-1] + 1
-    a, b = _pair_of_root(rs, negate(root))
+    a, b = root_pair(rs, negate(root))
     return b, a
 
 
@@ -361,7 +361,7 @@ def _root_of_pair(rs: RootSystem, a: int, b: int) -> Coeffs:
 def one_line(w: WeylElement) -> Tuple[int, ...]:
     """The permutation [w(1), ..., w(n)] of a type A element."""
     n = _require_type_a(w.rs)
-    pairs = [_pair_of_root(w.rs, im) for im in w.images]
+    pairs = [root_pair(w.rs, im) for im in w.images]
     perm = [pairs[0][0]]
     for a, b in pairs:
         if perm[-1] != a:
@@ -441,3 +441,12 @@ class Composition:
             parts.append(c - prev)
             prev = c
         return Composition(tuple(parts))
+
+
+def compositions(n: int) -> List[Tuple[int, ...]]:
+    """The parts of all strong compositions of n; the k-th has a block
+    boundary after i + 1 exactly when bit i of k is set."""
+    return [
+        Composition.from_J(n, [i + 1 for i in range(n - 1) if not k >> i & 1]).parts
+        for k in range(2 ** (n - 1))
+    ]

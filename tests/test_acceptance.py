@@ -19,6 +19,7 @@ from minhess.roots import build_root_system, cartan_datum, negate, parabolic, ro
 from minhess.weyl import (
     Composition,
     WeylElement,
+    compositions,
     enumerate_min_reps,
     from_one_line,
     longest_element,
@@ -30,21 +31,6 @@ from minhess.weyl import (
 def report(number: int, name: str, ok: bool) -> None:
     print(f"[acceptance] criterion {number:2d} ({name}): {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {number} ({name}) failed"
-
-
-def compositions(n):
-    out = []
-    for cuts in range(2 ** (n - 1)):
-        parts, run = [], 1
-        for i in range(n - 1):
-            if cuts >> i & 1:
-                parts.append(run)
-                run = 1
-            else:
-                run += 1
-        parts.append(run)
-        out.append(tuple(parts))
-    return out
 
 
 @lru_cache(maxsize=1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,26 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def readme_commands():
+    """The argument lists of the ``minhess ...`` lines in README's
+    "Command line" example block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("minhess ")]
+    assert commands, "no minhess examples found in README"
+    return commands
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_example_runs(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    if "--dot" in argv:
+        assert out.startswith("digraph ") and out.endswith("}\n")
+    else:
+        assert json.loads(out)["command"] == argv[0]
 
 
 def test_count_smooth(capsys):

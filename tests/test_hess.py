@@ -9,7 +9,7 @@ from math import comb
 import pytest
 
 from minhess.errors import DomainError
-from minhess import hess
+from minhess import classes, hess, oracle, singular
 from minhess.roots import build_root_system
 from minhess.weyl import (
     Composition,
@@ -250,3 +250,36 @@ def test_config_validation():
         hess.hess_config(rs, [5])
     cfg = hess.config_from_mu((2, 1))
     assert cfg.mu == Composition((2, 1)) and sorted(cfg.J) == [1]
+
+
+A4 = build_root_system("A", 4)
+B4 = build_root_system("B", 4)
+C4 = build_root_system("C", 4)
+W_A4 = (4, 5, 1, 2, 3)
+B4_IN_C4 = (WeylElement.from_word(B4, [1, 3, 4]), hess.hess_config(C4, [1, 2, 4]))
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda: singular.typeA_fixed_point_smooth(from_one_line(A4, W_A4), (2, 2)),
+        lambda: singular.typeA_hess_schubert_smooth(from_one_line(A4, W_A4), (2, 2)),
+        lambda: oracle.admissibility_matrix_check(from_one_line(A4, W_A4), (2, 2)),
+        lambda: oracle.jacobian_at_fixed_point(from_one_line(A4, W_A4), (2, 2)),
+        lambda: classes.hess_schubert_class(*B4_IN_C4),
+        lambda: hess.decompose_admissible(*B4_IN_C4),
+        lambda: hess.is_admissible(*B4_IN_C4),
+    ],
+    ids=[
+        "typeA_fixed_point_smooth",
+        "typeA_hess_schubert_smooth",
+        "admissibility_matrix_check",
+        "jacobian_at_fixed_point",
+        "hess_schubert_class",
+        "decompose_admissible",
+        "is_admissible",
+    ],
+)
+def test_element_of_another_root_system_is_domain_error(query):
+    with pytest.raises(DomainError, match="lies in"):
+        query()

@@ -15,22 +15,7 @@ from hypothesis import strategies as st
 
 from minhess import hess, oracle, singular
 from minhess.errors import DomainError
-from minhess.weyl import from_one_line
-
-
-def compositions(n):
-    out = []
-    for cuts in range(2 ** (n - 1)):
-        parts, run = [], 1
-        for i in range(n - 1):
-            if cuts >> i & 1:
-                parts.append(run)
-                run = 1
-            else:
-                run += 1
-        parts.append(run)
-        out.append(tuple(parts))
-    return out
+from minhess.weyl import compositions, from_one_line
 
 
 SAMPLE_MUS = [(2, 2), (3, 1), (1, 2, 1), (2, 1, 2)]
@@ -270,6 +255,8 @@ def test_rejects_inadmissible_and_oversize():
         oracle.jacobian_at_fixed_point((3, 2, 4, 1), (2, 2))
     with pytest.raises(DomainError):
         oracle.jacobian_at_fixed_point(tuple(range(7, 0, -1)), (7,))
+    with pytest.raises(DomainError, match="size bound"):
+        oracle.admissibility_matrix_check(tuple(range(1, 8)), (7,))
 
 
 @pytest.mark.parametrize("n", range(2, 6))

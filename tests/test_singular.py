@@ -15,6 +15,7 @@ from minhess.roots import build_root_system, cartan_datum, parabolic
 from minhess.weyl import (
     Composition,
     WeylElement,
+    compositions,
     enumerate_group,
     from_one_line,
     longest_element,
@@ -231,16 +232,7 @@ def test_count_smooth_examples():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_count_smooth_matches_enumeration(n):
-    for cuts in range(2 ** (n - 1)):
-        parts, run = [], 1
-        for i in range(n - 1):
-            if cuts >> i & 1:
-                parts.append(run)
-                run = 1
-            else:
-                run += 1
-        parts.append(run)
-        mu = tuple(parts)
+    for mu in compositions(n):
         cfg = hess.config_from_mu(mu)
         smooth = sum(
             1
@@ -281,16 +273,7 @@ def test_hess_schubert_one_line_table():
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_hess_schubert_dual_route_agreement(n):
-    for cuts in range(2 ** (n - 1)):
-        parts, run = [], 1
-        for i in range(n - 1):
-            if cuts >> i & 1:
-                parts.append(run)
-                run = 1
-            else:
-                run += 1
-        parts.append(run)
-        mu = tuple(parts)
+    for mu in compositions(n):
         cfg = hess.config_from_mu(mu)
         for w, _, _ in hess.enumerate_admissible(cfg):
             a = singular.hess_schubert_smooth(w, cfg).verdict

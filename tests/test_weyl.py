@@ -14,6 +14,7 @@ from minhess.roots import build_root_system, is_positive, negate
 from minhess.weyl import (
     Composition,
     WeylElement,
+    compositions,
     descent_decomposition,
     enumerate_group,
     enumerate_min_reps,
@@ -236,6 +237,10 @@ def test_composition_j_round_trip():
         Composition((0, 3))
     assert Composition.from_J(4, []) == Composition((1, 1, 1, 1))
     assert Composition.from_J(4, [1, 2, 3]) == Composition((4,))
+    assert compositions(3) == [(3,), (1, 2), (2, 1), (1, 1, 1)]
+    for n in range(1, 7):
+        parts = compositions(n)
+        assert len(set(parts)) == 2 ** (n - 1) and all(sum(p) == n for p in parts)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3)])
