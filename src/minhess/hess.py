@@ -99,6 +99,7 @@ def require_admissible(w: WeylElement, cfg: HessConfig) -> None:
 def delta_v(v: WeylElement, cfg: HessConfig) -> FrozenSet[int]:
     """The subset of J spanning the induced minimal Hessenberg space on the
     Levi: the simple roots of J hit by v applied to the simple roots."""
+    _require_same_system(v, cfg)
     rs = cfg.rs
     if not is_min_rep(v, cfg.J):
         raise DomainError("delta_v requires a shortest right coset representative")

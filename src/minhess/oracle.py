@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .hess import HessConfig, is_admissible, typeA_point
@@ -41,33 +41,12 @@ CELL_POINT_NOTE = (
 Matrix = List[List[Fraction]]
 
 
-def _mat(rows: Iterable[Iterable]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def _matmul(A: Matrix, B: Matrix) -> Matrix:
     n = len(A)
     return [
         [sum((A[i][k] * B[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
         for i in range(n)
     ]
-
-
-def _mat_inverse(A: Matrix) -> Matrix:
-    n = len(A)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise DomainError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
@@ -100,14 +79,21 @@ def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
     return r
 
 
-def permutation_matrix(perm: Sequence[int]) -> Matrix:
-    """Column b carries 1 in row perm[b]; conjugation then relabels matrix
-    units by the permutation."""
-    n = len(perm)
-    P = [[Fraction(0)] * n for _ in range(n)]
-    for b, v in enumerate(perm):
-        P[v - 1][b] = Fraction(1)
-    return P
+def _relabel(M: Matrix, perm: Sequence[int]) -> Matrix:
+    """P^-1 M P for the permutation matrix P whose column b carries 1 in row
+    perm[b]: conjugation only relabels rows and columns."""
+    return [[M[i - 1][j - 1] for j in perm] for i in perm]
+
+
+def _unipotent_conjugate(U: Matrix, M: Matrix) -> Matrix:
+    """U^-1 M U for unit upper triangular U, solving U R = M U from the last
+    row up; the unit diagonal means no step divides."""
+    R = _matmul(M, U)
+    for i in range(len(U) - 2, -1, -1):
+        for k in range(i + 1, len(U)):
+            if U[i][k]:
+                R[i] = [r - U[i][k] * s for r, s in zip(R[i], R[k])]
+    return R
 
 
 def in_hessenberg_space(M: Sequence[Sequence[Fraction]]) -> bool:
@@ -121,19 +107,12 @@ def in_hessenberg_space(M: Sequence[Sequence[Fraction]]) -> bool:
 
 @dataclass(frozen=True)
 class RegularMatrix:
-    """S + N for a composition: S is diagonal and constant exactly on the
-    blocks, N has a 1 in position (i, i+1) for every alpha_i inside a block."""
+    """diag + N for a composition: diag is constant exactly on the blocks, N
+    has a 1 in position (i, i+1) for every alpha_i inside a block."""
 
     n: int
     mu: Composition
     diag: Tuple[Fraction, ...]
-
-    @property
-    def S(self) -> Matrix:
-        return [
-            [self.diag[i] if i == j else Fraction(0) for j in range(self.n)]
-            for i in range(self.n)
-        ]
 
     @property
     def N(self) -> Matrix:
@@ -145,9 +124,10 @@ class RegularMatrix:
 
     @property
     def X(self) -> Matrix:
-        return [
-            [s + n for s, n in zip(rs, rn)] for rs, rn in zip(self.S, self.N)
-        ]
+        X = self.N
+        for i, s in enumerate(self.diag):
+            X[i][i] = s
+        return X
 
 
 def regular_matrix(mu, s_values: Optional[Sequence] = None) -> RegularMatrix:
@@ -262,7 +242,7 @@ def linear_terms_closed_form(
 ) -> JacobianResult:
     """The same Jacobian assembled entry by entry, with no conjugation.
 
-    The (eta, gamma) entry is the eigenvalue difference eta(S) on the
+    The (eta, gamma) entry is the eigenvalue difference eta(diag) on the
     diagonal, minus the elementary-matrix structure constant whenever eta
     differs from gamma by a block simple root.  Kept independent of the
     commutator of explicit matrices so the two can be compared entrywise.
@@ -272,19 +252,18 @@ def linear_terms_closed_form(
         raise DomainError("the fixed point does not lie in the variety")
     rs = cfg.rs
     cols, rows = _chart_roots(element, cfg)
-    J = sorted(cfg.J)
+    block_simples = {rs.simple_root(a) for a in cfg.J}
     matrix = []
     for eta in rows:
         i, j = root_pair(rs, eta)
         row = []
-        for k, gamma in enumerate(cols):
+        for gamma in cols:
             val = Fraction(0)
             if gamma == eta:
                 val += reg.diag[i - 1] - reg.diag[j - 1]
-            for a in J:
-                alpha = rs.simple_root(a)
-                if tuple(g + x for g, x in zip(gamma, alpha)) == eta:
-                    val -= _structure_constant(rs, gamma, alpha, eta)
+            alpha = tuple(e - g for e, g in zip(eta, gamma))
+            if alpha in block_simples:
+                val -= _structure_constant(rs, gamma, alpha, eta)
             row.append(val)
         matrix.append(tuple(row))
     rk = rank(matrix)
@@ -310,9 +289,7 @@ def admissibility_matrix_check(w, mu) -> bool:
     part by the permutation and check membership in the Hessenberg space.
     Like the Jacobians, it refuses n above DEFAULT_SIZE_BOUND."""
     reg, element, _ = _oracle_input(w, mu, None, DEFAULT_SIZE_BOUND)
-    P = permutation_matrix(one_line(element))
-    conj = _matmul(_matmul(_mat_inverse(P), reg.N), P)
-    return in_hessenberg_space(conj)
+    return in_hessenberg_space(_relabel(reg.N, one_line(element)))
 
 
 def jacobian_at_cell_point(
@@ -327,18 +304,16 @@ def jacobian_at_cell_point(
     """
     reg, element, cfg = _oracle_input(w, mu, s_values, size_bound)
     n = reg.n
-    U = _mat(u1)
+    U = [[Fraction(x) for x in row] for row in u1]
     if len(U) != n or any(len(row) != n for row in U):
         raise DomainError("u1 has the wrong shape")
     for i in range(n):
         if U[i][i] != 1 or any(U[i][j] != 0 for j in range(i)):
             raise DomainError("u1 must be unipotent upper triangular")
-    P = permutation_matrix(one_line(element))
-    g = _matmul(U, P)
-    moved = _matmul(_matmul(_mat_inverse(g), reg.X), g)
-    if not in_hessenberg_space(moved):
+    recentered = _unipotent_conjugate(U, reg.X)
+    # (U P)^-1 X (U P) = P^-1 (U^-1 X U) P
+    if not in_hessenberg_space(_relabel(recentered, one_line(element))):
         raise DomainError("the translated point does not lie in the variety")
-    recentered = _matmul(_matmul(_mat_inverse(U), reg.X), U)
     return _jacobian_from_conjugation(
         element, cfg, recentered, note=CELL_POINT_NOTE
     )

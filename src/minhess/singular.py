@@ -16,7 +16,7 @@ from math import factorial
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, EnumerationBoundError
-from .hess import HessConfig, decompose_admissible, delta_v, require_admissible, typeA_point
+from .hess import HessConfig, decompose_admissible, delta_v, typeA_point
 from .roots import (
     CartanDatum,
     Coeffs,
@@ -187,14 +187,14 @@ def peterson_fixed_point_smooth(sub: ParabolicSubsystem, K: Iterable[int]) -> Sm
 def hess_fixed_point_smooth(w: WeylElement, cfg: HessConfig) -> SmoothnessVerdict:
     """Smoothness of the fixed point of w, by reduction to the Peterson
     variety of the Levi named by J."""
-    require_admissible(w, cfg)
     dec = decompose_admissible(w, cfg)
-    if delta_v(dec.v, cfg) != cfg.J:
+    delta = delta_v(dec.v, cfg)
+    if delta != cfg.J:
         return SmoothnessVerdict(
             SINGULAR,
             DELTA_V_MISMATCH,
             ("levi-reduction", "delta-v-criterion"),
-            detail=(tuple(sorted(delta_v(dec.v, cfg))), tuple(sorted(cfg.J))),
+            detail=(tuple(sorted(delta)), tuple(sorted(cfg.J))),
         )
     inner = peterson_fixed_point_smooth(parabolic(cfg.rs, cfg.J), dec.K)
     return SmoothnessVerdict(
@@ -278,13 +278,8 @@ def hess_schubert_smooth(w: WeylElement, cfg: HessConfig) -> SmoothnessVerdict:
     an element of v^{-1}(K) and a descent of w."""
     dec = decompose_admissible(w, cfg)
     rs = cfg.rs
-    vinv = dec.v.inverse()
-    left = []
-    for k in dec.K:
-        im = vinv.act(rs.simple_root(k))
-        if not (is_positive(im) and sum(im) == 1):
-            raise RuntimeError("v^{-1}(K) is not a set of simple roots")
-        left.append(im)
+    # decompose_admissible checked that des(w) splits as des(v) u v^{-1}(K)
+    left = [rs.simple_root(i) for i in sorted(dec.des - dec.v.descents())]
     right = [rs.simple_root(i) for i in sorted(dec.des)]
     witnesses = bracket_set(rs, left, right)
     if witnesses:

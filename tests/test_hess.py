@@ -269,6 +269,8 @@ B4_IN_C4 = (WeylElement.from_word(B4, [1, 3, 4]), hess.hess_config(C4, [1, 2, 4]
         lambda: classes.hess_schubert_class(*B4_IN_C4),
         lambda: hess.decompose_admissible(*B4_IN_C4),
         lambda: hess.is_admissible(*B4_IN_C4),
+        lambda: hess.delta_v(WeylElement.from_word(B4, [3]), B4_IN_C4[1]),
+        lambda: hess.delta_v(WeylElement.from_word(A4, []), hess.config_from_mu((2, 2))),
     ],
     ids=[
         "typeA_fixed_point_smooth",
@@ -278,6 +280,8 @@ B4_IN_C4 = (WeylElement.from_word(B4, [1, 3, 4]), hess.hess_config(C4, [1, 2, 4]
         "hess_schubert_class",
         "decompose_admissible",
         "is_admissible",
+        "delta_v",
+        "delta_v_type_A",
     ],
 )
 def test_element_of_another_root_system_is_domain_error(query):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from minhess import hess, oracle, singular
 from minhess.errors import DomainError
-from minhess.weyl import compositions, from_one_line
+from minhess.weyl import compositions, from_one_line, one_line
 
 
 SAMPLE_MUS = [(2, 2), (3, 1), (1, 2, 1), (2, 1, 2)]
@@ -41,30 +41,42 @@ def unipotent(n, entries):
 # -- the commutator form ---------------------------------------------------------
 
 
-def test_columns_are_linear_terms_of_exact_conjugation():
-    """Column k is the t-linear coefficient of (I - tE_k) X (I + tE_k).
+def linear_coefficient(X, a, b):
+    """The t-linear coefficient C_1 of (I - tE_ab) X (I + tE_ab).
 
     The conjugate is X + t C_1 + t^2 C_2, so (M(t) - X) / t = C_1 + t C_2
     at two rational values of t determines C_1 exactly.
     """
+    n = len(X)
     t1, t2 = Fraction(1, 3), Fraction(-5, 2)
+    slopes = []
+    for t in (t1, t2):
+        M = matmul(matmul(unipotent(n, {(a, b): -t}), X), unipotent(n, {(a, b): t}))
+        slopes.append([[(M[i][j] - X[i][j]) / t for j in range(n)] for i in range(n)])
+    return [
+        [(t2 * s1 - t1 * s2) / (t2 - t1) for s1, s2 in zip(r1, r2)]
+        for r1, r2 in zip(*slopes)
+    ]
+
+
+def assert_columns_are_linear_terms(res, base):
+    """Column k of the Jacobian is the t-linear coefficient of conjugating
+    the base matrix by I + tE_k, read on the rows' matrix units."""
+    for k, gamma in enumerate(res.cols):
+        C = linear_coefficient(base, *matrix_unit(gamma))
+        for row, eta in zip(res.matrix, res.rows):
+            i, j = matrix_unit(eta)
+            assert base[i][j] == 0  # no constant term at the point
+            assert row[k] == C[i][j]
+
+
+def test_columns_are_linear_terms_of_exact_conjugation():
+    """Column k is the t-linear coefficient of (I - tE_k) X (I + tE_k)."""
     for mu in SAMPLE_MUS:
         s_values = [Fraction(3, 2), Fraction(0), Fraction(-7, 3)][: len(mu)]
-        reg = oracle.regular_matrix(mu, s_values)
-        X, n = reg.X, reg.n
+        X = oracle.regular_matrix(mu, s_values).X
         for w, _, _ in hess.enumerate_admissible(hess.config_from_mu(mu)):
-            res = oracle.jacobian_at_fixed_point(w, mu, s_values)
-            for k, gamma in enumerate(res.cols):
-                a, b = matrix_unit(gamma)
-                slopes = []
-                for t in (t1, t2):
-                    M = matmul(matmul(unipotent(n, {(a, b): -t}), X), unipotent(n, {(a, b): t}))
-                    slopes.append([[(M[i][j] - X[i][j]) / t for j in range(n)] for i in range(n)])
-                for row, eta in zip(res.matrix, res.rows):
-                    i, j = matrix_unit(eta)
-                    assert X[i][j] == 0  # no constant term at the fixed point
-                    s1, s2 = slopes[0][i][j], slopes[1][i][j]
-                    assert row[k] == (t2 * s1 - t1 * s2) / (t2 - t1)
+            assert_columns_are_linear_terms(oracle.jacobian_at_fixed_point(w, mu, s_values), X)
 
 
 def dual_matmul(A, B):
@@ -300,7 +312,7 @@ def test_admissibility_matrix_examples():
     assert oracle.admissibility_matrix_check((1, 2, 3, 4), (2, 2))
 
 
-@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("n", range(2, oracle.DEFAULT_SIZE_BOUND + 1))
 def test_admissibility_matrix_matches_root_test(n):
     for mu in compositions(n):
         cfg = hess.config_from_mu(mu)
@@ -353,6 +365,55 @@ def test_cell_point_rejects_points_outside_variety():
     lower = [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     with pytest.raises(DomainError):
         oracle.jacobian_at_cell_point((3, 2, 1, 4), (2, 2), lower)
+
+
+def inverse(A):
+    """Fraction Gauss-Jordan inverse of an invertible matrix."""
+    n = len(A)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(A)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def test_cell_points_agree_with_exact_conjugation():
+    """Seeded random translates u1.wB for every admissible (w, mu) with
+    n <= 4: the point is refused exactly when (U P)^-1 X (U P) leaves the
+    Hessenberg space, and otherwise each column of the Jacobian is a linear
+    term of conjugating U^-1 X U."""
+    rng = random.Random(5)
+    seen = {True: 0, False: 0}
+    for n in range(2, 5):
+        for mu in compositions(n):
+            s_values = [Fraction(3, 2), Fraction(0), Fraction(-7, 3), Fraction(5, 4)][: len(mu)]
+            X = oracle.regular_matrix(mu, s_values).X
+            for w, _, _ in hess.enumerate_admissible(hess.config_from_mu(mu)):
+                line = one_line(w)
+                P = [[Fraction(int(r == line[c] - 1)) for c in range(n)] for r in range(n)]
+                for _ in range(4):
+                    U = unipotent(n, {
+                        (i, j): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                        for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4
+                    })
+                    g = matmul(U, P)
+                    moved = matmul(matmul(inverse(g), X), g)
+                    inside = all(moved[i][j] == 0 for i in range(n) for j in range(i - 1))
+                    seen[inside] += 1
+                    if not inside:
+                        with pytest.raises(DomainError, match="does not lie in the variety"):
+                            oracle.jacobian_at_cell_point(w, mu, U, s_values)
+                        continue
+                    res = oracle.jacobian_at_cell_point(w, mu, U, s_values)
+                    assert res.note == oracle.CELL_POINT_NOTE
+                    assert_columns_are_linear_terms(res, matmul(matmul(inverse(U), X), U))
+    assert min(seen.values()) >= 100, seen
 
 
 def test_rank_helper():
