@@ -13,7 +13,6 @@ from .roots import (
     build_root_system,
     cartan_datum,
     parabolic,
-    precedes,
 )
 from .weyl import (
     Composition,

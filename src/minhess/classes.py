@@ -15,7 +15,7 @@ from typing import Dict, Iterable, Tuple
 
 from .errors import DomainError
 from .hess import HessConfig, require_admissible
-from .roots import Coeffs, RootSystem, negate, parabolic, root_key
+from .roots import Coeffs, RootSystem, parabolic
 from .weyl import WeylElement, root_pair
 
 K_THEORY = "k_theory"
@@ -41,8 +41,8 @@ def _subgroup_order(rs: RootSystem, I: Iterable[int]) -> int:
     return parabolic(rs, I).weyl_order()
 
 
-def _factors(roots: Iterable[Coeffs]) -> Tuple[Coeffs, ...]:
-    return tuple(sorted(roots, key=root_key))
+def _factors(rs: RootSystem, indices: Iterable[int]) -> Tuple[Coeffs, ...]:
+    return tuple(rs.root_list[k] for k in sorted(indices, key=rs.index_key))
 
 
 def hess_schubert_class(w: WeylElement, cfg: HessConfig, form: str = COHOMOLOGY) -> ClassExpression:
@@ -53,8 +53,8 @@ def hess_schubert_class(w: WeylElement, cfg: HessConfig, form: str = COHOMOLOGY)
     rs = cfg.rs
     des = w.descents()
     scalar = Fraction(_subgroup_order(rs, des), rs.weyl_order())
-    excluded = {negate(rs.simple_root(i)) for i in des}
-    factors = _factors(r for r in rs.negative_roots() if r not in excluded)
+    N = rs.npos
+    factors = _factors(rs, set(range(N, 2 * N)) - {N + i - 1 for i in des})
     return ClassExpression(scalar, factors, form)
 
 
@@ -62,9 +62,9 @@ def levi_flag_class(I: Iterable[int], rs: RootSystem, form: str = K_THEORY) -> C
     """Class of the embedded flag variety of the standard Levi on I."""
     Iset = frozenset(I)
     scalar = Fraction(_subgroup_order(rs, Iset), rs.weyl_order())
-    factors = _factors(
-        negate(r) for r in rs.positive_roots if not rs.support(r) <= Iset
-    )
+    outside = ~rs.simple_mask(Iset)
+    N = rs.npos
+    factors = _factors(rs, (k + N for k in range(N) if rs.support_mask[k] & outside))
     return ClassExpression(scalar, factors, form)
 
 
@@ -76,9 +76,7 @@ def peterson_dual_class(K: Iterable[int], rs: RootSystem) -> ClassExpression:
         if not 1 <= i <= rs.rank:
             raise DomainError(f"simple index {i} out of range")
     scalar = Fraction(_subgroup_order(rs, Kset), rs.weyl_order())
-    factors = _factors(
-        negate(rs.simple_root(i)) for i in range(1, rs.rank + 1) if i not in Kset
-    )
+    factors = _factors(rs, (rs.npos + i - 1 for i in range(1, rs.rank + 1) if i not in Kset))
     return ClassExpression(scalar, factors, COHOMOLOGY)
 
 
@@ -162,6 +160,6 @@ def expand_typeA(expr: ClassExpression, rs: RootSystem) -> ChernPolynomial:
     n = rs.rank + 1
     out = poly_constant(n, expr.scalar)
     for root in expr.factor_roots:
-        i, j = root_pair(rs, rs.check_root(negate(root)))
+        j, i = root_pair(rs, root)  # root = -(eps_i - eps_j)
         out = poly_mul(out, _linear_factor(n, i, j))
     return out

@@ -89,17 +89,17 @@ def _ints(text: str) -> List[int]:
 
 
 def _resolve_config(args) -> hess.HessConfig:
-    if args.mu:
+    if args.mu is not None:
         mu = Composition(tuple(_ints(args.mu)))
         cfg = hess.config_from_mu(mu)
         if args.family and args.family != "A":
             raise DomainError("--mu implies a type A configuration")
-        if args.rank and args.rank != cfg.rs.rank:
+        if args.rank is not None and args.rank != cfg.rs.rank:
             raise DomainError(
                 f"--rank {args.rank} conflicts with --mu (rank {cfg.rs.rank})"
             )
         return cfg
-    if not args.family or not args.rank:
+    if not args.family or args.rank is None:
         raise DomainError("need either --mu or both --family and --rank")
     rs = build_root_system(args.family, args.rank)
     J = frozenset(_ints(args.J or ""))

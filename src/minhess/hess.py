@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .roots import (
-    ParabolicSubsystem,
-    RootSystem,
-    build_root_system,
-    negate,
-    parabolic,
-)
+from .roots import ParabolicSubsystem, RootSystem, build_root_system, parabolic
 from .weyl import (
     DEFAULT_ENUMERATION_BOUND,
     Composition,
@@ -103,9 +97,10 @@ def delta_v(v: WeylElement, cfg: HessConfig) -> FrozenSet[int]:
     rs = cfg.rs
     if not is_min_rep(v, cfg.J):
         raise DomainError("delta_v requires a shortest right coset representative")
+    outside = ~rs.simple_mask(cfg.J)
     out = set()
     for k in v.perm[: rs.rank]:
-        if k < rs.npos and rs.support(rs.root_list[k]) <= cfg.J:
+        if k < rs.npos and not rs.support_mask[k] & outside:
             if k >= rs.rank:
                 raise RuntimeError("v(Delta) meets the parabolic in a non-simple root")
             out.add(k + 1)
@@ -148,20 +143,22 @@ def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposi
     if not is_min_rep(tau, cfg.J):
         raise RuntimeError("tau is not a shortest right coset representative mod J")
     tau_inv = tau.inverse().perm
+    outside = ~rs.simple_mask(des)
     Jw = set()
     for j in cfg.J:
         k = tau_inv[j - 1]
-        if rs.support(rs.root_list[k]) <= des:
+        if not rs.support_mask[k] & outside:
             if k >= rs.rank:
                 raise RuntimeError("tau^{-1}(J) meets the Levi in a non-simple root")
             Jw.add(k + 1)
     Jw = frozenset(Jw)
     if not Jw <= des:
         raise RuntimeError("J_w is not contained in des(w)")
-    # consistency of the two factorizations
+    # consistency of the two factorizations: y_des(alpha_k) for k in J_w
+    # against v^{-1}(-alpha_k) for k in K
     vinv = v.inverse()
-    left = {y_des.act(rs.simple_root(k)) for k in Jw}
-    right = {vinv.act(negate(rs.simple_root(k))) for k in K}
+    left = {y_des.perm[k - 1] for k in Jw}
+    right = {vinv.perm[rs.npos + k - 1] for k in K}
     if left != right:
         raise RuntimeError("descent and coset factorizations are inconsistent")
     vinv_K = set()

@@ -22,8 +22,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .hess import HessConfig, is_admissible, typeA_point
-from .roots import Coeffs, RootSystem, negate, root_key
-from .weyl import Composition, WeylElement, one_line, root_pair
+from .roots import Coeffs, RootSystem
+from .weyl import Composition, WeylElement, one_line
 
 DEFAULT_SIZE_BOUND = 6
 
@@ -162,16 +162,13 @@ def _oracle_input(
     return reg, element, cfg
 
 
-def _chart_roots(w: WeylElement, cfg: HessConfig) -> Tuple[List[Coeffs], List[Coeffs]]:
-    """Column roots w(Phi^-) and row roots w(Phi^- minus the negative
-    simples), both in the package's deterministic root order."""
+def _chart_roots(w: WeylElement, cfg: HessConfig) -> Tuple[List[int], List[int]]:
+    """Indices of the column roots w(Phi^-) and the row roots w(Phi^- minus
+    the negative simples), both in the package's deterministic root order."""
     rs = cfg.rs
-    cols = sorted((w.act(negate(r)) for r in rs.positive_roots), key=root_key)
-    simples = {negate(rs.simple_root(i)) for i in range(1, rs.rank + 1)}
-    rows = sorted(
-        (w.act(negate(r)) for r in rs.positive_roots if negate(r) not in simples),
-        key=root_key,
-    )
+    N = rs.npos
+    cols = sorted(w.perm[N:], key=rs.index_key)
+    rows = sorted(w.perm[N + rs.rank :], key=rs.index_key)
     return cols, rows
 
 
@@ -192,19 +189,30 @@ class JacobianResult:
         return self.matrix[self.rows.index(row_root)][self.cols.index(col_root)]
 
 
+def _ranked(
+    rs: RootSystem, rows: List[int], cols: List[int], matrix: Sequence[Tuple[Fraction, ...]],
+    note: str,
+) -> JacobianResult:
+    """The Jacobian with its rank and verdict, rows and columns as roots."""
+    rk = rank(matrix)
+    verdict = SMOOTH if rk == len(rows) else SINGULAR
+    roots = [tuple(rs.root_list[k] for k in ks) for ks in (rows, cols)]
+    return JacobianResult(*roots, tuple(matrix), rk, verdict, note)
+
+
 def _jacobian_from_conjugation(
     w: WeylElement, cfg: HessConfig, base: Matrix, note: str = ""
 ) -> JacobianResult:
     """Linear parts of the defining equations of the chart at w, read off the
     commutator [base, Z]: the coefficient of z_gamma, gamma = (a, b), in the
     entry eta = (i, j) is base[i][a] [b = j] - [i = a] base[b][j]."""
-    rs = cfg.rs
+    pairs = cfg.rs.pairs
     cols, rows = _chart_roots(w, cfg)
-    units = [(a - 1, b - 1) for a, b in (root_pair(rs, gamma) for gamma in cols)]
+    units = [(a - 1, b - 1) for a, b in map(pairs.__getitem__, cols)]
     zero = Fraction(0)
     matrix: List[Tuple[Fraction, ...]] = []
     for eta in rows:
-        i, j = root_pair(rs, eta)
+        i, j = pairs[eta]
         i, j = i - 1, j - 1
         if base[i][j] != 0:
             raise RuntimeError("defining equation has a nonzero constant term")
@@ -214,9 +222,7 @@ def _jacobian_from_conjugation(
                 for a, b in units
             )
         )
-    rk = rank(matrix)
-    verdict = SMOOTH if rk == len(rows) else SINGULAR
-    return JacobianResult(tuple(rows), tuple(cols), tuple(matrix), rk, verdict, note)
+    return _ranked(cfg.rs, rows, cols, matrix, note)
 
 
 def jacobian_at_fixed_point(
@@ -250,38 +256,34 @@ def linear_terms_closed_form(
     reg, element, cfg = _oracle_input(w, mu, s_values, size_bound)
     if not is_admissible(element, cfg):
         raise DomainError("the fixed point does not lie in the variety")
-    rs = cfg.rs
+    pairs = cfg.rs.pairs
     cols, rows = _chart_roots(element, cfg)
-    block_simples = {rs.simple_root(a) for a in cfg.J}
+    block_simples = {(a, a + 1) for a in cfg.J}
     matrix = []
-    for eta in rows:
-        i, j = root_pair(rs, eta)
+    for eta in map(pairs.__getitem__, rows):
+        i, j = eta
         row = []
-        for gamma in cols:
+        for gamma in map(pairs.__getitem__, cols):
             val = Fraction(0)
             if gamma == eta:
                 val += reg.diag[i - 1] - reg.diag[j - 1]
-            alpha = tuple(e - g for e, g in zip(eta, gamma))
+            # eta - gamma: eps_i - eps_a when j = b, eps_b - eps_j when i = a
+            a, b = gamma
+            alpha = (i, a) if j == b else (b, j) if i == a else None
             if alpha in block_simples:
-                val -= _structure_constant(rs, gamma, alpha, eta)
+                val -= _structure_constant(gamma, alpha, eta)
             row.append(val)
         matrix.append(tuple(row))
-    rk = rank(matrix)
-    verdict = SMOOTH if rk == len(rows) else SINGULAR
-    return JacobianResult(tuple(rows), tuple(cols), tuple(matrix), rk, verdict)
+    return _ranked(cfg.rs, rows, cols, matrix, "")
 
 
-def _structure_constant(rs: RootSystem, gamma: Coeffs, alpha: Coeffs, eta: Coeffs) -> Fraction:
-    """Coefficient of the eta matrix unit in [E_gamma, E_alpha]."""
-    a, b = root_pair(rs, gamma)
-    c, d = root_pair(rs, alpha)
-    i, j = root_pair(rs, eta)
-    out = Fraction(0)
-    if b == c and (a, d) == (i, j):
-        out += 1
-    if d == a and (c, b) == (i, j):
-        out -= 1
-    return out
+def _structure_constant(
+    gamma: Tuple[int, int], alpha: Tuple[int, int], eta: Tuple[int, int]
+) -> Fraction:
+    """Coefficient of the eta matrix unit in [E_gamma, E_alpha], for type A
+    roots given as pairs (i, j) for eps_i - eps_j."""
+    (a, b), (c, d) = gamma, alpha
+    return Fraction(int(b == c and (a, d) == eta) - int(d == a and (c, b) == eta))
 
 
 def admissibility_matrix_check(w, mu) -> bool:

@@ -1,8 +1,12 @@
 """Root systems of the simple Lie types, realized over the simple-root basis.
 
-Every root is an integer coefficient vector over the simple roots
-``alpha_1 .. alpha_n`` (a plain tuple of ints), so all arithmetic is exact.
-Simple indices are 1-based throughout the public API, matching the standard
+A root is read and written as an integer coefficient vector over the simple
+roots ``alpha_1 .. alpha_n`` (a plain tuple of ints), so all arithmetic is
+exact.  Inside the package a root is its index: k < N names the k-th
+positive root in (height, reverse-lex) order and k + N its negative, and
+each ``RootSystem`` tabulates what the rest of the package asks of an index
+(its support, in type A its pair (i, j)) once, at construction.  Simple
+indices are 1-based throughout the public API, matching the standard
 numbering of the Dynkin diagrams (for type B the short simple root is
 ``alpha_n``, for type C it is the long one, G_2 has ``alpha_1`` short).
 """
@@ -217,6 +221,17 @@ class RootSystem:
         self.simple_perms: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(half + [(k + N) % (2 * N) for k in half]) for half in halves
         )
+        # bit i - 1 of support_mask[k] is set when alpha_i occurs in root k
+        self.support_mask: Tuple[int, ...] = tuple(
+            sum(1 << i for i, c in enumerate(r) if c) for r in self.root_list
+        )
+        # type A: pairs[k] = (i, j) with root k = eps_i - eps_j
+        self.pairs: Tuple[Tuple[int, int], ...] = ()
+        if cartan.family == "A":
+            # alpha_i + ... + alpha_{j-1} = eps_i - eps_j
+            supports = [[i + 1 for i, c in enumerate(r) if c] for r in self.positive_roots]
+            pos = [(support[0], support[-1] + 1) for support in supports]
+            self.pairs = tuple(pos) + tuple((j, i) for i, j in pos)
         self.highest_root: Coeffs = self.positive_roots[-1]
         expected = POSITIVE_COUNT[cartan.family](n)
         if len(self.positive_roots) != expected:
@@ -276,8 +291,15 @@ class RootSystem:
             raise DomainError(f"simple index {i} out of range for {self.cartan.name}")
         return self.simple_roots[i - 1]
 
-    def support(self, root: Coeffs) -> FrozenSet[int]:
-        return frozenset(i + 1 for i, c in enumerate(root) if c)
+    @staticmethod
+    def simple_mask(indices: Iterable[int]) -> int:
+        """The simple indices as a mask in the bits of ``support_mask``."""
+        return sum(1 << (i - 1) for i in frozenset(indices))
+
+    def index_key(self, k: int) -> int:
+        """Sort key of root index k in ``root_key`` order: the negatives from
+        index 2N - 1 down to N, then the positives from 0 up."""
+        return k if k < self.npos else self.npos - 1 - k
 
     def weyl_order(self) -> int:
         return weyl_order(self.cartan.family, self.rank)
@@ -305,20 +327,6 @@ def from_cartan(datum: CartanDatum) -> RootSystem:
         cached = RootSystem(datum)
         _SYSTEM_REGISTRY[datum] = cached
     return cached
-
-
-def precedes(beta: Coeffs, alpha: Coeffs, rs: RootSystem) -> bool:
-    """Whether beta strictly precedes alpha in the root partial order.
-
-    Equivalent to alpha - beta being a nonzero nonnegative combination of
-    simple roots; since the simple roots are themselves positive roots, that
-    is exactly "alpha - beta is a sum of positive roots".
-    """
-    beta = rs.check_root(beta)
-    alpha = rs.check_root(alpha)
-    if beta == alpha:
-        return False
-    return all(a - b >= 0 for a, b in zip(alpha, beta))
 
 
 def bracket_set(rs: RootSystem, left: Iterable[Coeffs], right: Iterable[Coeffs]) -> Tuple[Coeffs, ...]:
@@ -360,9 +368,10 @@ class ParabolicSubsystem:
     components: Tuple[Component, ...]
 
     def positive_roots(self) -> Tuple[Coeffs, ...]:
-        J = self.J
+        rs = self.ambient
+        outside = ~rs.simple_mask(self.J)
         return tuple(
-            r for r in self.ambient.positive_roots if self.ambient.support(r) <= J
+            r for r, mask in zip(rs.positive_roots, rs.support_mask) if not mask & outside
         )
 
     def weyl_order(self) -> int:

@@ -21,6 +21,7 @@ from .roots import (
     CartanDatum,
     Coeffs,
     ParabolicSubsystem,
+    RootSystem,
     bracket_set,
     cartan_datum,
     from_cartan,
@@ -149,8 +150,8 @@ def cominuscule_check(component: CartanDatum, K: Iterable[int]) -> bool:
     rs = from_cartan(component)
     Kset = frozenset(K)
     y = longest_element(rs, Kset)
-    image = y.act(negate(rs.highest_root))
-    return (not is_positive(image)) and sum(image) == -1
+    # the lowest root has index 2N - 1; the negative simples are N .. N + rank - 1
+    return rs.npos <= y.perm[2 * rs.npos - 1] < rs.npos + rs.rank
 
 
 # -- fixed points of Peterson and Hessenberg varieties -----------------------
@@ -409,57 +410,46 @@ def _shared_linear_cases(family: str, rank: int) -> List[Tuple[int, Coeffs, int,
     raise DomainError(f"{family}{rank} has no rows in the shared-linear case table")
 
 
-def verify_shared_linear_table(family: str, rank: int) -> Tuple[SharedLinearRow, ...]:
-    """Instantiate and check every case-table row for one (family, rank).
-
-    Checks, per row: both eta roots are negative, lie outside the parabolic
-    on K = Delta minus beta and are not the lowest root; both recover the
-    shared root gamma; no other simple root can be subtracted from either
-    eta inside the root system; and beta is a cominuscule node.
-    """
-    rs = from_cartan(cartan_datum(family, rank))
+def _shared_linear_row(
+    rs: RootSystem, beta: int, gamma: Coeffs, a1: int, a2: int
+) -> SharedLinearRow:
+    """One case-table row with its checks: both eta = gamma + alpha_a roots
+    are negative, lie outside the parabolic on K = Delta minus beta and are
+    not the lowest root; both recover the shared root gamma; no other simple
+    root can be subtracted from either eta inside the root system; and beta
+    is a cominuscule node."""
     theta = rs.highest_root
-    rows = []
-    for beta, gamma, a1, a2 in _shared_linear_cases(family, rank):
-        K = frozenset(range(1, rank + 1)) - {beta}
-        eta1 = tuple(g + s for g, s in zip(gamma, rs.simple_root(a1)))
-        eta2 = tuple(g + s for g, s in zip(gamma, rs.simple_root(a2)))
-        checks: List[Tuple[str, bool]] = []
-        checks.append(("gamma_is_root", gamma in rs.roots))
-        checks.append(("etas_distinct", eta1 != eta2))
-        for name, eta in (("eta1", eta1), ("eta2", eta2)):
-            ok = (
-                eta in rs.roots
-                and not is_positive(eta)
-                and not rs.support(eta) <= K
-                and eta != negate(theta)
-            )
-            checks.append((f"{name}_in_range", ok))
-        checks.append(
-            (
-                "shared_difference",
-                tuple(e - s for e, s in zip(eta1, rs.simple_root(a1)))
-                == tuple(e - s for e, s in zip(eta2, rs.simple_root(a2)))
-                == gamma,
-            )
+
+    def plus(root: Coeffs, a: int, sign: int = 1) -> Coeffs:
+        return tuple(c + sign * s for c, s in zip(root, rs.simple_root(a)))
+
+    eta1, eta2 = plus(gamma, a1), plus(gamma, a2)
+    checks: List[Tuple[str, bool]] = []
+    checks.append(("gamma_is_root", gamma in rs.roots))
+    checks.append(("etas_distinct", eta1 != eta2))
+    for name, eta in (("eta1", eta1), ("eta2", eta2)):
+        ok = (
+            eta in rs.roots
+            and not is_positive(eta)
+            and eta[beta - 1] != 0  # not supported on K
+            and eta != negate(theta)
         )
-        for name, eta, al in (("eta1", eta1, a1), ("eta2", eta2, a2)):
-            sole = all(
-                tuple(e - s for e, s in zip(eta, rs.simple_root(i))) not in rs.roots
-                for i in range(1, rank + 1)
-                if i != al
-            )
-            checks.append((f"{name}_unique_linear", sole))
-        checks.append(("beta_cominuscule", theta[beta - 1] == 1))
-        rows.append(
-            SharedLinearRow(
-                beta=beta,
-                gamma=gamma,
-                eta1=eta1,
-                alpha1=a1,
-                eta2=eta2,
-                alpha2=a2,
-                checks=tuple(checks),
-            )
+        checks.append((f"{name}_in_range", ok))
+    checks.append(
+        ("shared_difference", plus(eta1, a1, -1) == plus(eta2, a2, -1) == gamma)
+    )
+    for name, eta, al in (("eta1", eta1, a1), ("eta2", eta2, a2)):
+        sole = all(
+            plus(eta, i, -1) not in rs.roots for i in range(1, rs.rank + 1) if i != al
         )
-    return tuple(rows)
+        checks.append((f"{name}_unique_linear", sole))
+    checks.append(("beta_cominuscule", theta[beta - 1] == 1))
+    return SharedLinearRow(beta, gamma, eta1, a1, eta2, a2, tuple(checks))
+
+
+def verify_shared_linear_table(family: str, rank: int) -> Tuple[SharedLinearRow, ...]:
+    """Instantiate and check every case-table row for one (family, rank)."""
+    rs = from_cartan(cartan_datum(family, rank))
+    return tuple(
+        _shared_linear_row(rs, *case) for case in _shared_linear_cases(family, rank)
+    )

@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import classes, hess, oracle, singular
-from .roots import build_root_system, cartan_datum, from_cartan, negate
+from .errors import DomainError
+from .roots import build_root_system, cartan_datum, from_cartan
 from .weyl import (
     WeylElement,
     compositions,
@@ -183,7 +184,10 @@ def suite_paper_tables() -> List[Check]:
     return checks
 
 
-def suite_cross_validate(max_rank: int = 4) -> List[Check]:
+def suite_cross_validate(max_rank: Optional[int] = None) -> List[Check]:
+    """Every admissible (w, mu) with n <= max_rank + 1 (default 4) through
+    all smoothness routes."""
+    max_rank = 4 if max_rank is None else max_rank
     checks: List[Check] = []
     mismatches = 0
     dual_path = 0
@@ -236,7 +240,9 @@ _FAMILY_RANKS = {
 }
 
 
-def suite_cominuscule(max_rank: int = 8) -> List[Check]:
+def suite_cominuscule(max_rank: Optional[int] = None) -> List[Check]:
+    """Every proper subset K in every type up to max_rank (default 8)."""
+    max_rank = 8 if max_rank is None else max_rank
     bad = 0
     scanned = 0
     containment = 0
@@ -295,32 +301,24 @@ def suite_fig1() -> List[Check]:
     # corrected witness for the defective instance: swap the two short-arm
     # nodes, which is a diagram symmetry at rank 4
     rs = build_root_system("D", 4)
-    theta = rs.highest_root
-    gamma = tuple(s - t for t, s in zip(theta, rs.simple_root(2)))
-    eta1 = tuple(g + s for g, s in zip(gamma, rs.simple_root(1)))
-    eta2 = tuple(g + s for g, s in zip(gamma, rs.simple_root(4)))
-    K = {1, 2, 4}
-    ok = True
-    for eta, al in ((eta1, 1), (eta2, 4)):
-        ok = ok and eta in rs.roots and not rs.support(eta) <= K and eta != negate(theta)
-        ok = ok and all(
-            tuple(e - s for e, s in zip(eta, rs.simple_root(i))) not in rs.roots
-            for i in range(1, 5)
-            if i != al
-        )
-    checks.append(Check("shared-linear-D4-beta3-corrected-witness", ok))
+    gamma = tuple(s - t for t, s in zip(rs.highest_root, rs.simple_root(2)))
+    row = singular._shared_linear_row(rs, 3, gamma, 1, 4)
+    checks.append(Check("shared-linear-D4-beta3-corrected-witness", row.ok))
     return checks
 
 
 SUITES = {
     "paper-tables": lambda max_rank: suite_paper_tables(),
-    "cross-validate": lambda max_rank: suite_cross_validate(max_rank or 4),
-    "cominuscule": lambda max_rank: suite_cominuscule(max_rank or 8),
+    "cross-validate": suite_cross_validate,
+    "cominuscule": suite_cominuscule,
     "fig1": lambda max_rank: suite_fig1(),
 }
 
 
 def run_suite(name: str, max_rank: Optional[int] = None) -> List[Check]:
+    """Run one suite; a max_rank of None leaves the suite its own default."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    if max_rank is not None and max_rank < 1:
+        raise DomainError(f"max_rank must be at least 1, not {max_rank}")
     return SUITES[name](max_rank)

@@ -3,8 +3,10 @@
 An element is stored as the permutation it induces on the 2N root indices of
 its root system (index k < N is the k-th positive root, k + N its negative),
 following W. Casselman, "Machine calculations in Weyl groups" (Invent. Math.
-116, 1994).  Products, inverses, root actions, descents and lengths are index
-arithmetic.  Words are never part of an element's identity: equality and
+116, 1994).  Products, inverses, root actions, descents, lengths and type A
+one-line notation are index arithmetic; coefficient tuples enter only through
+``act`` and ``root_pair`` and leave only through ``images``, ``inversions``
+and ``act``.  Words are never part of an element's identity: equality and
 hashing use the permutation only, and the canonical word (least-index greedy
 descent stripping) is computed on demand or carried along by enumeration.
 """
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, EnumerationBoundError
-from .roots import Coeffs, RootSystem, is_positive, negate, parabolic
+from .roots import Coeffs, RootSystem, parabolic
 
 DEFAULT_ENUMERATION_BOUND = 10**6
 E8_ORDER = 696729600
@@ -35,47 +37,32 @@ def _simple_perm(rs: RootSystem, i: int) -> Tuple[int, ...]:
 class WeylElement:
     __slots__ = ("rs", "perm", "_word", "_hash")
 
-    def __init__(self, rs: RootSystem, images: Tuple[Coeffs, ...]):
-        """The linear map sending alpha_{i+1} to images[i].  A root carried
-        to a non-root gets index -1; validate() rejects such elements."""
-        n = rs.rank
+    def __init__(
+        self, rs: RootSystem, perm: Tuple[int, ...], word: Optional[Tuple[int, ...]] = None
+    ):
+        """The element permuting the root indices of rs as perm does, with
+        its canonical word when the caller knows it; validate() checks perm."""
         self.rs = rs
-        self.perm = tuple(
-            rs.root_index.get(
-                tuple(sum(c * im[k] for c, im in zip(r, images) if c) for k in range(n)), -1
-            )
-            for r in rs.root_list
-        )
-        self._word: Optional[Tuple[int, ...]] = None
+        self.perm = perm
+        self._word = word
         self._hash: Optional[int] = None
-
-    @classmethod
-    def _of(
-        cls, rs: RootSystem, perm: Tuple[int, ...], word: Optional[Tuple[int, ...]] = None
-    ) -> "WeylElement":
-        w = cls.__new__(cls)
-        w.rs = rs
-        w.perm = perm
-        w._word = word
-        w._hash = None
-        return w
 
     # -- construction ----------------------------------------------------
 
     @staticmethod
     def identity(rs: RootSystem) -> "WeylElement":
-        return WeylElement._of(rs, tuple(range(2 * rs.npos)), ())
+        return WeylElement(rs, tuple(range(2 * rs.npos)), ())
 
     @staticmethod
     def simple(rs: RootSystem, i: int) -> "WeylElement":
-        return WeylElement._of(rs, _simple_perm(rs, i), (i,))
+        return WeylElement(rs, _simple_perm(rs, i), (i,))
 
     @staticmethod
     def from_word(rs: RootSystem, word: Iterable[int]) -> "WeylElement":
         p = tuple(range(2 * rs.npos))
         for i in word:
             p = tuple(map(p.__getitem__, _simple_perm(rs, i)))
-        return WeylElement._of(rs, p)
+        return WeylElement(rs, p)
 
     @property
     def images(self) -> Tuple[Coeffs, ...]:
@@ -87,21 +74,19 @@ class WeylElement:
 
     def act(self, root: Coeffs) -> Coeffs:
         """Linear action on a root coefficient vector."""
-        k = self.rs.root_index.get(tuple(root))
-        if k is None or self.perm[k] < 0:
-            raise DomainError(f"{root} is not carried to a root; not a root itself?")
-        return self.rs.root_list[self.perm[k]]
+        rs = self.rs
+        return rs.root_list[self.perm[rs.root_index[rs.check_root(root)]]]
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.rs is not other.rs:
             raise DomainError("elements live in different root systems")
-        return WeylElement._of(self.rs, tuple(map(self.perm.__getitem__, other.perm)))
+        return WeylElement(self.rs, tuple(map(self.perm.__getitem__, other.perm)))
 
     def inverse(self) -> "WeylElement":
         inv = [0] * len(self.perm)
         for k, image in enumerate(self.perm):
             inv[image] = k
-        return WeylElement._of(self.rs, tuple(inv))
+        return WeylElement(self.rs, tuple(inv))
 
     def is_identity(self) -> bool:
         return self.perm == tuple(range(len(self.perm)))
@@ -109,7 +94,7 @@ class WeylElement:
     def validate(self) -> None:
         """On-demand sanity check: the element permutes the root set."""
         if sorted(self.perm) != list(range(2 * self.rs.npos)):
-            raise DomainError("images do not permute the roots")
+            raise DomainError("perm is not a permutation of the root indices")
 
     # -- combinatorial statistics -----------------------------------------
 
@@ -201,8 +186,12 @@ def is_min_rep(w: WeylElement, J: Iterable[int]) -> bool:
 
 def in_parabolic(w: WeylElement, K: Iterable[int]) -> bool:
     """Whether w lies in the parabolic subgroup generated by K."""
+    rs = w.rs
     Kset = frozenset(K)
-    return all(w.rs.support(r) <= Kset for r in w.inversions())
+    _check_simple(rs, Kset)
+    outside = ~rs.simple_mask(Kset)
+    N = rs.npos
+    return not any(rs.support_mask[k] & outside for k in range(N) if w.perm[k] >= N)
 
 
 def min_right_coset_rep(w: WeylElement, J: Iterable[int]) -> Tuple[WeylElement, WeylElement]:
@@ -275,7 +264,7 @@ def _level_order(
                 # v s_i is reached from its canonical parent instead
                 if max(map(p.__getitem__, refl[: i - 1]), default=-1) >= N:
                     continue
-                nxt.append(WeylElement._of(rs, tuple(map(p.__getitem__, refl)), word + (i,)))
+                nxt.append(WeylElement(rs, tuple(map(p.__getitem__, refl)), word + (i,)))
         level = nxt
 
 
@@ -344,43 +333,26 @@ def _require_type_a(rs: RootSystem) -> int:
 
 def root_pair(rs: RootSystem, root: Coeffs) -> Tuple[int, int]:
     """The 1-based (i, j) with root = eps_i - eps_j, for type A."""
-    if is_positive(root):
-        support = [i + 1 for i, c in enumerate(root) if c]
-        return support[0], support[-1] + 1
-    a, b = root_pair(rs, negate(root))
-    return b, a
-
-
-def _root_of_pair(rs: RootSystem, a: int, b: int) -> Coeffs:
-    n = rs.rank
-    if a < b:
-        return tuple(1 if a <= k + 1 < b else 0 for k in range(n))
-    return tuple(-1 if b <= k + 1 < a else 0 for k in range(n))
+    _require_type_a(rs)
+    return rs.pairs[rs.root_index[rs.check_root(root)]]
 
 
 def one_line(w: WeylElement) -> Tuple[int, ...]:
-    """The permutation [w(1), ..., w(n)] of a type A element."""
-    n = _require_type_a(w.rs)
-    pairs = [root_pair(w.rs, im) for im in w.images]
-    perm = [pairs[0][0]]
-    for a, b in pairs:
-        if perm[-1] != a:
-            raise RuntimeError("inconsistent one-line reconstruction")
-        perm.append(b)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise RuntimeError("images do not describe a permutation")
-    return tuple(perm)
+    """The permutation [w(1), ..., w(n)] of a type A element, read off
+    w(eps_i - eps_{i+1}) = eps_{w(i)} - eps_{w(i+1)}."""
+    _require_type_a(w.rs)
+    pairs = [w.rs.pairs[k] for k in w.perm[: w.rs.rank]]
+    return (pairs[0][0],) + tuple(b for _, b in pairs)
 
 
 def from_one_line(rs: RootSystem, perm: Sequence[int]) -> WeylElement:
+    """The type A element sending eps_a - eps_b to eps_{w(a)} - eps_{w(b)}."""
     n = _require_type_a(rs)
     perm = tuple(perm)
     if sorted(perm) != list(range(1, n + 1)):
         raise DomainError(f"{perm} is not a permutation of 1..{n}")
-    images = tuple(
-        _root_of_pair(rs, perm[i], perm[i + 1]) for i in range(n - 1)
-    )
-    return WeylElement(rs, images)
+    index = {pair: k for k, pair in enumerate(rs.pairs)}
+    return WeylElement(rs, tuple(index[perm[a - 1], perm[b - 1]] for a, b in rs.pairs))
 
 
 def one_line_str(w: WeylElement) -> str:

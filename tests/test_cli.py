@@ -216,6 +216,24 @@ def test_out_of_range_simple_index_is_domain_error(capsys, w):
     assert json.loads(err)["error"]["kind"] == "domain"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify", "--suite", "cross-validate", "--max-rank", "0"], "max_rank"),
+        (["verify", "--suite", "cominuscule", "--max-rank", "-1"], "max_rank"),
+        (["admissible", "--mu", "2,2", "--rank", "0"], "--rank 0 conflicts"),
+        (["admissible", "--family", "A", "--rank", "0"], "rank must be positive"),
+        (["admissible", "--mu", "", "--family", "A", "--rank", "3"], "invalid composition"),
+    ],
+)
+def test_zero_or_empty_is_a_value_not_an_absent_flag(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert not out
+    error = json.loads(err)["error"]
+    assert error["kind"] == "domain" and message in error["message"]
+
+
 def test_fixed_point_smooth_rejects_non_admissible(capsys):
     """Type A has a pattern criterion that would answer for any permutation;
     outside the variety the only right answer is the domain error."""

@@ -17,9 +17,7 @@ from minhess.roots import (
     bracket_set,
     build_root_system,
     cartan_datum,
-    negate,
     parabolic,
-    precedes,
     root_key,
 )
 
@@ -166,18 +164,6 @@ def test_degenerate_rank_normalization():
         build_root_system("F", 3)
     with pytest.raises(DomainError):
         build_root_system("G", 3)
-
-
-def test_precedes():
-    rs = build_root_system("A", 3)
-    theta = rs.highest_root
-    a1, a2 = rs.simple_root(1), rs.simple_root(2)
-    assert precedes(a1, theta, rs)
-    assert not precedes(a1, a2, rs)
-    assert not precedes(a1, a1, rs)
-    assert precedes(negate(theta), negate(a1), rs)
-    with pytest.raises(DomainError):
-        precedes((2, 0, 0), theta, rs)
 
 
 def test_bracket_set_examples():

@@ -64,7 +64,7 @@ def test_element_validate():
     rs = build_root_system("B", 3)
     for w in [WeylElement.identity(rs), longest_element(rs, [1, 2, 3])]:
         w.validate()
-    broken = WeylElement(rs, (rs.simple_roots[0],) * 3)
+    broken = WeylElement(rs, (0,) * (2 * rs.npos))  # every root sent to alpha_1
     with pytest.raises(DomainError):
         broken.validate()
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minhess.errors import DomainError, EnumerationBoundError
-from minhess.roots import build_root_system, is_positive, negate
+from minhess.roots import build_root_system, is_positive, negate, root_key
 from minhess.weyl import (
     Composition,
     WeylElement,
@@ -27,6 +27,27 @@ from minhess.weyl import (
     one_line,
     one_line_str,
 )
+
+
+def support(root):
+    """1-based simple indices with a nonzero coefficient in the root."""
+    return frozenset(i + 1 for i, c in enumerate(root) if c)
+
+
+def from_images(rs, images):
+    """The element sending alpha_{i+1} to images[i], built by summing
+    coefficient vectors over every root: independent of the root index
+    tables.  A root carried to a non-root gets index -1."""
+    n = rs.rank
+    return WeylElement(
+        rs,
+        tuple(
+            rs.root_index.get(
+                tuple(sum(c * im[k] for c, im in zip(r, images) if c) for k in range(n)), -1
+            )
+            for r in rs.root_list
+        ),
+    )
 
 
 def test_act_identity_and_simple():
@@ -75,7 +96,7 @@ def test_longest_elements():
     # the longest element fixes the positives outside its parabolic
     yk = longest_element(b4, [1, 2])
     for r in b4.positive_roots:
-        inside = b4.support(r) <= {1, 2}
+        inside = support(r) <= {1, 2}
         image = yk.act(r)
         if inside:
             assert not is_positive(image)
@@ -176,7 +197,7 @@ def test_enumeration_carries_canonical_words_in_order(family, rank, J):
     assert words == sorted(words, key=lambda word: (len(word), word))
     assert len(set(els)) == len(els)
     for w, word in zip(els, words):
-        assert WeylElement(rs, w.images).word() == word
+        assert from_images(rs, w.images).word() == word
     if J is not None:
         assert all(is_min_rep(v, J) for v in els)
 
@@ -269,6 +290,46 @@ SYSTEMS = [
 ]
 
 
+@pytest.mark.parametrize("family,rank", SYSTEMS)
+def test_root_index_tables(family, rank):
+    rs = build_root_system(family, rank)
+    N = rs.npos
+    for k, root in enumerate(rs.root_list):
+        assert rs.support_mask[k] == sum(1 << (i - 1) for i in support(root))
+        assert rs.root_list[(k + N) % (2 * N)] == negate(root)
+        if family == "A":
+            # eps coordinates of sum c_m (eps_m - eps_{m+1}) are c_p - c_{p-1}
+            c = (0,) + root + (0,)
+            eps = [c[p] - c[p - 1] for p in range(1, rank + 2)]
+            i, j = rs.pairs[k]
+            assert eps == [(p == i) - (p == j) for p in range(1, rank + 2)]
+    in_order = [rs.root_list[k] for k in sorted(range(2 * N), key=rs.index_key)]
+    assert in_order == sorted(rs.root_list, key=root_key)
+
+
+def bubble_word(line):
+    """A reduced word of the permutation with this one-line notation: sort it
+    by adjacent swaps w -> w s_i, then read the swaps backwards."""
+    line, swaps = list(line), []
+    while True:
+        i = next((i for i in range(len(line) - 1) if line[i] > line[i + 1]), None)
+        if i is None:
+            return tuple(reversed(swaps))
+        line[i], line[i + 1] = line[i + 1], line[i]
+        swaps.append(i + 1)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_from_one_line_exhaustive(n):
+    rs = build_root_system("A", n - 1)
+    for line in itertools.permutations(range(1, n + 1)):
+        w = from_one_line(rs, line)
+        word = bubble_word(line)
+        assert w == WeylElement.from_word(rs, word)
+        assert w.length() == len(word)
+        assert one_line(w) == line
+
+
 @st.composite
 def elements(draw, count=1):
     family, rank = draw(st.sampled_from(SYSTEMS))
@@ -305,7 +366,7 @@ def test_length_inversions_and_words(drawn):
 @given(elements())
 def test_images_round_trip(drawn):
     rs, (w,) = drawn
-    rebuilt = WeylElement(rs, w.images)
+    rebuilt = from_images(rs, w.images)
     rebuilt.validate()
     assert rebuilt == w and hash(rebuilt) == hash(w)
 
