@@ -72,9 +72,7 @@ def peterson_dual_class(K: Iterable[int], rs: RootSystem) -> ClassExpression:
     """Dual class of a Peterson cell closure: only negative simple-root
     factors survive the restriction."""
     Kset = frozenset(K)
-    for i in Kset:
-        if not 1 <= i <= rs.rank:
-            raise DomainError(f"simple index {i} out of range")
+    rs.check_simple(Kset)
     scalar = Fraction(_subgroup_order(rs, Kset), rs.weyl_order())
     factors = _factors(rs, (rs.npos + i - 1 for i in range(1, rs.rank + 1) if i not in Kset))
     return ClassExpression(scalar, factors, COHOMOLOGY)

@@ -4,14 +4,18 @@ A configuration is an ambient simple root system together with a subset J of
 simple roots naming the regular element (in type A, equivalently a strong
 composition of n).  The module decides which Schubert cells meet the variety,
 produces the full decomposition data of an admissible element, and computes
-closure relations and Poincare polynomials.
+closure relations and Poincare polynomials.  One enumeration of admissible
+cells serves the whole variety and every Levi: by the Levi correspondence,
+the closure of w's cell is tau_w times the variety of the Levi of des(w)
+with J_w in place of J.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .roots import ParabolicSubsystem, RootSystem, build_root_system, parabolic
@@ -21,7 +25,6 @@ from .weyl import (
     WeylElement,
     descent_decomposition,
     enumerate_min_reps,
-    enumerate_parabolic_group,
     from_one_line,
     in_parabolic,
     is_min_rep,
@@ -37,9 +40,7 @@ class HessConfig:
     mu: Optional[Composition] = None
 
     def __post_init__(self) -> None:
-        for i in self.J:
-            if not 1 <= i <= self.rs.rank:
-                raise DomainError(f"simple index {i} out of range")
+        self.rs.check_simple(self.J)
         if self.mu is not None and self.mu.to_J() != self.J:
             raise DomainError("composition and J do not match")
 
@@ -94,17 +95,20 @@ def delta_v(v: WeylElement, cfg: HessConfig) -> FrozenSet[int]:
     """The subset of J spanning the induced minimal Hessenberg space on the
     Levi: the simple roots of J hit by v applied to the simple roots."""
     _require_same_system(v, cfg)
-    rs = cfg.rs
     if not is_min_rep(v, cfg.J):
         raise DomainError("delta_v requires a shortest right coset representative")
-    outside = ~rs.simple_mask(cfg.J)
-    out = set()
-    for k in v.perm[: rs.rank]:
-        if k < rs.npos and not rs.support_mask[k] & outside:
-            if k >= rs.rank:
-                raise RuntimeError("v(Delta) meets the parabolic in a non-simple root")
-            out.add(k + 1)
-    return frozenset(out)
+    return _simple_among(cfg.rs, v.perm[: cfg.rs.rank], cfg.J)
+
+
+def _simple_among(rs: RootSystem, ks: Iterable[int], K: FrozenSet[int]) -> FrozenSet[int]:
+    """The simple indices among the positive root indices ks supported on K,
+    where the theory makes every such root simple: v(Delta) meeting J for
+    Delta(v), tau^{-1}(J) meeting the Levi of des(w) for J_w."""
+    outside = ~rs.simple_mask(K)
+    hits = [k for k in ks if k < rs.npos and not rs.support_mask[k] & outside]
+    if any(k >= rs.rank for k in hits):
+        raise RuntimeError(f"a root supported on {sorted(K)} is not simple")
+    return frozenset(k + 1 for k in hits)
 
 
 @dataclass(frozen=True)
@@ -129,6 +133,20 @@ class AdmissibleDecomposition:
         return len(self.des)
 
 
+def _descent_levi(
+    w: WeylElement, cfg: HessConfig
+) -> Tuple[WeylElement, WeylElement, FrozenSet[int], FrozenSet[int]]:
+    """(tau, y_des, des(w), J_w) for admissible w: w = tau * y_des with tau
+    shortest modulo the descent parabolic, and J_w the simple roots of the
+    Levi of des(w) among tau^{-1}(J)."""
+    tau, y_des = descent_decomposition(w)
+    des = w.descents()
+    if not is_min_rep(tau, cfg.J):
+        raise RuntimeError("tau is not a shortest right coset representative mod J")
+    tau_inv = tau.inverse().perm
+    return tau, y_des, des, _simple_among(cfg.rs, (tau_inv[j - 1] for j in cfg.J), des)
+
+
 def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposition:
     require_admissible(w, cfg)
     rs = cfg.rs
@@ -138,22 +156,7 @@ def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposi
         raise RuntimeError("coset factor is not the longest element of its support")
     if not K <= delta_v(v, cfg):
         raise RuntimeError("K is not contained in Delta(v)")
-    tau, y_des = descent_decomposition(w)
-    des = w.descents()
-    if not is_min_rep(tau, cfg.J):
-        raise RuntimeError("tau is not a shortest right coset representative mod J")
-    tau_inv = tau.inverse().perm
-    outside = ~rs.simple_mask(des)
-    Jw = set()
-    for j in cfg.J:
-        k = tau_inv[j - 1]
-        if not rs.support_mask[k] & outside:
-            if k >= rs.rank:
-                raise RuntimeError("tau^{-1}(J) meets the Levi in a non-simple root")
-            Jw.add(k + 1)
-    Jw = frozenset(Jw)
-    if not Jw <= des:
-        raise RuntimeError("J_w is not contained in des(w)")
+    tau, y_des, des, Jw = _descent_levi(w, cfg)
     # consistency of the two factorizations: y_des(alpha_k) for k in J_w
     # against v^{-1}(-alpha_k) for k in K
     vinv = v.inverse()
@@ -170,14 +173,7 @@ def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposi
     if des != v.descents() | vinv_K or (v.descents() & vinv_K):
         raise RuntimeError("descent set does not split as des(v) u v^{-1}(K)")
     return AdmissibleDecomposition(
-        w=w,
-        K=K,
-        v=v,
-        tau=tau,
-        des=des,
-        y_des=y_des,
-        Jw=Jw,
-        levi=parabolic(rs, des),
+        w=w, K=K, v=v, tau=tau, des=des, y_des=y_des, Jw=Jw, levi=parabolic(rs, des)
     )
 
 
@@ -186,27 +182,37 @@ def cell_dimension(w: WeylElement, cfg: HessConfig) -> int:
     return len(w.descents())
 
 
-def enumerate_admissible(
-    cfg: HessConfig, bound: int = DEFAULT_ENUMERATION_BOUND
+def _admissible(
+    rs: RootSystem, gens: Iterable[int], J: FrozenSet[int], bound: int
 ) -> Iterator[Tuple[WeylElement, WeylElement, FrozenSet[int]]]:
-    """All admissible elements, as triples (w, v, K) with w = y_K v reduced.
-
-    Deterministic order: coset representatives in enumeration order, then
-    subsets K of Delta(v) by (size, sorted elements).
-    """
-    rs = cfg.rs
-    for v in enumerate_min_reps(rs, cfg.J, bound):
-        dv = sorted(delta_v(v, cfg))
+    """The elements of W_gens admissible for J (a subset of gens), as triples
+    (w, v, K) with w = y_K v reduced: shortest representatives v of W_J in
+    W_gens in enumeration order, then subsets K of Delta(v) by (size, sorted
+    elements).  The bound counts the cosets."""
+    gens = sorted(gens)
+    idx = [i - 1 for i in gens]
+    for v in enumerate_min_reps(rs, J, bound, within=gens):
+        dv = sorted(_simple_among(rs, map(v.perm.__getitem__, idx), J))
         for size in range(len(dv) + 1):
             for K in itertools.combinations(dv, size):
                 w = longest_element(rs, K) * v if K else v
                 yield w, v, frozenset(K)
 
 
+def enumerate_admissible(
+    cfg: HessConfig, bound: int = DEFAULT_ENUMERATION_BOUND
+) -> Iterator[Tuple[WeylElement, WeylElement, FrozenSet[int]]]:
+    """All admissible elements, as triples (w, v, K) with w = y_K v reduced,
+    in the deterministic order of the coset enumeration."""
+    yield from _admissible(cfg.rs, range(1, cfg.rs.rank + 1), cfg.J, bound)
+
+
 def admissible_count(cfg: HessConfig, bound: int = DEFAULT_ENUMERATION_BOUND) -> int:
-    return sum(
-        2 ** len(delta_v(v, cfg)) for v in enumerate_min_reps(cfg.rs, cfg.J, bound)
-    )
+    """The number of admissible elements, 2^|Delta(v)| per representative v,
+    without building them."""
+    rs = cfg.rs
+    reps = enumerate_min_reps(rs, cfg.J, bound)
+    return sum(2 ** len(_simple_among(rs, v.perm[: rs.rank], cfg.J)) for v in reps)
 
 
 @dataclass(frozen=True)
@@ -219,20 +225,21 @@ class ClosureCell:
 def closure_intersecting_cells(
     w: WeylElement, cfg: HessConfig, bound: int = DEFAULT_ENUMERATION_BOUND
 ) -> Tuple[ClosureCell, ...]:
-    """The Schubert cells meeting the closure of w's Hessenberg cell.
+    """The Schubert cells meeting the closure of w's Hessenberg cell, by
+    (dimension, canonical word).
 
-    These are exactly the admissible v = tau_w x with x in the descent
-    parabolic of w; the intersection with the cell of v has dimension equal
-    to the descent count of x.
+    By the Levi correspondence these are the v = tau_w x with x admissible
+    for J_w in the Levi of des(w); the intersection with the cell of v has
+    dimension equal to the descent count of x.  The bound counts the cosets
+    W_{J_w} \\ W_{des(w)}.
     """
     require_admissible(w, cfg)
-    tau, _ = descent_decomposition(w)
-    out = []
-    for x in enumerate_parabolic_group(cfg.rs, w.descents(), bound):
-        v = tau * x
-        if is_admissible(v, cfg):
-            out.append(ClosureCell(v=v, x=x, dim=len(x.descents())))
-    return tuple(sorted(out, key=lambda c: (c.dim, c.v.word())))
+    tau, _, des, Jw = _descent_levi(w, cfg)
+    cells = (
+        ClosureCell(v=tau * x, x=x, dim=len(x.descents()))
+        for x, _, _ in _admissible(cfg.rs, des, Jw, bound)
+    )
+    return tuple(sorted(cells, key=lambda c: (c.dim, c.v.word())))
 
 
 def cell_contained_in_closure(v: WeylElement, w: WeylElement, cfg: HessConfig) -> bool:
@@ -251,10 +258,5 @@ def poincare_polynomial(
 ) -> Tuple[int, ...]:
     """Coefficient list c_0..c_d, where c_k counts the admissible elements
     with k descents (equivalently, the k-dimensional cells)."""
-    coeffs: Dict[int, int] = {}
-    top = 0
-    for w, _, _ in enumerate_admissible(cfg, bound):
-        k = len(w.descents())
-        coeffs[k] = coeffs.get(k, 0) + 1
-        top = max(top, k)
-    return tuple(coeffs.get(k, 0) for k in range(top + 1))
+    coeffs = Counter(len(w.descents()) for w, _, _ in enumerate_admissible(cfg, bound))
+    return tuple(coeffs[k] for k in range(max(coeffs) + 1))

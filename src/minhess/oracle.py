@@ -185,9 +185,6 @@ class JacobianResult:
     def is_smooth(self) -> bool:
         return self.verdict == SMOOTH
 
-    def entry(self, row_root: Coeffs, col_root: Coeffs) -> Fraction:
-        return self.matrix[self.rows.index(row_root)][self.cols.index(col_root)]
-
 
 def _ranked(
     rs: RootSystem, rows: List[int], cols: List[int], matrix: Sequence[Tuple[Fraction, ...]],

@@ -14,6 +14,7 @@ numbering of the Dynkin diagrams (for type B the short simple root is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 from operator import mul
 from typing import Dict, FrozenSet, Iterable, List, Tuple
@@ -138,8 +139,9 @@ _E_EDGES = {
 }
 
 
+@lru_cache(maxsize=None)
 def cartan_datum(family: str, rank: int) -> CartanDatum:
-    """Reference Cartan datum for a valid (family, rank) pair.
+    """Reference Cartan datum for a valid (family, rank) pair, built once.
 
     Degenerate low ranks are normalized to their A-type isomorphs:
     B_1 = C_1 = A_1 and D_3 = A_3.  Invalid pairs raise DomainError.
@@ -243,7 +245,6 @@ class RootSystem:
             raise RuntimeError("highest root is not of maximal height")
         # caches owned by this system (longest parabolic elements, etc.)
         self._longest_cache: Dict[FrozenSet[int], object] = {}
-        self._component_rs_cache: Dict[CartanDatum, "RootSystem"] = {}
 
     def _reflection_closure(self) -> Dict[Coeffs, List[Coeffs]]:
         """Each positive root with its images under s_1 .. s_n."""
@@ -264,8 +265,7 @@ class RootSystem:
 
     def pairing(self, root: Coeffs, i: int) -> int:
         """Pairing of ``root`` against the coroot of alpha_i (1-based)."""
-        if not 1 <= i <= self.rank:
-            raise DomainError(f"simple index {i} out of range for {self.cartan.name}")
+        self.check_simple((i,))
         return sum(map(mul, root, self._coroot_columns[i - 1]))
 
     def reflect_simple(self, root: Coeffs, i: int) -> Coeffs:
@@ -286,9 +286,14 @@ class RootSystem:
     def negative_roots(self) -> Tuple[Coeffs, ...]:
         return tuple(negate(r) for r in self.positive_roots)
 
+    def check_simple(self, indices: Iterable[int]) -> None:
+        """Refuse any index that does not name a simple root."""
+        for i in indices:
+            if not 1 <= i <= self.rank:
+                raise DomainError(f"simple index {i} out of range for {self.cartan.name}")
+
     def simple_root(self, i: int) -> Coeffs:
-        if not 1 <= i <= self.rank:
-            raise DomainError(f"simple index {i} out of range for {self.cartan.name}")
+        self.check_simple((i,))
         return self.simple_roots[i - 1]
 
     @staticmethod
@@ -385,9 +390,7 @@ def parabolic(rs: RootSystem, J: Iterable[int]) -> ParabolicSubsystem:
     """The subsystem spanned by a subset of simple roots, with its
     connected components classified into canonically labeled simple types."""
     Jset = frozenset(J)
-    for i in Jset:
-        if not 1 <= i <= rs.rank:
-            raise DomainError(f"simple index {i} out of range for {rs.cartan.name}")
+    rs.check_simple(Jset)
     comps = []
     for nodes in _connected_components(rs, Jset):
         comps.append(_classify_component(rs, nodes))

@@ -3,8 +3,9 @@
 Each suite returns a list of named checks with pass/fail flags; the CLI
 turns any unexpected failure into a nonzero exit.  The table suite pins the
 regression data for the worked examples, the cross-validate suite replays
-the triple smoothness comparison at desk scale, the cominuscule suite checks
-the root-arithmetic characterization against the index-set tables in every
+the triple smoothness comparison at desk scale and judges closures by the
+oracle on the Levi of des(w), the cominuscule suite checks the
+root-arithmetic characterization against the index-set tables in every
 type, and the fig1 suite instantiates the shared-linear case table.
 """
 
@@ -13,12 +14,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import classes, hess, oracle, singular
 from .errors import DomainError
 from .roots import build_root_system, cartan_datum, from_cartan
 from .weyl import (
+    Composition,
     WeylElement,
     compositions,
     enumerate_min_reps,
@@ -184,6 +186,27 @@ def suite_paper_tables() -> List[Check]:
     return checks
 
 
+def _levi_oracle_smooth(
+    w: WeylElement, cfg: hess.HessConfig, verdicts: Dict[Tuple[int, ...], bool]
+) -> bool:
+    """Smoothness of the closure of w's cell by the Levi correspondence: the
+    closure is a product, over the blocks of des(w), of the varieties of the
+    compositions J_w induces there, and such a variety is smooth when the
+    oracle finds it smooth at every admissible fixed point.  verdicts caches
+    that finding per composition."""
+    dec = hess.decompose_admissible(w, cfg)
+    for c in dec.levi.components:
+        mu = Composition.from_J(c.datum.rank + 1, c.to_canonical(dec.Jw)).parts
+        if mu not in verdicts:
+            admissible = hess.enumerate_admissible(hess.config_from_mu(mu))
+            verdicts[mu] = all(
+                oracle.jacobian_at_fixed_point(x, mu).is_smooth for x, _, _ in admissible
+            )
+        if not verdicts[mu]:
+            return False
+    return True
+
+
 def suite_cross_validate(max_rank: Optional[int] = None) -> List[Check]:
     """Every admissible (w, mu) with n <= max_rank + 1 (default 4) through
     all smoothness routes."""
@@ -192,6 +215,8 @@ def suite_cross_validate(max_rank: Optional[int] = None) -> List[Check]:
     mismatches = 0
     dual_path = 0
     schubert = 0
+    levi = 0
+    levi_verdicts: Dict[Tuple[int, ...], bool] = {}
     total = 0
     for n in range(2, max_rank + 2):
         for mu in compositions(n):
@@ -210,11 +235,11 @@ def suite_cross_validate(max_rank: Optional[int] = None) -> List[Check]:
                     closed.cols,
                 ):
                     dual_path += 1
-                if (
-                    singular.hess_schubert_smooth(w, cfg).verdict
-                    != singular.typeA_hess_schubert_smooth(w, mu).verdict
-                ):
+                bracket = singular.hess_schubert_smooth(w, cfg)
+                if bracket.verdict != singular.typeA_hess_schubert_smooth(w, mu).verdict:
                     schubert += 1
+                if bracket.is_smooth != _levi_oracle_smooth(w, cfg, levi_verdicts):
+                    levi += 1
     checks.append(
         Check(
             "smoothness-triple-agreement",
@@ -226,6 +251,7 @@ def suite_cross_validate(max_rank: Optional[int] = None) -> List[Check]:
     checks.append(
         Check("hess-schubert-dual-route", schubert == 0, f"{schubert} mismatches")
     )
+    checks.append(Check("hess-schubert-levi-oracle", levi == 0, f"{levi} mismatches"))
     return checks
 
 

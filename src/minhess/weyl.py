@@ -14,6 +14,7 @@ descent stripping) is computed on demand or carried along by enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, EnumerationBoundError
@@ -23,14 +24,8 @@ DEFAULT_ENUMERATION_BOUND = 10**6
 E8_ORDER = 696729600
 
 
-def _check_simple(rs: RootSystem, indices: Iterable[int]) -> None:
-    for i in indices:
-        if not 1 <= i <= rs.rank:
-            raise DomainError(f"simple index {i} out of range for {rs.cartan.name}")
-
-
 def _simple_perm(rs: RootSystem, i: int) -> Tuple[int, ...]:
-    _check_simple(rs, (i,))
+    rs.check_simple((i,))
     return rs.simple_perms[i - 1]
 
 
@@ -164,7 +159,7 @@ def longest_element(rs: RootSystem, K: Iterable[int]) -> WeylElement:
     cached = rs._longest_cache.get(key)
     if cached is not None:
         return cached  # type: ignore[return-value]
-    _check_simple(rs, key)
+    rs.check_simple(key)
     y = WeylElement.identity(rs)
     ks = sorted(key)
     while True:
@@ -179,7 +174,7 @@ def longest_element(rs: RootSystem, K: Iterable[int]) -> WeylElement:
 def is_min_rep(w: WeylElement, J: Iterable[int]) -> bool:
     """Whether w is the shortest element of its right coset W_J w."""
     J = frozenset(J)
-    _check_simple(w.rs, J)
+    w.rs.check_simple(J)
     # perm.index(j - 1) is the index of w^{-1}(alpha_j)
     return all(w.perm.index(j - 1) < w.rs.npos for j in J)
 
@@ -188,7 +183,7 @@ def in_parabolic(w: WeylElement, K: Iterable[int]) -> bool:
     """Whether w lies in the parabolic subgroup generated by K."""
     rs = w.rs
     Kset = frozenset(K)
-    _check_simple(rs, Kset)
+    rs.check_simple(Kset)
     outside = ~rs.simple_mask(Kset)
     N = rs.npos
     return not any(rs.support_mask[k] & outside for k in range(N) if w.perm[k] >= N)
@@ -202,7 +197,7 @@ def min_right_coset_rep(w: WeylElement, J: Iterable[int]) -> Tuple[WeylElement, 
     """
     rs = w.rs
     Jset = sorted(frozenset(J))
-    _check_simple(rs, Jset)
+    rs.check_simple(Jset)
     y = WeylElement.identity(rs)
     v = w
     vinv = w.inverse()
@@ -280,46 +275,34 @@ def enumerate_group(rs: RootSystem, bound: int = DEFAULT_ENUMERATION_BOUND) -> I
             f"full enumeration of {rs.cartan.name} (order {order}) is not supported"
         )
     if order > bound:
-        raise EnumerationBoundError(
-            f"group order {order} exceeds enumeration bound {bound}"
-        )
+        raise EnumerationBoundError(f"group order {order} exceeds enumeration bound {bound}")
     yield from _level_order(rs, range(1, rs.rank + 1))
 
 
-def enumerate_parabolic_group(
-    rs: RootSystem, K: Iterable[int], bound: int = DEFAULT_ENUMERATION_BOUND
-) -> Iterator[WeylElement]:
-    """Elements of the parabolic subgroup W_K, by (length, canonical word)."""
-    Kset = frozenset(K)
-    order = parabolic(rs, Kset).weyl_order()
-    if order > bound:
-        raise EnumerationBoundError(
-            f"parabolic order {order} exceeds enumeration bound {bound}"
-        )
-    yield from _level_order(rs, Kset)
-
-
-def coset_count(rs: RootSystem, J: Iterable[int]) -> int:
-    return rs.weyl_order() // parabolic(rs, J).weyl_order()
-
-
 def enumerate_min_reps(
-    rs: RootSystem, J: Iterable[int], bound: int = DEFAULT_ENUMERATION_BOUND
+    rs: RootSystem,
+    J: Iterable[int],
+    bound: int = DEFAULT_ENUMERATION_BOUND,
+    within: Optional[Iterable[int]] = None,
 ) -> Iterator[WeylElement]:
-    """All shortest right coset representatives for W_J \\ W, ordered by
-    (length, canonical word).
+    """The shortest representatives of the right cosets W_J \\ W_within,
+    ordered by (length, canonical word); ``within`` None means the whole group.
 
-    Every minimal representative has a reduced word all of whose prefixes are
-    again minimal representatives, so a right-multiplication search finds each
-    exactly once.
+    This is the parabolic factorization W_within = W_J * ^J(W_within)
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4): every shortest
+    representative has a reduced word all of whose prefixes are again
+    shortest representatives, so a right-multiplication search finds each
+    exactly once.  The bound counts the cosets.
     """
+    gens = frozenset(range(1, rs.rank + 1) if within is None else within)
     Jset = frozenset(J)
-    count = coset_count(rs, Jset)
+    order = rs.weyl_order() if within is None else parabolic(rs, gens).weyl_order()
+    count = order // parabolic(rs, Jset).weyl_order()
+    if not Jset <= gens:
+        raise DomainError(f"J={sorted(Jset)} is not contained in {sorted(gens)}")
     if count > bound:
-        raise EnumerationBoundError(
-            f"coset count {count} exceeds enumeration bound {bound}"
-        )
-    yield from _level_order(rs, range(1, rs.rank + 1), Jset)
+        raise EnumerationBoundError(f"coset count {count} exceeds enumeration bound {bound}")
+    yield from _level_order(rs, gens, Jset)
 
 
 # -- type A one-line notation ----------------------------------------------
@@ -385,34 +368,21 @@ class Composition:
 
     def to_J(self) -> FrozenSet[int]:
         """J = Delta minus the block-boundary simple roots."""
-        cuts = set()
-        acc = 0
-        for p in self.parts[:-1]:
-            acc += p
-            cuts.add(acc)
+        cuts = set(accumulate(self.parts[:-1]))
         return frozenset(i for i in range(1, self.n) if i not in cuts)
 
     def blocks(self) -> Tuple[Tuple[int, int], ...]:
         """Value ranges (lo, hi), inclusive, of the blocks."""
-        out = []
-        acc = 0
-        for p in self.parts:
-            out.append((acc + 1, acc + p))
-            acc += p
-        return tuple(out)
+        ends = accumulate(self.parts)
+        return tuple((end - p + 1, end) for p, end in zip(self.parts, ends))
 
     @staticmethod
     def from_J(n: int, J: Iterable[int]) -> "Composition":
         Jset = frozenset(J)
         if not Jset <= set(range(1, n)):
             raise DomainError(f"J must be a subset of 1..{n - 1}")
-        cuts = sorted(set(range(1, n)) - Jset)
-        parts = []
-        prev = 0
-        for c in cuts + [n]:
-            parts.append(c - prev)
-            prev = c
-        return Composition(tuple(parts))
+        cuts = [0] + sorted(set(range(1, n)) - Jset) + [n]
+        return Composition(tuple(b - a for a, b in zip(cuts, cuts[1:])))
 
 
 def compositions(n: int) -> List[Tuple[int, ...]]:

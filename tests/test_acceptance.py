@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from minhess import classes, hess, oracle, singular
+from minhess import classes, hess, oracle, singular, verification
 from minhess.roots import build_root_system, cartan_datum, negate, parabolic, root_key
 from minhess.weyl import (
     Composition,
@@ -302,14 +302,20 @@ def test_criterion_11_hess_schubert_smoothness():
         WeylElement.from_word(b4, [1, 2, 1, 3, 2, 1]), cfgB
     ).is_smooth
 
+    # the bracket criterion against its one-line form, and against the oracle
+    # on the blocks of des(w) through the Levi correspondence
+    verdicts, levi_verdicts = set(), {}
     for n in range(2, 6):
         for mu in compositions(n):
             cfg = hess.config_from_mu(mu)
             for w, _, _ in hess.enumerate_admissible(cfg):
+                bracket = singular.hess_schubert_smooth(w, cfg)
+                verdicts.add(bracket.verdict)
                 ok = ok and (
-                    singular.hess_schubert_smooth(w, cfg).verdict
-                    == singular.typeA_hess_schubert_smooth(w, mu).verdict
+                    bracket.verdict == singular.typeA_hess_schubert_smooth(w, mu).verdict
+                    and bracket.is_smooth == verification._levi_oracle_smooth(w, cfg, levi_verdicts)
                 )
+    ok = ok and verdicts == {"smooth", "singular"}
 
     final_rows = [
         ((8, 1, 2, 3, 5, 6, 7, 4), "smooth"),

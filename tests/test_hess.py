@@ -8,12 +8,14 @@ from math import comb
 
 import pytest
 
-from minhess.errors import DomainError
+from minhess.errors import DomainError, EnumerationBoundError
 from minhess import classes, hess, oracle, singular
 from minhess.roots import build_root_system
 from minhess.weyl import (
     Composition,
     WeylElement,
+    compositions,
+    descent_decomposition,
     enumerate_group,
     enumerate_min_reps,
     from_one_line,
@@ -136,6 +138,62 @@ def test_closure_cells_b4():
     vs = {c.v for c in cells}
     for word in ([3, 1], [3, 4], [3]):
         assert WeylElement.from_word(b4, word) in vs
+
+
+def reference_closure(w, cfg):
+    """The walk over the whole descent parabolic: tau_w x for every x in
+    W_{des(w)} with tau_w x admissible, as (v, x, dim, x's word)."""
+    tau, _ = descent_decomposition(w)
+    cells = [
+        (tau * x, x, len(x.descents()), x.word())
+        for x in enumerate_min_reps(cfg.rs, (), within=w.descents())
+        if hess.is_admissible(tau * x, cfg)
+    ]
+    return sorted(cells, key=lambda c: (c[2], c[0].word()))
+
+
+CLOSURE_CONFIGS = [
+    ("A", n - 1, sorted(Composition(mu).to_J())) for n in range(2, 6) for mu in compositions(n)
+]
+CLOSURE_CONFIGS += [
+    ("B", 4, [1, 2, 4]),
+    ("C", 4, [1, 3]),
+    ("D", 5, [1, 2, 4, 5]),
+    ("F", 4, [1, 3]),
+    ("G", 2, [1]),
+    ("B", 3, [2, 3]),
+    ("D", 4, [1, 3, 4]),
+]
+
+
+@pytest.mark.parametrize(
+    "family,rank,J", CLOSURE_CONFIGS, ids=[f"{f}{r}-J{J}" for f, r, J in CLOSURE_CONFIGS]
+)
+def test_closure_matches_walk_over_descent_parabolic(family, rank, J):
+    """The Levi enumeration gives the cells, x factors, dimensions and order
+    of the walk over all of W_{des(w)}, for every admissible w."""
+    cfg = hess.hess_config(build_root_system(family, rank), J)
+    for w, _, _ in hess.enumerate_admissible(cfg):
+        cells = hess.closure_intersecting_cells(w, cfg)
+        assert [(c.v, c.x, c.dim, c.x.word()) for c in cells] == reference_closure(w, cfg)
+
+
+def test_top_closure_is_the_whole_variety_e6():
+    rs = build_root_system("E", 6)
+    cfg = hess.hess_config(rs, [1, 3, 5])
+    cells = hess.closure_intersecting_cells(longest_element(rs, range(1, 7)), cfg)
+    assert len(cells) == 7920
+    assert {c.v for c in cells} == {w for w, _, _ in hess.enumerate_admissible(cfg)}
+
+
+def test_closure_bound_counts_levi_cosets():
+    """The Peterson variety of A5 is the top closure; J_w = des(w) leaves a
+    single coset of W_{J_w} in W_{des(w)}, although that group has order 720."""
+    cfg = hess.config_from_mu((6,))
+    w0 = longest_element(cfg.rs, range(1, 6))
+    assert len(hess.closure_intersecting_cells(w0, cfg, bound=1)) == 32
+    with pytest.raises(EnumerationBoundError):
+        hess.closure_intersecting_cells(w0, cfg, bound=0)
 
 
 def test_closure_of_identity():

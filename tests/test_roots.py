@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from minhess import classes, hess
 from minhess.errors import DomainError
 from minhess.roots import (
     bracket_set,
@@ -20,6 +21,7 @@ from minhess.roots import (
     parabolic,
     root_key,
 )
+from minhess.weyl import WeylElement, is_min_rep
 
 POSITIVE_COUNTS = {
     ("A", 1): 1, ("A", 2): 3, ("A", 3): 6, ("A", 4): 10, ("A", 5): 15,
@@ -221,3 +223,30 @@ def test_root_ordering_deterministic():
     assert rs.positive_roots == tuple(sorted(rs.positive_roots, key=root_key))
     assert rs.positive_roots[0] == (1, 0, 0)
     assert rs.positive_roots[-1] == (1, 1, 1)
+
+
+# every entry point that takes simple indices refuses one outside 1..rank
+SIMPLE_INDEX_ENTRY_POINTS = {
+    "weyl.is_min_rep": lambda rs, i: is_min_rep(WeylElement.identity(rs), [i]),
+    "hess.HessConfig": lambda rs, i: hess.HessConfig(rs, frozenset([i])),
+    "roots.parabolic": lambda rs, i: parabolic(rs, [2, i]),
+    "RootSystem.pairing": lambda rs, i: rs.pairing(rs.highest_root, i),
+    "RootSystem.simple_root": lambda rs, i: rs.simple_root(i),
+    "classes.peterson_dual_class": lambda rs, i: classes.peterson_dual_class([i], rs),
+}
+
+
+@pytest.mark.parametrize("index", [0, 5])
+@pytest.mark.parametrize("entry", sorted(SIMPLE_INDEX_ENTRY_POINTS))
+def test_simple_index_out_of_range_is_domain_error(entry, index):
+    rs = build_root_system("B", 4)
+    with pytest.raises(DomainError, match=f"^simple index {index} out of range for B4$"):
+        SIMPLE_INDEX_ENTRY_POINTS[entry](rs, index)
+
+
+def test_cartan_datum_is_built_once_and_invalid_pairs_always_raise():
+    assert cartan_datum("E", 8) is cartan_datum("E", 8)
+    assert cartan_datum("D", 3) is cartan_datum("A", 3)
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            cartan_datum("D", 2)

@@ -18,7 +18,6 @@ from minhess.weyl import (
     descent_decomposition,
     enumerate_group,
     enumerate_min_reps,
-    enumerate_parabolic_group,
     from_one_line,
     in_parabolic,
     is_min_rep,
@@ -203,10 +202,17 @@ def test_enumeration_carries_canonical_words_in_order(family, rank, J):
 
 
 def test_parabolic_enumeration_matches_group_filter():
+    """W_K is the set of shortest representatives of the trivial cosets in
+    W_K, in the same (length, canonical word) order as the whole group."""
     rs = build_root_system("B", 3)
     K = [2, 3]
     members = [w for w in enumerate_group(rs) if in_parabolic(w, K)]
-    assert list(enumerate_parabolic_group(rs, K)) == members
+    assert list(enumerate_min_reps(rs, (), within=K)) == members
+    with pytest.raises(EnumerationBoundError):
+        list(enumerate_min_reps(rs, (), bound=len(members) - 1, within=K))
+    assert len(list(enumerate_min_reps(rs, [2], bound=len(members) // 2, within=K))) == 4
+    with pytest.raises(DomainError):
+        list(enumerate_min_reps(rs, [1], within=K))
 
 
 def test_simple_index_range():
