@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 from . import classes, hess, oracle, singular, verification
 from .errors import DomainError
 from .roots import RootSystem, build_root_system, cartan_datum, root_str
-from .weyl import Composition, WeylElement, from_one_line, one_line_str
+from .weyl import Composition, WeylElement, from_one_line, in_parabolic, one_line_str
 
 
 # -- serialization helpers ---------------------------------------------------
@@ -187,16 +187,26 @@ def _closure_dot(cfg: hess.HessConfig, cells) -> str:
     lines = ["digraph closure {", "  rankdir=BT;"]
     for c in cells:
         lines.append(f'  "{names[c.v]}" [label="{names[c.v]}\\ndim {c.dim}"];')
-    # covering relations of the containment order
-    order = {
-        (a.v, b.v)
-        for a in cells
-        for b in cells
-        if a.v != b.v and hess.cell_contained_in_closure(a.v, b.v, cfg)
-    }
-    for a, b in sorted(order, key=lambda p: (names[p[0]], names[p[1]])):
-        if any((a, c) in order and (c, b) in order for c in (x.v for x in cells)):
-            continue
+    # The containment order of hess.cell_contained_in_closure, whose
+    # admissibility checks every cell here already passes: a below b when
+    # des(a) lies in des(b) and b^-1 a in W_des(b).  below[k] holds the cells
+    # under cell k as a bitmask; the covers are what no cell in between hides.
+    descents = [c.v.descents() for c in cells]
+    lower = []
+    for b, des_b in zip(cells, descents):
+        b_inv = b.v.inverse()
+        lower.append([
+            k for k, (a, des_a) in enumerate(zip(cells, descents))
+            if a is not b and des_a <= des_b and in_parabolic(b_inv * a.v, des_b)
+        ])
+    below = [sum(1 << k for k in ks) for ks in lower]
+    edges = []
+    for b, ks in zip(cells, lower):
+        hidden = 0
+        for k in ks:
+            hidden |= below[k]
+        edges.extend((cells[k].v, b.v) for k in ks if not hidden >> k & 1)
+    for a, b in sorted(edges, key=lambda p: (names[p[0]], names[p[1]])):
         lines.append(f'  "{names[a]}" -> "{names[b]}";')
     lines.append("}")
     return "\n".join(lines)

@@ -10,14 +10,17 @@ combinatorial routes.
 
 To first order (I + Z)^-1 X (I + Z) = X + [X, Z], so the linear parts of the
 defining equations, which are all the Jacobian needs, are the entries of the
-commutator [X, Z]; their rank is computed by integer Bareiss elimination.
+commutator [X, Z].  A row of [X, Z] has at most three nonzero entries at a
+fixed point, so the rows are filled from the nonzeros of X, and their rank
+is computed by exact integer elimination on sparse rows, the only
+elimination here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError
@@ -39,6 +42,7 @@ CELL_POINT_NOTE = (
 # -- exact rational matrices -------------------------------------------------
 
 Matrix = List[List[Fraction]]
+_ZERO = Fraction(0)
 
 
 def _matmul(A: Matrix, B: Matrix) -> Matrix:
@@ -50,32 +54,34 @@ def _matmul(A: Matrix, B: Matrix) -> Matrix:
 
 
 def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Rank by Bareiss fraction-free elimination (Bareiss, Math. Comp. 22,
-    1968).  Each row is first scaled by the lowest common denominator of its
-    entries, which leaves the rank unchanged and makes every step an exact
-    integer division."""
+    """Rank by exact integer elimination on sparse rows, the oracle's only
+    elimination.  Each nonzero row, scaled by the lowest common denominator
+    of its entries, becomes a {column: int} row.  A pivot row is set aside,
+    and only the rows nonzero in the column of its first entry are combined
+    with it, each result divided by the gcd of its entries."""
     rows = []
     for row in matrix:
-        lcd = lcm(*(x.denominator for x in row))
-        if any(row):
-            rows.append([x.numerator * (lcd // x.denominator) for x in row])
+        nz = {c: x for c, x in enumerate(row) if x}
+        if nz:
+            lcd = lcm(*(x.denominator for x in nz.values()))
+            rows.append({c: x.numerator * (lcd // x.denominator) for c, x in nz.items()})
     r = 0
-    prev = 1
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        top = rows[r]
-        pv = top[col]
-        for i in range(r + 1, len(rows)):
-            row = rows[i]
-            f = row[col]
-            rows[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
-        prev = pv
+    while rows:
+        top = rows.pop()
+        col, pv = next(iter(top.items()))
         r += 1
-        if r == len(rows):
-            break
+        for k, row in enumerate(rows):
+            f = row.get(col)
+            if f is None:
+                continue
+            g = gcd(pv, f)
+            a, b = pv // g, f // g
+            new = {c: a * x for c, x in row.items()}
+            for c, y in top.items():
+                new[c] = new.get(c, 0) - b * y
+            g = gcd(*new.values()) or 1
+            rows[k] = {c: x // g for c, x in new.items() if x}
+        rows = [row for row in rows if row]
     return r
 
 
@@ -202,23 +208,31 @@ def _jacobian_from_conjugation(
 ) -> JacobianResult:
     """Linear parts of the defining equations of the chart at w, read off the
     commutator [base, Z]: the coefficient of z_gamma, gamma = (a, b), in the
-    entry eta = (i, j) is base[i][a] [b = j] - [i = a] base[b][j]."""
+    entry eta = (i, j) is base[i][a] [b = j] - [i = a] base[b][j], so row eta
+    touches only the columns (a, j) with base[i][a] != 0 and (i, b) with
+    base[b][j] != 0."""
     pairs = cfg.rs.pairs
     cols, rows = _chart_roots(w, cfg)
-    units = [(a - 1, b - 1) for a, b in map(pairs.__getitem__, cols)]
-    zero = Fraction(0)
+    column = {(a - 1, b - 1): k for k, (a, b) in enumerate(map(pairs.__getitem__, cols))}
+    in_row = [[(a, x) for a, x in enumerate(r) if x] for r in base]
+    in_col = [[(b, r[j]) for b, r in enumerate(base) if r[j]] for j in range(len(base))]
     matrix: List[Tuple[Fraction, ...]] = []
     for eta in rows:
         i, j = pairs[eta]
         i, j = i - 1, j - 1
-        if base[i][j] != 0:
+        if base[i][j]:
             raise RuntimeError("defining equation has a nonzero constant term")
-        matrix.append(
-            tuple(
-                (base[i][a] if b == j else zero) - (base[b][j] if a == i else zero)
-                for a, b in units
-            )
-        )
+        row = [_ZERO] * len(cols)
+        for a, x in in_row[i]:
+            k = column.get((a, j))
+            if k is not None:
+                row[k] = x
+        # the two kinds of column share only gamma = eta, where b = j
+        for b, y in in_col[j]:
+            k = column.get((i, b))
+            if k is not None:
+                row[k] = row[k] - y if b == j else -y
+        matrix.append(tuple(row))
     return _ranked(cfg.rs, rows, cols, matrix, note)
 
 
@@ -255,21 +269,18 @@ def linear_terms_closed_form(
         raise DomainError("the fixed point does not lie in the variety")
     pairs = cfg.rs.pairs
     cols, rows = _chart_roots(element, cfg)
+    column = {pairs[gamma]: k for k, gamma in enumerate(cols)}
     block_simples = {(a, a + 1) for a in cfg.J}
     matrix = []
     for eta in map(pairs.__getitem__, rows):
         i, j = eta
-        row = []
-        for gamma in map(pairs.__getitem__, cols):
-            val = Fraction(0)
-            if gamma == eta:
-                val += reg.diag[i - 1] - reg.diag[j - 1]
-            # eta - gamma: eps_i - eps_a when j = b, eps_b - eps_j when i = a
-            a, b = gamma
-            alpha = (i, a) if j == b else (b, j) if i == a else None
-            if alpha in block_simples:
-                val -= _structure_constant(gamma, alpha, eta)
-            row.append(val)
+        row = [_ZERO] * len(cols)
+        row[column[eta]] = reg.diag[i - 1] - reg.diag[j - 1]
+        # eta - gamma is a simple root alpha only for gamma = (i+1, j), (i, j-1)
+        for gamma, alpha in (((i + 1, j), (i, i + 1)), ((i, j - 1), (j - 1, j))):
+            k = column.get(gamma)
+            if k is not None and alpha in block_simples:
+                row[k] = -_structure_constant(gamma, alpha, eta)
         matrix.append(tuple(row))
     return _ranked(cfg.rs, rows, cols, matrix, "")
 

@@ -12,7 +12,10 @@ from pathlib import Path
 import pytest
 
 import minhess
+from minhess import hess
 from minhess.cli import main
+from minhess.roots import build_root_system
+from minhess.weyl import one_line_str
 
 
 def run(capsys, *argv):
@@ -112,6 +115,39 @@ def test_closure_json_and_dot(capsys):
     assert code == 0
     assert out.startswith("digraph closure {")
     assert '"3412" -> "3421"' in out
+
+
+@pytest.mark.parametrize("config", [
+    ("--mu", "2,2"), ("--mu", "1,1,1,1"), ("--mu", "2,1,2"),
+    ("--family", "B", "--rank", "3", "--J", "2,3"),
+], ids=" ".join)
+def test_closure_dot_edges_are_the_covering_relations(capsys, config):
+    """For every admissible w, the DOT edges are the transitive reduction of
+    cell_contained_in_closure on the closure's cells, found by brute force."""
+    if config[0] == "--mu":
+        cfg = hess.config_from_mu(tuple(int(p) for p in config[1].split(",")))
+        name = one_line_str
+    else:
+        cfg = hess.hess_config(build_root_system("B", 3), {2, 3})
+        name = repr
+    for w, _, _ in hess.enumerate_admissible(cfg):
+        vs = [c.v for c in hess.closure_intersecting_cells(w, cfg)]
+        order = {
+            (a, b) for a in vs for b in vs
+            if a != b and hess.cell_contained_in_closure(a, b, cfg)
+        }
+        covers = sorted(
+            (name(a), name(b)) for a, b in order
+            if not any((a, c) in order and (c, b) in order for c in vs)
+        )
+        word = ",".join(f"s{i}" for i in w.word()) or "e"
+        code, out, _ = run(capsys, "closure", *config, "--w", word, "--dot")
+        assert code == 0
+        edges = [
+            tuple(part.strip(' ";') for part in line.split("->"))
+            for line in out.splitlines() if "->" in line
+        ]
+        assert edges == covers
 
 
 def test_class_expand(capsys):

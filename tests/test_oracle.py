@@ -1,10 +1,12 @@
 """The exact Jacobian engine: regression against the worked chart, the
 commutator form against exact conjugation, the dual-path identity between
-the commutator and the assembled linear terms, Bareiss rank against
-Gauss-Jordan, and invariance properties of the verdict."""
+the commutator and the assembled linear terms, a pinned hash of both
+Jacobians' matrices, the sparse integer elimination (the oracle's only one)
+against Gauss-Jordan, and invariance properties of the verdict."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -19,6 +21,7 @@ from minhess.weyl import compositions, from_one_line, one_line
 
 
 SAMPLE_MUS = [(2, 2), (3, 1), (1, 2, 1), (2, 1, 2)]
+FRACTIONAL = [Fraction(3, 2), Fraction(0), Fraction(-7, 3), Fraction(5, 4), Fraction(-1, 5)]
 
 
 def matrix_unit(root):
@@ -73,7 +76,7 @@ def assert_columns_are_linear_terms(res, base):
 def test_columns_are_linear_terms_of_exact_conjugation():
     """Column k is the t-linear coefficient of (I - tE_k) X (I + tE_k)."""
     for mu in SAMPLE_MUS:
-        s_values = [Fraction(3, 2), Fraction(0), Fraction(-7, 3)][: len(mu)]
+        s_values = FRACTIONAL[: len(mu)]
         X = oracle.regular_matrix(mu, s_values).X
         for w, _, _ in hess.enumerate_admissible(hess.config_from_mu(mu)):
             assert_columns_are_linear_terms(oracle.jacobian_at_fixed_point(w, mu, s_values), X)
@@ -127,7 +130,9 @@ def test_linear_terms_do_not_depend_on_factor_order():
                 assert M[i][j] == (0, sum(x * ck for x, ck in zip(row, c)))
 
 
-# -- Bareiss rank ------------------------------------------------------------------
+# -- sparse integer rank ----------------------------------------------------------
+# oracle.rank, the oracle's only elimination, against a plain Fraction
+# Gauss-Jordan kept here as the reference.
 
 
 def gauss_jordan_rank(matrix):
@@ -168,6 +173,72 @@ def rational_matrices(draw):
 @given(rational_matrices())
 def test_bareiss_rank_matches_gauss_jordan(matrix):
     assert oracle.rank(matrix) == gauss_jordan_rank(matrix)
+
+
+fractions_large = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+@st.composite
+def jacobian_shaped_matrices(draw):
+    """Rows shaped like a Jacobian row at a fixed point (at most three
+    nonzeros among up to 21 columns), with large numerators and
+    denominators, then rows that combine earlier ones, in shuffled order."""
+    ncols = draw(st.integers(1, 21))
+    rows = []
+    for _ in range(draw(st.integers(0, 15))):
+        row = [Fraction(0)] * ncols
+        for c in draw(st.lists(st.integers(0, ncols - 1), max_size=3, unique=True)):
+            row[c] = draw(fractions_large)
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        terms = draw(st.lists(
+            st.tuples(st.sampled_from(rows), fractions_large), min_size=1, max_size=3
+        ))
+        rows.append([sum(c * row[j] for row, c in terms) for j in range(ncols)])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(jacobian_shaped_matrices())
+def test_rank_of_jacobian_shaped_matrices(matrix):
+    assert oracle.rank(matrix) == gauss_jordan_rank(matrix)
+
+
+def test_rank_of_every_jacobian_matches_gauss_jordan():
+    """Every fixed-point Jacobian with n <= 5, at the default and at
+    fractional eigenvalues, and the Jacobian at each seeded cell point that
+    lies in the variety."""
+    results = []
+    for n in range(2, 6):
+        for mu in compositions(n):
+            for w, _, _ in hess.enumerate_admissible(hess.config_from_mu(mu)):
+                results.append(oracle.jacobian_at_fixed_point(w, mu))
+                results.append(oracle.jacobian_at_fixed_point(w, mu, FRACTIONAL[: len(mu)]))
+    for w, mu, s_values, _, U, inside in seeded_cell_points():
+        if inside:
+            results.append(oracle.jacobian_at_cell_point(w, mu, U, s_values))
+    for res in results:
+        assert res.rank == gauss_jordan_rank(res.matrix)
+
+
+def test_jacobian_matrices_are_pinned():
+    """(rows, cols, repr(matrix), rank, verdict) of both Jacobians over every
+    admissible (w, mu) with n <= 4, hashed; the benchmark's answer digest
+    hashes the same repr, so a change to it fails here first."""
+    h = hashlib.sha256()
+    for n in range(2, 5):
+        for mu in compositions(n):
+            for w, _, _ in hess.enumerate_admissible(hess.config_from_mu(mu)):
+                for res in (
+                    oracle.jacobian_at_fixed_point(w, mu),
+                    oracle.linear_terms_closed_form(w, mu),
+                ):
+                    h.update(repr(
+                        (res.rows, res.cols, repr(res.matrix), res.rank, res.verdict)
+                    ).encode())
+    assert h.hexdigest() == (
+        "5a65feb9f422494aef3b813693055f41aa729e8866e5ac1fcc4bbad2a82aa7a9"
+    )
 
 
 # -- the regular element --------------------------------------------------------
@@ -383,16 +454,14 @@ def inverse(A):
     return [row[n:] for row in aug]
 
 
-def test_cell_points_agree_with_exact_conjugation():
-    """Seeded random translates u1.wB for every admissible (w, mu) with
-    n <= 4: the point is refused exactly when (U P)^-1 X (U P) leaves the
-    Hessenberg space, and otherwise each column of the Jacobian is a linear
-    term of conjugating U^-1 X U."""
+def seeded_cell_points():
+    """Four seeded random translates U for every admissible (w, mu) with
+    n <= 4, at fractional eigenvalues, with X and whether the point lies in
+    the variety: (U P)^-1 X (U P) stays in the Hessenberg space."""
     rng = random.Random(5)
-    seen = {True: 0, False: 0}
     for n in range(2, 5):
         for mu in compositions(n):
-            s_values = [Fraction(3, 2), Fraction(0), Fraction(-7, 3), Fraction(5, 4)][: len(mu)]
+            s_values = FRACTIONAL[: len(mu)]
             X = oracle.regular_matrix(mu, s_values).X
             for w, _, _ in hess.enumerate_admissible(hess.config_from_mu(mu)):
                 line = one_line(w)
@@ -405,14 +474,23 @@ def test_cell_points_agree_with_exact_conjugation():
                     g = matmul(U, P)
                     moved = matmul(matmul(inverse(g), X), g)
                     inside = all(moved[i][j] == 0 for i in range(n) for j in range(i - 1))
-                    seen[inside] += 1
-                    if not inside:
-                        with pytest.raises(DomainError, match="does not lie in the variety"):
-                            oracle.jacobian_at_cell_point(w, mu, U, s_values)
-                        continue
-                    res = oracle.jacobian_at_cell_point(w, mu, U, s_values)
-                    assert res.note == oracle.CELL_POINT_NOTE
-                    assert_columns_are_linear_terms(res, matmul(matmul(inverse(U), X), U))
+                    yield w, mu, s_values, X, U, inside
+
+
+def test_cell_points_agree_with_exact_conjugation():
+    """At the seeded cell points the point is refused exactly when it leaves
+    the variety, and otherwise each column of the Jacobian is a linear term
+    of conjugating U^-1 X U."""
+    seen = {True: 0, False: 0}
+    for w, mu, s_values, X, U, inside in seeded_cell_points():
+        seen[inside] += 1
+        if not inside:
+            with pytest.raises(DomainError, match="does not lie in the variety"):
+                oracle.jacobian_at_cell_point(w, mu, U, s_values)
+            continue
+        res = oracle.jacobian_at_cell_point(w, mu, U, s_values)
+        assert res.note == oracle.CELL_POINT_NOTE
+        assert_columns_are_linear_terms(res, matmul(matmul(inverse(U), X), U))
     assert min(seen.values()) >= 100, seen
 
 
