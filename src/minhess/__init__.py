@@ -19,7 +19,6 @@ from .weyl import (
     WeylElement,
     compositions,
     descent_decomposition,
-    enumerate_group,
     enumerate_min_reps,
     from_one_line,
     longest_element,
@@ -32,6 +31,7 @@ from .hess import (
     HessConfig,
     cell_contained_in_closure,
     cell_dimension,
+    closure_covers,
     closure_intersecting_cells,
     config_from_mu,
     decompose_admissible,

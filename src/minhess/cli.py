@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 from . import classes, hess, oracle, singular, verification
 from .errors import DomainError
 from .roots import RootSystem, build_root_system, cartan_datum, root_str
-from .weyl import Composition, WeylElement, from_one_line, in_parabolic, one_line_str
+from .weyl import DEFAULT_ENUMERATION_BOUND, Composition, WeylElement, from_one_line, one_line_str
 
 
 # -- serialization helpers ---------------------------------------------------
@@ -178,34 +178,12 @@ def _cmd_decompose(args) -> int:
 
 
 def _closure_dot(cfg: hess.HessConfig, cells) -> str:
-    names = {}
-    for c in cells:
-        if cfg.rs.cartan.family == "A":
-            names[c.v] = one_line_str(c.v)
-        else:
-            names[c.v] = repr(c.v)
+    name = one_line_str if cfg.is_type_a else repr
+    names = {c.v: name(c.v) for c in cells}
     lines = ["digraph closure {", "  rankdir=BT;"]
     for c in cells:
         lines.append(f'  "{names[c.v]}" [label="{names[c.v]}\\ndim {c.dim}"];')
-    # The containment order of hess.cell_contained_in_closure, whose
-    # admissibility checks every cell here already passes: a below b when
-    # des(a) lies in des(b) and b^-1 a in W_des(b).  below[k] holds the cells
-    # under cell k as a bitmask; the covers are what no cell in between hides.
-    descents = [c.v.descents() for c in cells]
-    lower = []
-    for b, des_b in zip(cells, descents):
-        b_inv = b.v.inverse()
-        lower.append([
-            k for k, (a, des_a) in enumerate(zip(cells, descents))
-            if a is not b and des_a <= des_b and in_parabolic(b_inv * a.v, des_b)
-        ])
-    below = [sum(1 << k for k in ks) for ks in lower]
-    edges = []
-    for b, ks in zip(cells, lower):
-        hidden = 0
-        for k in ks:
-            hidden |= below[k]
-        edges.extend((cells[k].v, b.v) for k in ks if not hidden >> k & 1)
+    edges = hess.closure_covers([c.v for c in cells])
     for a, b in sorted(edges, key=lambda p: (names[p[0]], names[p[1]])):
         lines.append(f'  "{names[a]}" -> "{names[b]}";')
     lines.append("}")
@@ -377,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("admissible", help="count or list nonempty cells")
     _add_config_flags(p)
     p.add_argument("--list", action="store_true")
-    p.add_argument("--bound", type=int, default=10**6)
+    p.add_argument("--bound", type=int, default=DEFAULT_ENUMERATION_BOUND)
     p.set_defaults(func=_cmd_admissible)
 
     p = sub.add_parser("decompose", help="full decomposition data of an admissible element")
@@ -389,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     _add_element_flags(p)
     p.add_argument("--dot", action="store_true", help="emit a DOT containment diagram")
-    p.add_argument("--bound", type=int, default=10**6)
+    p.add_argument("--bound", type=int, default=DEFAULT_ENUMERATION_BOUND)
     p.set_defaults(func=_cmd_closure)
 
     p = sub.add_parser("fixed-point-smooth", help="smooth/singular verdict at a fixed point")
@@ -400,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("peterson-singular-locus", help="singular cells of a Peterson variety")
     p.add_argument("--family", choices=list("ABCDEFG"), required=True)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--bound", type=int, default=2**20)
+    p.add_argument("--bound", type=int, default=singular.DEFAULT_PETERSON_BOUND)
     p.set_defaults(func=_cmd_peterson_singular_locus)
 
     p = sub.add_parser("count-smooth", help="number of smooth permutation flags")

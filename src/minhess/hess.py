@@ -7,7 +7,10 @@ produces the full decomposition data of an admissible element, and computes
 closure relations and Poincare polynomials.  One enumeration of admissible
 cells serves the whole variety and every Levi: by the Levi correspondence,
 the closure of w's cell is tau_w times the variety of the Levi of des(w)
-with J_w in place of J.
+with J_w in place of J.  The module is the only owner of the closure order
+(v's cell lies in the closure of w's when des(v) lies in des(w) and w^{-1} v
+in W_des(w)), both for single pairs and as the covering relations among a
+set of cells.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .roots import ParabolicSubsystem, RootSystem, build_root_system, parabolic
@@ -37,28 +40,27 @@ from .weyl import (
 class HessConfig:
     rs: RootSystem
     J: FrozenSet[int]
-    mu: Optional[Composition] = None
 
     def __post_init__(self) -> None:
         self.rs.check_simple(self.J)
-        if self.mu is not None and self.mu.to_J() != self.J:
-            raise DomainError("composition and J do not match")
 
     @property
     def is_type_a(self) -> bool:
         return self.rs.cartan.family == "A"
 
+    @property
+    def mu(self) -> Optional[Composition]:
+        """The composition of n that J names in type A, else None."""
+        return Composition.from_J(self.rs.rank + 1, self.J) if self.is_type_a else None
+
 
 def hess_config(rs: RootSystem, J: Iterable[int]) -> HessConfig:
-    Jset = frozenset(J)
-    mu = Composition.from_J(rs.rank + 1, Jset) if rs.cartan.family == "A" else None
-    return HessConfig(rs, Jset, mu)
+    return HessConfig(rs, frozenset(J))
 
 
 def config_from_mu(mu: Sequence[int]) -> HessConfig:
     comp = mu if isinstance(mu, Composition) else Composition(tuple(mu))
-    rs = build_root_system("A", comp.n - 1)
-    return HessConfig(rs, comp.to_J(), comp)
+    return HessConfig(build_root_system("A", comp.n - 1), comp.to_J())
 
 
 def typeA_point(w, mu) -> Tuple[WeylElement, HessConfig]:
@@ -122,7 +124,11 @@ class AdmissibleDecomposition:
     des: FrozenSet[int]
     y_des: WeylElement
     Jw: FrozenSet[int]
-    levi: ParabolicSubsystem
+
+    @property
+    def levi(self) -> ParabolicSubsystem:
+        """The Levi of des(w), classified when asked for."""
+        return parabolic(self.w.rs, self.des)
 
     @property
     def levi_components(self) -> Tuple[Tuple[Tuple[int, ...], str], ...]:
@@ -172,9 +178,7 @@ def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposi
         vinv_K.add(image + 1)
     if des != v.descents() | vinv_K or (v.descents() & vinv_K):
         raise RuntimeError("descent set does not split as des(v) u v^{-1}(K)")
-    return AdmissibleDecomposition(
-        w=w, K=K, v=v, tau=tau, des=des, y_des=y_des, Jw=Jw, levi=parabolic(rs, des)
-    )
+    return AdmissibleDecomposition(w=w, K=K, v=v, tau=tau, des=des, y_des=y_des, Jw=Jw)
 
 
 def cell_dimension(w: WeylElement, cfg: HessConfig) -> int:
@@ -242,15 +246,46 @@ def closure_intersecting_cells(
     return tuple(sorted(cells, key=lambda c: (c.dim, c.v.word())))
 
 
+def _cells_below(
+    b: WeylElement, cells: Sequence[WeylElement], descents: Sequence[FrozenSet[int]]
+) -> List[int]:
+    """The k with cells[k] in the closure of b's cell, for admissible cells
+    with descent sets descents: des(a) lies in des(b) and b^{-1} a in
+    W_des(b).  This is the one statement of the closure order."""
+    des_b = b.descents()
+    b_inv = b.inverse()
+    return [
+        k for k, (a, des_a) in enumerate(zip(cells, descents))
+        if des_a <= des_b and in_parabolic(b_inv * a, des_b)
+    ]
+
+
 def cell_contained_in_closure(v: WeylElement, w: WeylElement, cfg: HessConfig) -> bool:
     """Whether v's Hessenberg cell lies inside the closure of w's."""
     require_admissible(w, cfg)
     if not is_admissible(v, cfg):
         return False
-    des_w = w.descents()
-    if not v.descents() <= des_w:
-        return False
-    return in_parabolic(w.inverse() * v, des_w)
+    return bool(_cells_below(w, [v], [v.descents()]))
+
+
+def closure_covers(cells: Sequence[WeylElement]) -> List[Tuple[WeylElement, WeylElement]]:
+    """The covering pairs (a, b) of the closure order among admissible cells:
+    a's cell lies in the closure of b's with no other given cell in between.
+
+    Descents are computed once per cell and inverses once per b; below[k]
+    holds the cells under cell k as a bitmask, and the covers of b are the
+    cells under b that no other cell under b hides.
+    """
+    descents = [c.descents() for c in cells]
+    lower = [[k for k in _cells_below(b, cells, descents) if k != j] for j, b in enumerate(cells)]
+    below = [sum(1 << k for k in ks) for ks in lower]
+    covers = []
+    for b, ks in zip(cells, lower):
+        hidden = 0
+        for k in ks:
+            hidden |= below[k]
+        covers.extend((cells[k], b) for k in ks if not hidden >> k & 1)
+    return covers
 
 
 def poincare_polynomial(

@@ -3,9 +3,12 @@ Hessenberg-Schubert varieties, across all simple types.
 
 The fixed-point question reduces to the Peterson variety of the Levi named
 by J, where the singular cells are indexed by an explicit family of subsets
-(``w_star_member``).  Type A admits an equivalent one-line criterion via
-block structure and avoidance of the patterns 123 and 2143, and the
-variety-level question is decided by a bracket condition on simple roots.
+(``w_star_member``).  ``roots.parabolic`` hands every component over in its
+reference labels, with a rank-2 double bond as B2, so the tables relabel
+only a C2 datum passed in directly.  Type A admits an equivalent one-line
+criterion via block structure and avoidance of the patterns 123 and 2143,
+and the variety-level question is decided by a bracket condition on simple
+roots.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ from .weyl import Composition, WeylElement, longest_element, one_line
 
 SMOOTH = "smooth"
 SINGULAR = "singular"
+
+# the most subsets K a whole Peterson singular locus may visit
+DEFAULT_PETERSON_BOUND = 2**20
 
 # reasons
 SMOOTH_BY_CRITERION = "SmoothByCriterion"
@@ -71,54 +77,41 @@ class SmoothnessVerdict:
 # -- the singular fixed-point index sets ------------------------------------
 
 
-def _normalize(datum: CartanDatum, K: FrozenSet[int]) -> Tuple[str, int, FrozenSet[int], bool]:
-    """Degenerate-rank normalization before table lookup.
-
-    B_1 and C_1 are A_1; C_2 is B_2 with the chain read from the long root.
-    Returns (family, rank, relabeled K, whether anything changed).
-    """
+def _normalize(datum: CartanDatum, K: Iterable[int]) -> Tuple[str, int, FrozenSet[int]]:
+    """Check K against the component and normalize degenerate ranks before
+    table lookup: C_2 is B_2 with the chain read from the long root.
+    Returns (family, rank, relabeled K)."""
+    Kset = frozenset(K)
+    if not Kset <= set(range(1, datum.rank + 1)):
+        raise DomainError("K is not a subset of the component's simple roots")
     if datum != cartan_datum(datum.family, datum.rank):
         raise DomainError(
             f"{datum.name} is not canonically labeled; classify it first"
         )
-    family, rank = datum.family, datum.rank
-    if family == "C" and rank == 2:
+    if datum.name == "C2":
         # the long root moves from the alpha_2 end to the alpha_1 end
-        return "B", 2, frozenset(3 - k for k in K), True
-    return family, rank, K, False
-
-
-def _w_star(datum: CartanDatum, K: Iterable[int]) -> Tuple[bool, bool]:
-    """Membership of y_K in the singular fixed-point index set, plus a flag
-    recording whether a degenerate-rank normalization was applied."""
-    Kset = frozenset(K)
-    if not Kset <= set(range(1, datum.rank + 1)):
-        raise DomainError("K is not a subset of the component's simple roots")
-    family, rank, Kset, changed = _normalize(datum, Kset)
-    full = frozenset(range(1, rank + 1))
-    if Kset == full:
-        return False, changed
-    if family == "A":
-        excluded = (full - {1}, full - {rank})
-        return Kset not in excluded, changed
-    if family == "B":
-        return Kset != full - {1}, changed
-    return True, changed
+        return "B", 2, frozenset(3 - k for k in Kset)
+    return datum.family, datum.rank, Kset
 
 
 def w_star_member(component: CartanDatum, K: Iterable[int]) -> bool:
     """Whether the fixed point indexed by K is singular in the component's
     Peterson variety.  K uses the component's canonical 1-based labels."""
-    return _w_star(component, K)[0]
+    family, rank, Kset = _normalize(component, K)
+    full = frozenset(range(1, rank + 1))
+    if Kset == full:
+        return False
+    if family == "A":
+        return Kset not in (full - {1}, full - {rank})
+    if family == "B":
+        return Kset != full - {1}
+    return True
 
 
 def w_star_star_member(component: CartanDatum, K: Iterable[int]) -> bool:
     """Whether K indexes a cell that is singular for the stronger reason
     that its distinguished patch generator has no linear term."""
-    Kset = frozenset(K)
-    if not Kset <= set(range(1, component.rank + 1)):
-        raise DomainError("K is not a subset of the component's simple roots")
-    family, rank, Kset, _ = _normalize(component, Kset)
+    family, rank, Kset = _normalize(component, K)
     full = frozenset(range(1, rank + 1))
     if Kset == full:
         return False
@@ -164,25 +157,16 @@ def peterson_fixed_point_smooth(sub: ParabolicSubsystem, K: Iterable[int]) -> Sm
     Kset = frozenset(K)
     if not Kset <= sub.J:
         raise DomainError("K must be contained in J")
-    normalized = False
     for comp in sub.components:
         K_local = comp.to_canonical(Kset)
-        member, changed = _w_star(comp.datum, K_local)
-        normalized = normalized or changed
-        if member:
-            citations = ["peterson-singular-set"]
-            if changed:
-                citations.append("rank-normalization")
+        if w_star_member(comp.datum, K_local):
             return SmoothnessVerdict(
                 SINGULAR,
                 PETERSON_W_STAR,
-                tuple(citations),
+                ("peterson-singular-set",),
                 detail=(comp.datum.name, tuple(sorted(K_local))),
             )
-    citations = ["peterson-singular-set"]
-    if normalized:
-        citations.append("rank-normalization")
-    return SmoothnessVerdict(SMOOTH, SMOOTH_BY_CRITERION, tuple(citations))
+    return SmoothnessVerdict(SMOOTH, SMOOTH_BY_CRITERION, ("peterson-singular-set",))
 
 
 def hess_fixed_point_smooth(w: WeylElement, cfg: HessConfig) -> SmoothnessVerdict:
@@ -240,7 +224,8 @@ def typeA_fixed_point_smooth(w, mu) -> SmoothnessVerdict:
     """
     element, cfg = typeA_point(w, mu)
     line = one_line(element)
-    for p, positions in _block_windows(line, cfg.mu):
+    windows = _block_windows(line, cfg.mu)
+    for p, positions in windows:
         if positions[-1] - positions[0] != len(positions) - 1:
             return SmoothnessVerdict(
                 SINGULAR,
@@ -248,7 +233,7 @@ def typeA_fixed_point_smooth(w, mu) -> SmoothnessVerdict:
                 ("block-pattern-criterion",),
                 detail=(p, positions),
             )
-    for p, positions in _block_windows(line, cfg.mu):
+    for p, positions in windows:
         induced = [line[i] for i in positions]
         for pattern in ((1, 2, 3), (2, 1, 4, 3)):
             hit = contains_pattern(induced, pattern)
@@ -331,7 +316,7 @@ def typeA_hess_schubert_smooth(w, mu) -> SmoothnessVerdict:
 
 
 def peterson_singular_locus(
-    component: CartanDatum, bound: int = 2**20
+    component: CartanDatum, bound: int = DEFAULT_PETERSON_BOUND
 ) -> Tuple[Tuple[int, ...], ...]:
     """All K whose cell lies in the singular locus, for one simple component."""
     if 2**component.rank > bound:

@@ -21,7 +21,6 @@ from .errors import DomainError, EnumerationBoundError
 from .roots import Coeffs, RootSystem, parabolic
 
 DEFAULT_ENUMERATION_BOUND = 10**6
-E8_ORDER = 696729600
 
 
 def _simple_perm(rs: RootSystem, i: int) -> Tuple[int, ...]:
@@ -263,22 +262,6 @@ def _level_order(
         level = nxt
 
 
-def enumerate_group(rs: RootSystem, bound: int = DEFAULT_ENUMERATION_BOUND) -> Iterator[WeylElement]:
-    """All group elements, once each, ordered by (length, canonical word).
-
-    Refuses up front when the group order exceeds the bound; full E_8
-    enumeration is always refused.
-    """
-    order = rs.weyl_order()
-    if order >= E8_ORDER:
-        raise EnumerationBoundError(
-            f"full enumeration of {rs.cartan.name} (order {order}) is not supported"
-        )
-    if order > bound:
-        raise EnumerationBoundError(f"group order {order} exceeds enumeration bound {bound}")
-    yield from _level_order(rs, range(1, rs.rank + 1))
-
-
 def enumerate_min_reps(
     rs: RootSystem,
     J: Iterable[int],
@@ -286,7 +269,8 @@ def enumerate_min_reps(
     within: Optional[Iterable[int]] = None,
 ) -> Iterator[WeylElement]:
     """The shortest representatives of the right cosets W_J \\ W_within,
-    ordered by (length, canonical word); ``within`` None means the whole group.
+    ordered by (length, canonical word); ``within`` None means the whole group,
+    and J empty enumerates every element of W_within.
 
     This is the parabolic factorization W_within = W_J * ^J(W_within)
     (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4): every shortest

@@ -122,8 +122,9 @@ def test_closure_json_and_dot(capsys):
     ("--family", "B", "--rank", "3", "--J", "2,3"),
 ], ids=" ".join)
 def test_closure_dot_edges_are_the_covering_relations(capsys, config):
-    """For every admissible w, the DOT edges are the transitive reduction of
-    cell_contained_in_closure on the closure's cells, found by brute force."""
+    """For every admissible w, hess.closure_covers and the DOT edges are the
+    transitive reduction of cell_contained_in_closure on the closure's cells,
+    found by brute force."""
     if config[0] == "--mu":
         cfg = hess.config_from_mu(tuple(int(p) for p in config[1].split(",")))
         name = one_line_str
@@ -140,6 +141,7 @@ def test_closure_dot_edges_are_the_covering_relations(capsys, config):
             (name(a), name(b)) for a, b in order
             if not any((a, c) in order and (c, b) in order for c in vs)
         )
+        assert sorted((name(a), name(b)) for a, b in hess.closure_covers(vs)) == covers
         word = ",".join(f"s{i}" for i in w.word()) or "e"
         code, out, _ = run(capsys, "closure", *config, "--w", word, "--dot")
         assert code == 0

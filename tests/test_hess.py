@@ -16,7 +16,6 @@ from minhess.weyl import (
     WeylElement,
     compositions,
     descent_decomposition,
-    enumerate_group,
     enumerate_min_reps,
     from_one_line,
     longest_element,
@@ -222,7 +221,7 @@ def test_containment_examples():
 def test_admissible_set_matches_constructive_description(family, rank):
     """The inverse-image test and the y_K v construction agree, exhaustively."""
     rs = build_root_system(family, rank)
-    elements = list(enumerate_group(rs))
+    elements = list(enumerate_min_reps(rs, ()))
     for size in range(rank + 1):
         for J in itertools.combinations(range(1, rank + 1), size):
             cfg = hess.hess_config(rs, J)

@@ -218,6 +218,23 @@ def test_component_classification_idempotent_and_complete(family, rank):
             assert sub2.components == sub.components
 
 
+def test_parabolic_components_are_reference_data_and_never_c2():
+    """Every component of every parabolic, in every type up to rank 8, is
+    labeled by its reference datum itself, and a rank-2 double bond is B2:
+    the Peterson tables never see C2 through a parabolic."""
+    seen = 0
+    for family, rank in sorted(POSITIVE_COUNTS):
+        rs = build_root_system(family, rank)
+        for size in range(rank + 1):
+            for J in itertools.combinations(range(1, rank + 1), size):
+                for comp in parabolic(rs, J).components:
+                    datum = comp.datum
+                    assert datum is cartan_datum(datum.family, datum.rank)
+                    assert datum.name != "C2"
+                    seen += 1
+    assert seen == 5049
+
+
 def test_root_ordering_deterministic():
     rs = build_root_system("A", 3)
     assert rs.positive_roots == tuple(sorted(rs.positive_roots, key=root_key))

@@ -16,7 +16,6 @@ from minhess.weyl import (
     Composition,
     WeylElement,
     compositions,
-    enumerate_group,
     from_one_line,
     longest_element,
 )
