@@ -30,7 +30,6 @@ from .hess import (
     AdmissibleDecomposition,
     HessConfig,
     cell_contained_in_closure,
-    cell_dimension,
     closure_covers,
     closure_intersecting_cells,
     config_from_mu,

@@ -32,10 +32,6 @@ class ClassExpression:
         if self.form not in (K_THEORY, COHOMOLOGY):
             raise DomainError(f"unknown form {self.form!r}")
 
-    @property
-    def degree(self) -> int:
-        return len(self.factor_roots)
-
 
 def _subgroup_order(rs: RootSystem, I: Iterable[int]) -> int:
     return parabolic(rs, I).weyl_order()
@@ -89,17 +85,6 @@ class ChernPolynomial:
 
     n: int
     coeffs: Tuple[Tuple[Monomial, Fraction], ...]
-
-    def as_dict(self) -> Dict[Monomial, Fraction]:
-        return dict(self.coeffs)
-
-    @property
-    def degree(self) -> int:
-        return max((sum(m) for m, _ in self.coeffs), default=0)
-
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(m) for m, _ in self.coeffs}
-        return len(degrees) <= 1
 
     def __str__(self) -> str:
         if not self.coeffs:

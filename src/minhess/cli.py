@@ -32,14 +32,6 @@ def _frac(q: Fraction) -> Dict[str, str]:
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
-def _root(r) -> List[int]:
-    return list(r)
-
-
-def _roots(rs_list) -> List[List[int]]:
-    return [_root(r) for r in rs_list]
-
-
 def _element(w: WeylElement) -> Dict[str, object]:
     out: Dict[str, object] = {"word": list(w.word())}
     if w.rs.cartan.family == "A":
@@ -51,7 +43,7 @@ def _verdict(v: singular.SmoothnessVerdict) -> Dict[str, object]:
     return {
         "verdict": v.verdict,
         "reason": v.reason,
-        "detail": json.loads(json.dumps(v.detail)),
+        "detail": v.detail,
     }
 
 
@@ -250,7 +242,7 @@ def _cmd_class(args) -> int:
     payload: Dict[str, object] = {
         "form": expr.form,
         "scalar": _frac(expr.scalar),
-        "factor_roots": _roots(expr.factor_roots),
+        "factor_roots": expr.factor_roots,
         "factor_roots_pretty": [root_str(r) for r in expr.factor_roots],
     }
     if args.expand:
@@ -292,8 +284,8 @@ def _cmd_oracle(args) -> int:
     else:
         res = oracle.jacobian_at_fixed_point(w, mu, size_bound=args.size_bound)
     payload = {
-        "rows": _roots(res.rows),
-        "cols": _roots(res.cols),
+        "rows": res.rows,
+        "cols": res.cols,
         "matrix": [[_frac(x) for x in row] for row in res.matrix],
         "rank": res.rank,
         "full_rank": res.rank == len(res.rows),

@@ -3,14 +3,16 @@
 A configuration is an ambient simple root system together with a subset J of
 simple roots naming the regular element (in type A, equivalently a strong
 composition of n).  The module decides which Schubert cells meet the variety,
-produces the full decomposition data of an admissible element, and computes
-closure relations and Poincare polynomials.  One enumeration of admissible
-cells serves the whole variety and every Levi: by the Levi correspondence,
-the closure of w's cell is tau_w times the variety of the Levi of des(w)
-with J_w in place of J.  The module is the only owner of the closure order
-(v's cell lies in the closure of w's when des(v) lies in des(w) and w^{-1} v
-in W_des(w)), both for single pairs and as the covering relations among a
-set of cells.
+computes closure relations and Poincare polynomials, and decomposes an
+admissible w = y_K v once: ``decompose_admissible`` gives K, v, Delta(v),
+v^{-1}(K), the descent factorization and the cell dimension, and the
+smoothness routes read them from it.  One enumeration of admissible cells
+serves the whole variety and every Levi: by the Levi correspondence, the
+closure of w's cell is tau_w times the variety of the Levi of des(w) with
+J_w in place of J.  The module is the only owner of the closure order (v's
+cell lies in the closure of w's when des(v) lies in des(w) and w^{-1} v in
+W_des(w)), both for single pairs and as the covering relations among a set
+of cells.
 """
 
 from __future__ import annotations
@@ -115,7 +117,9 @@ def _simple_among(rs: RootSystem, ks: Iterable[int], K: FrozenSet[int]) -> Froze
 
 @dataclass(frozen=True)
 class AdmissibleDecomposition:
-    """Everything the structure theory attaches to one admissible element."""
+    """Everything the structure theory attaches to one admissible element
+    w = y_K v: delta_v is Delta(v), and des(w) splits as des(v) u vinv_K
+    with vinv_K = v^{-1}(K)."""
 
     w: WeylElement
     K: FrozenSet[int]
@@ -124,6 +128,8 @@ class AdmissibleDecomposition:
     des: FrozenSet[int]
     y_des: WeylElement
     Jw: FrozenSet[int]
+    delta_v: FrozenSet[int]
+    vinv_K: FrozenSet[int]
 
     @property
     def levi(self) -> ParabolicSubsystem:
@@ -160,7 +166,8 @@ def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposi
     K = y.descents()
     if y != longest_element(rs, K):
         raise RuntimeError("coset factor is not the longest element of its support")
-    if not K <= delta_v(v, cfg):
+    delta = _simple_among(rs, v.perm[: rs.rank], cfg.J)
+    if not K <= delta:
         raise RuntimeError("K is not contained in Delta(v)")
     tau, y_des, des, Jw = _descent_levi(w, cfg)
     # consistency of the two factorizations: y_des(alpha_k) for k in J_w
@@ -170,20 +177,12 @@ def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposi
     right = {vinv.perm[rs.npos + k - 1] for k in K}
     if left != right:
         raise RuntimeError("descent and coset factorizations are inconsistent")
-    vinv_K = set()
-    for k in K:
-        image = vinv.perm[k - 1]
-        if image >= rs.rank:
-            raise RuntimeError("v^{-1}(K) is not a set of simple roots")
-        vinv_K.add(image + 1)
+    vinv_K = frozenset(vinv.perm[k - 1] + 1 for k in K)
+    if any(i > rs.rank for i in vinv_K):
+        raise RuntimeError("v^{-1}(K) is not a set of simple roots")
     if des != v.descents() | vinv_K or (v.descents() & vinv_K):
         raise RuntimeError("descent set does not split as des(v) u v^{-1}(K)")
-    return AdmissibleDecomposition(w=w, K=K, v=v, tau=tau, des=des, y_des=y_des, Jw=Jw)
-
-
-def cell_dimension(w: WeylElement, cfg: HessConfig) -> int:
-    require_admissible(w, cfg)
-    return len(w.descents())
+    return AdmissibleDecomposition(w, K, v, tau, des, y_des, Jw, delta, vinv_K)
 
 
 def _admissible(

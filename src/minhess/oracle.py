@@ -26,12 +26,10 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import DomainError
 from .hess import HessConfig, is_admissible, typeA_point
 from .roots import Coeffs, RootSystem
+from .singular import SINGULAR, SMOOTH
 from .weyl import Composition, WeylElement, one_line
 
 DEFAULT_SIZE_BOUND = 6
-
-SMOOTH = "smooth"
-SINGULAR = "singular"
 
 CELL_POINT_NOTE = (
     "full rank certifies a smooth point; a rank deficit certifies a singular "
@@ -156,14 +154,19 @@ def regular_matrix(mu, s_values: Optional[Sequence] = None) -> RegularMatrix:
 # -- charts and Jacobians ----------------------------------------------------
 
 
+def require_size(n: int, size_bound: int) -> None:
+    """Refuse an n above the size bound."""
+    if n > size_bound:
+        raise DomainError(f"n={n} exceeds the size bound {size_bound}")
+
+
 def _oracle_input(
     w, mu, s_values: Optional[Sequence], size_bound: int
 ) -> Tuple[RegularMatrix, WeylElement, HessConfig]:
     """The regular element of mu, and w as an element of mu's configuration;
     an n above the size bound is refused before its root system is built."""
     reg = regular_matrix(mu, s_values)
-    if reg.n > size_bound:
-        raise DomainError(f"n={reg.n} exceeds the size bound {size_bound}")
+    require_size(reg.n, size_bound)
     element, cfg = typeA_point(w, reg.mu)
     return reg, element, cfg
 

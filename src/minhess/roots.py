@@ -9,6 +9,8 @@ each ``RootSystem`` tabulates what the rest of the package asks of an index
 indices are 1-based throughout the public API, matching the standard
 numbering of the Dynkin diagrams (for type B the short simple root is
 ``alpha_n``, for type C it is the long one, G_2 has ``alpha_1`` short).
+``parabolic`` labels each component of a sub-diagram by one rule per type
+and checks the relabeling against the reference Cartan matrix.
 """
 
 from __future__ import annotations
@@ -243,8 +245,6 @@ class RootSystem:
             )
         if height(self.highest_root) != max(height(r) for r in self.positive_roots):
             raise RuntimeError("highest root is not of maximal height")
-        # caches owned by this system (longest parabolic elements, etc.)
-        self._longest_cache: Dict[FrozenSet[int], object] = {}
 
     def _reflection_closure(self) -> Dict[Coeffs, List[Coeffs]]:
         """Each positive root with its images under s_1 .. s_n."""
@@ -282,9 +282,6 @@ class RootSystem:
         if v not in self.roots:
             raise DomainError(f"{v} is not a root of {self.cartan.name}")
         return v
-
-    def negative_roots(self) -> Tuple[Coeffs, ...]:
-        return tuple(negate(r) for r in self.positive_roots)
 
     def check_simple(self, indices: Iterable[int]) -> None:
         """Refuse any index that does not name a simple root."""
@@ -372,13 +369,6 @@ class ParabolicSubsystem:
     J: FrozenSet[int]
     components: Tuple[Component, ...]
 
-    def positive_roots(self) -> Tuple[Coeffs, ...]:
-        rs = self.ambient
-        outside = ~rs.simple_mask(self.J)
-        return tuple(
-            r for r, mask in zip(rs.positive_roots, rs.support_mask) if not mask & outside
-        )
-
     def weyl_order(self) -> int:
         out = 1
         for comp in self.components:
@@ -434,11 +424,8 @@ def _classify_component(rs: RootSystem, nodes: List[int]) -> Component:
     bonds = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1 :] if _bond(rs, a, b) > 1]
 
     if any(_bond(rs, a, b) == 3 for a, b in bonds):
-        a, b = bonds[0]
-        # the node whose row holds the -3 is the long root alpha_2
-        if C[a - 1][b - 1] == -3:
-            return _checked_component(rs, "G", (b, a))
-        return _checked_component(rs, "G", (a, b))
+        # a triple bond occurs only in G2 itself, already in reference order
+        return _checked_component(rs, "G", bonds[0])
 
     if bonds:
         (a, b) = bonds[0]
@@ -448,12 +435,9 @@ def _classify_component(rs: RootSystem, nodes: List[int]) -> Component:
             return _checked_component(rs, "B", (long_, short))
         deg = {x: len(adj[x]) for x in nodes}
         if deg[long_] > 1 and deg[short] > 1:
-            # double bond interior to the chain: F_4, long side first
-            ends = sorted(x for x in nodes if deg[x] == 1)
-            chain = _walk_chain(adj, start=ends[0])
-            if C[chain[1] - 1][chain[2] - 1] != -2:
-                chain.reverse()
-            return _checked_component(rs, "F", tuple(chain))
+            # a double bond interior to the chain occurs only in F4 itself,
+            # already in reference order
+            return _checked_component(rs, "F", tuple(nodes))
         if deg[short] == 1:
             chain = _walk_chain(adj, start=short)
             chain.reverse()
@@ -486,13 +470,9 @@ def _classify_component(rs: RootSystem, nodes: List[int]) -> Component:
         long_arm = arms[2]
         order = list(reversed(long_arm)) + [b] + [arms[0][0], arms[1][0]]
         return _checked_component(rs, "D", tuple(order))
-    if lengths == (1, 2, 2):
-        order = (arms[1][1], arms[0][0], arms[1][0], b, arms[2][0], arms[2][1])
-        return _checked_component(rs, "E", order)
-    if lengths == (1, 2, 3):
-        order = (arms[1][1], arms[0][0], arms[1][0], b) + tuple(arms[2])
-        return _checked_component(rs, "E", order)
-    if lengths == (1, 2, 4):
+    if lengths[:2] == (1, 2) and lengths[2] in (2, 3, 4):
+        # E_k: the short arm is alpha_2, the two-node arm runs alpha_3,
+        # alpha_1 and the long arm alpha_5 onward
         order = (arms[1][1], arms[0][0], arms[1][0], b) + tuple(arms[2])
         return _checked_component(rs, "E", order)
     raise DomainError(f"sub-diagram on {nodes} is not of finite type")

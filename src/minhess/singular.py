@@ -19,7 +19,7 @@ from math import factorial
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, EnumerationBoundError
-from .hess import HessConfig, decompose_admissible, delta_v, typeA_point
+from .hess import HessConfig, decompose_admissible, require_admissible, typeA_point
 from .roots import (
     CartanDatum,
     Coeffs,
@@ -173,13 +173,12 @@ def hess_fixed_point_smooth(w: WeylElement, cfg: HessConfig) -> SmoothnessVerdic
     """Smoothness of the fixed point of w, by reduction to the Peterson
     variety of the Levi named by J."""
     dec = decompose_admissible(w, cfg)
-    delta = delta_v(dec.v, cfg)
-    if delta != cfg.J:
+    if dec.delta_v != cfg.J:
         return SmoothnessVerdict(
             SINGULAR,
             DELTA_V_MISMATCH,
             ("levi-reduction", "delta-v-criterion"),
-            detail=(tuple(sorted(delta)), tuple(sorted(cfg.J))),
+            detail=(tuple(sorted(dec.delta_v)), tuple(sorted(cfg.J))),
         )
     inner = peterson_fixed_point_smooth(parabolic(cfg.rs, cfg.J), dec.K)
     return SmoothnessVerdict(
@@ -264,8 +263,7 @@ def hess_schubert_smooth(w: WeylElement, cfg: HessConfig) -> SmoothnessVerdict:
     an element of v^{-1}(K) and a descent of w."""
     dec = decompose_admissible(w, cfg)
     rs = cfg.rs
-    # decompose_admissible checked that des(w) splits as des(v) u v^{-1}(K)
-    left = [rs.simple_root(i) for i in sorted(dec.des - dec.v.descents())]
+    left = [rs.simple_root(i) for i in sorted(dec.vinv_K)]
     right = [rs.simple_root(i) for i in sorted(dec.des)]
     witnesses = bracket_set(rs, left, right)
     if witnesses:
@@ -281,25 +279,21 @@ def hess_schubert_smooth(w: WeylElement, cfg: HessConfig) -> SmoothnessVerdict:
 def typeA_hess_schubert_smooth(w, mu) -> SmoothnessVerdict:
     """One-line form of the bracket criterion: every i with alpha_i in K must
     appear as ...a, i+1, i, b... with a < i and i+1 < b (boundary values
-    w(0)=0, w(n+1)=n+1)."""
+    w(0)=0, w(n+1)=n+1).  A reference for hess_schubert_smooth, so it finds
+    K on its own: the i in J with i+1 left of i, the left descents of w in
+    J, are K for w = y_K v (Bjorner-Brenti, Combinatorics of Coxeter
+    Groups, 2.4)."""
     element, cfg = typeA_point(w, mu)
-    dec = decompose_admissible(element, cfg)
+    require_admissible(element, cfg)
     line = one_line(element)
-    n = len(line)
-    pos = {v: i + 1 for i, v in enumerate(line)}  # 1-based positions
-
-    def value(p: int) -> int:
-        if p == 0:
-            return 0
-        if p == n + 1:
-            return n + 1
-        return line[p - 1]
-
-    for i in sorted(dec.K):
+    padded = (0,) + line + (len(line) + 1,)  # padded[p] = w(p) for p = 0 .. n+1
+    pos = {v: p for p, v in enumerate(padded)}
+    K = sorted(i for i in cfg.J if pos[i + 1] < pos[i])
+    for i in K:
         p = pos[i + 1]
-        if value(p + 1) != i:
+        if padded[p + 1] != i:
             raise RuntimeError("i does not immediately follow i+1 for alpha_i in K")
-        a, b = value(p - 1), value(p + 2)
+        a, b = padded[p - 1], padded[p + 2]
         if not (a < i and i + 1 < b):
             return SmoothnessVerdict(
                 SINGULAR,

@@ -209,8 +209,11 @@ def _levi_oracle_smooth(
 
 def suite_cross_validate(max_rank: Optional[int] = None) -> List[Check]:
     """Every admissible (w, mu) with n <= max_rank + 1 (default 4) through
-    all smoothness routes."""
+    all smoothness routes.  An n the oracle refuses is refused before the
+    sweep starts, with the oracle's own error."""
     max_rank = 4 if max_rank is None else max_rank
+    for n in range(2, max_rank + 2):
+        oracle.require_size(n, oracle.DEFAULT_SIZE_BOUND)
     checks: List[Check] = []
     mismatches = 0
     dual_path = 0

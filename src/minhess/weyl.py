@@ -14,6 +14,7 @@ descent stripping) is computed on demand or carried along by enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -81,9 +82,6 @@ class WeylElement:
         for k, image in enumerate(self.perm):
             inv[image] = k
         return WeylElement(self.rs, tuple(inv))
-
-    def is_identity(self) -> bool:
-        return self.perm == tuple(range(len(self.perm)))
 
     def validate(self) -> None:
         """On-demand sanity check: the element permutes the root set."""
@@ -154,19 +152,19 @@ class WeylElement:
 
 def longest_element(rs: RootSystem, K: Iterable[int]) -> WeylElement:
     """The longest element of the parabolic subgroup generated by K."""
-    key = frozenset(K)
-    cached = rs._longest_cache.get(key)
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    rs.check_simple(key)
+    return _longest(rs, frozenset(K))
+
+
+@lru_cache(maxsize=None)
+def _longest(rs: RootSystem, K: FrozenSet[int]) -> WeylElement:
+    rs.check_simple(K)
     y = WeylElement.identity(rs)
-    ks = sorted(key)
+    ks = sorted(K)
     while True:
         i = next((i for i in ks if y.perm[i - 1] < rs.npos), None)
         if i is None:
             break
         y = y * WeylElement.simple(rs, i)
-    rs._longest_cache[key] = y
     return y
 
 

@@ -109,7 +109,7 @@ def test_criterion_02_decomposition_tables():
     d = hess.decompose_admissible(w, cfgB)
     ok = ok and d.K == frozenset({1, 2}) and d.v == WeylElement.from_word(b4, [3, 2, 1])
     ok = ok and d.des == frozenset({1, 2, 3}) and d.y_des == w
-    ok = ok and d.tau.is_identity() and d.Jw == frozenset({1, 2})
+    ok = ok and d.tau == WeylElement.identity(b4) and d.Jw == frozenset({1, 2})
 
     cfg = hess.config_from_mu((2, 2))
     rs = cfg.rs

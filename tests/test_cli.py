@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shlex
@@ -48,6 +49,18 @@ def test_readme_example_runs(capsys, argv):
         assert out.startswith("digraph ") and out.endswith("}\n")
     else:
         assert json.loads(out)["command"] == argv[0]
+
+
+def test_readme_outputs_are_pinned(capsys):
+    """(argv, exit code, stdout) of every README example, hashed: the
+    example outputs are byte-stable across changes that keep every answer."""
+    h = hashlib.sha256()
+    for argv in readme_commands():
+        code, out, _ = run(capsys, *argv)
+        h.update(repr((argv, code, out)).encode())
+    assert h.hexdigest() == (
+        "36c36873fd3182eb433ea46dfdb43fb2ff7e88bfda46971e16360c9d22ab6af5"
+    )
 
 
 def test_count_smooth(capsys):
@@ -272,6 +285,37 @@ def test_zero_or_empty_is_a_value_not_an_absent_flag(capsys, argv, message):
     assert error["kind"] == "domain" and message in error["message"]
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["decompose", "--family", "B", "--mu", "2,2", "--w", "e"], "--mu implies a type A"),
+        (["decompose", "--w", "e"], "need either --mu or both --family and --rank"),
+        (["decompose", "--mu", "2,2", "--w", "x"], "cannot parse element 'x'"),
+    ],
+)
+def test_configuration_and_element_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert not out
+    error = json.loads(err)["error"]
+    assert error["kind"] == "domain" and message in error["message"]
+
+
+def test_cross_validate_refuses_an_oversized_rank_before_sweeping(capsys, monkeypatch):
+    from minhess import oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran before the size bound was checked")
+
+    monkeypatch.setattr(oracle, "jacobian_at_fixed_point", refuse)
+    code, out, err = run(capsys, "verify", "--suite", "cross-validate", "--max-rank", "6")
+    assert code == 1
+    assert not out
+    assert json.loads(err) == {
+        "error": {"kind": "domain", "message": "n=7 exceeds the size bound 6"}
+    }
+
+
 def test_fixed_point_smooth_rejects_non_admissible(capsys):
     """Type A has a pattern criterion that would answer for any permutation;
     outside the variety the only right answer is the domain error."""
@@ -289,6 +333,19 @@ def test_fixed_point_smooth_rejects_non_admissible(capsys):
 @pytest.mark.parametrize("u1", ["5", "null", "[1,2]", "[[1,0],[0,true]]", '{"a": 1}'])
 def test_oracle_u1_must_be_a_matrix(capsys, u1):
     code, out, err = run(capsys, "oracle", "--mu", "1,1", "--w", "21", "--u1", u1)
+    assert code == 1
+    assert not out
+    assert json.loads(err)["error"]["kind"] == "input"
+
+
+def test_oracle_u1_from_file(capsys, tmp_path):
+    u1 = '[[1,0,"-1/2",0],[0,1,1,0],[0,0,1,0],[0,0,0,1]]'
+    path = tmp_path / "u1.json"
+    path.write_text(u1)
+    argv = ["oracle", "--mu", "2,2", "--w", "3214", "--u1"]
+    from_file = run(capsys, *argv, f"@{path}")
+    assert from_file[0] == 0 and from_file == run(capsys, *argv, u1)
+    code, out, err = run(capsys, *argv, f"@{tmp_path / 'missing.json'}")
     assert code == 1
     assert not out
     assert json.loads(err)["error"]["kind"] == "input"

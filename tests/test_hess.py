@@ -92,7 +92,7 @@ def test_decompose_b4_rows():
     assert d.v == WeylElement.from_word(b4, [3, 2, 1])
     assert sorted(d.des) == [1, 2, 3]
     assert d.y_des == w
-    assert d.tau.is_identity()
+    assert d.tau == WeylElement.identity(b4)
     assert sorted(d.Jw) == [1, 2]
     assert d.levi_components == (((1, 2, 3), "A3"),)
 
@@ -100,7 +100,8 @@ def test_decompose_b4_rows():
 def test_decompose_identity_and_rejection():
     cfg = a3_22()
     d = hess.decompose_admissible(WeylElement.identity(cfg.rs), cfg)
-    assert not d.K and d.v.is_identity() and d.tau.is_identity() and not d.des
+    e = WeylElement.identity(cfg.rs)
+    assert not d.K and d.v == e and d.tau == e and not d.des
     with pytest.raises(DomainError):
         hess.decompose_admissible(from_one_line(cfg.rs, (3, 2, 4, 1)), cfg)
 
@@ -108,9 +109,9 @@ def test_decompose_identity_and_rejection():
 def test_cell_dimension():
     cfg = a3_22()
     w0 = longest_element(cfg.rs, [1, 2, 3])
-    assert hess.cell_dimension(w0, cfg) == 3
-    assert hess.cell_dimension(WeylElement.identity(cfg.rs), cfg) == 0
-    assert hess.cell_dimension(from_one_line(cfg.rs, (3, 4, 1, 2)), cfg) == 1
+    assert hess.decompose_admissible(w0, cfg).dimension == 3
+    assert hess.decompose_admissible(WeylElement.identity(cfg.rs), cfg).dimension == 0
+    assert hess.decompose_admissible(from_one_line(cfg.rs, (3, 4, 1, 2)), cfg).dimension == 1
 
 
 def test_closure_cells_3421():
@@ -198,7 +199,7 @@ def test_closure_bound_counts_levi_cosets():
 def test_closure_of_identity():
     cfg = a3_22()
     cells = hess.closure_intersecting_cells(WeylElement.identity(cfg.rs), cfg)
-    assert len(cells) == 1 and cells[0].v.is_identity()
+    assert len(cells) == 1 and cells[0].v == WeylElement.identity(cfg.rs)
 
 
 def test_containment_examples():
@@ -208,6 +209,8 @@ def test_containment_examples():
     assert hess.cell_contained_in_closure(from_one_line(rs, (3, 4, 1, 2)), w, cfg)
     assert hess.cell_contained_in_closure(w, w, cfg)
     assert not hess.cell_contained_in_closure(from_one_line(rs, (3, 2, 1, 4)), w, cfg)
+    # a cell outside the variety lies in no closure
+    assert not hess.cell_contained_in_closure(from_one_line(rs, (3, 2, 4, 1)), w, cfg)
     b4 = build_root_system("B", 4)
     cfgB = hess.hess_config(b4, [1, 2, 4])
     w = WeylElement.from_word(b4, [1, 3, 4])

@@ -336,6 +336,8 @@ def test_shape_counts():
 def test_rejects_inadmissible_and_oversize():
     with pytest.raises(DomainError):
         oracle.jacobian_at_fixed_point((3, 2, 4, 1), (2, 2))
+    with pytest.raises(DomainError, match="does not lie in the variety"):
+        oracle.linear_terms_closed_form((3, 2, 4, 1), (2, 2))
     with pytest.raises(DomainError):
         oracle.jacobian_at_fixed_point(tuple(range(7, 0, -1)), (7,))
     with pytest.raises(DomainError, match="size bound"):
@@ -436,6 +438,9 @@ def test_cell_point_rejects_points_outside_variety():
     lower = [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     with pytest.raises(DomainError):
         oracle.jacobian_at_cell_point((3, 2, 1, 4), (2, 2), lower)
+    for shape in ([[1, 0], [0, 1]], [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]):
+        with pytest.raises(DomainError, match="wrong shape"):
+            oracle.jacobian_at_cell_point((3, 2, 1, 4), (2, 2), shape)
 
 
 def inverse(A):

@@ -87,7 +87,7 @@ def test_longest_elements():
     y = longest_element(a3, [1, 2])
     assert one_line(y) == (3, 2, 1, 4)
     assert y.length() == 3
-    assert (y * y).is_identity()
+    assert y * y == WeylElement.identity(a3)
     b4 = build_root_system("B", 4)
     w0 = longest_element(b4, [1, 2, 3, 4])
     assert w0.length() == 16
@@ -147,6 +147,10 @@ def test_one_line_round_trip():
     w = from_one_line(rs, perm)
     assert one_line(w) == perm
     assert one_line_str(w) == "23586741"
+    # from n = 10 on a value can have two digits, so the string is bracketed
+    a9 = build_root_system("A", 9)
+    perm = (10, 1, 2, 3, 4, 5, 6, 7, 9, 8)
+    assert one_line_str(from_one_line(a9, perm)) == "[10,1,2,3,4,5,6,7,9,8]"
     assert one_line(WeylElement.identity(rs)) == tuple(range(1, 9))
     a3 = build_root_system("A", 3)
     assert one_line(WeylElement.simple(a3, 2)) == (1, 3, 2, 4)
