@@ -6,7 +6,8 @@ an operation-specific payload, and the rule tags the classification relied
 on.  Domain and input failures print a machine-readable error object on
 stderr and exit with status 1; usage errors exit 2; verification failures
 exit 3; any other exception is reported the same way with kind ``internal``
-and exits 4.
+and exits 4.  A reader that closes stdout early (``| head``) ends the
+command quietly with status 141, as SIGPIPE ends native tools.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import traceback
 from fractions import Fraction
@@ -201,7 +203,6 @@ def _cmd_closure(args) -> int:
 def _cmd_fixed_point_smooth(args) -> int:
     cfg = _resolve_config(args)
     w = _parse_element(cfg.rs, args.w, args.notation)
-    hess.require_admissible(w, cfg)
     if cfg.is_type_a:
         verdict = singular.typeA_fixed_point_smooth(w, cfg.mu)
     else:
@@ -407,9 +408,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe is met here, not at exit
+        return code
     except DomainError as exc:
         return _fail("domain", str(exc))
+    except BrokenPipeError:  # the reader left: the rest of stdout goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + 13  # SIGPIPE, as it ends native tools
     except (ValueError, OSError) as exc:
         return _fail("input", str(exc))
     except Exception as exc:  # a bug, still reported as one JSON error

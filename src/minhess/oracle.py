@@ -11,9 +11,12 @@ combinatorial routes.
 To first order (I + Z)^-1 X (I + Z) = X + [X, Z], so the linear parts of the
 defining equations, which are all the Jacobian needs, are the entries of the
 commutator [X, Z].  A row of [X, Z] has at most three nonzero entries at a
-fixed point, so the rows are filled from the nonzeros of X, and their rank
-is computed by exact integer elimination on sparse rows, the only
-elimination here.
+fixed point, so the rows are filled from the nonzeros of X, stored as sparse
+rows and ranked by exact integer elimination on them, the only elimination
+here.  The rows are the entries the point must leave zero to lie in the
+Hessenberg space, so a nonzero constant term refuses a point outside the
+variety: membership comes from the chart, and no result from ``hess`` is
+consulted.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .hess import HessConfig, is_admissible, typeA_point
+from .hess import HessConfig, typeA_point
 from .roots import Coeffs, RootSystem
 from .singular import SINGULAR, SMOOTH
 from .weyl import Composition, WeylElement, one_line
@@ -40,26 +43,18 @@ CELL_POINT_NOTE = (
 # -- exact rational matrices -------------------------------------------------
 
 Matrix = List[List[Fraction]]
-_ZERO = Fraction(0)
 
 
-def _matmul(A: Matrix, B: Matrix) -> Matrix:
-    n = len(A)
-    return [
-        [sum((A[i][k] * B[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Rank by exact integer elimination on sparse rows, the oracle's only
-    elimination.  Each nonzero row, scaled by the lowest common denominator
-    of its entries, becomes a {column: int} row.  A pivot row is set aside,
-    and only the rows nonzero in the column of its first entry are combined
-    with it, each result divided by the gcd of its entries."""
+def rank(sparse_rows: Iterable[Iterable[Tuple[int, Fraction]]]) -> int:
+    """Rank by exact integer elimination on sparse rows of (column, value)
+    pairs, the oracle's only elimination.  Each row with a nonzero value,
+    scaled by the lowest common denominator of its entries, becomes a
+    {column: int} row.  A pivot row is set aside, and only the rows nonzero
+    in the column of its first entry are combined with it, each result
+    divided by the gcd of its entries."""
     rows = []
-    for row in matrix:
-        nz = {c: x for c, x in enumerate(row) if x}
+    for row in sparse_rows:
+        nz = {c: x for c, x in row if x}
         if nz:
             lcd = lcm(*(x.denominator for x in nz.values()))
             rows.append({c: x.numerator * (lcd // x.denominator) for c, x in nz.items()})
@@ -83,27 +78,17 @@ def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
     return r
 
 
-def _relabel(M: Matrix, perm: Sequence[int]) -> Matrix:
-    """P^-1 M P for the permutation matrix P whose column b carries 1 in row
-    perm[b]: conjugation only relabels rows and columns."""
-    return [[M[i - 1][j - 1] for j in perm] for i in perm]
-
-
 def _unipotent_conjugate(U: Matrix, M: Matrix) -> Matrix:
     """U^-1 M U for unit upper triangular U, solving U R = M U from the last
     row up; the unit diagonal means no step divides."""
-    R = _matmul(M, U)
-    for i in range(len(U) - 2, -1, -1):
-        for k in range(i + 1, len(U)):
+    n = len(U)
+    R = [[sum((M[i][k] * U[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+         for i in range(n)]
+    for i in range(n - 2, -1, -1):
+        for k in range(i + 1, n):
             if U[i][k]:
                 R[i] = [r - U[i][k] * s for r, s in zip(R[i], R[k])]
     return R
-
-
-def in_hessenberg_space(M: Sequence[Sequence[Fraction]]) -> bool:
-    """Membership in the span of the Borel plus the first subdiagonal."""
-    n = len(M)
-    return all(M[i][j] == 0 for i in range(n) for j in range(n) if i > j + 1)
 
 
 # -- the regular element -----------------------------------------------------
@@ -185,10 +170,22 @@ def _chart_roots(w: WeylElement, cfg: HessConfig) -> Tuple[List[int], List[int]]
 class JacobianResult:
     rows: Tuple[Coeffs, ...]
     cols: Tuple[Coeffs, ...]
-    matrix: Tuple[Tuple[Fraction, ...], ...]
+    # per row, the (column, value) pairs of its nonzeros in column order
+    sparse_rows: Tuple[Tuple[Tuple[int, Fraction], ...], ...]
     rank: int
     verdict: str
     note: str = ""
+
+    @property
+    def matrix(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """The dense view of the sparse rows, the form the CLI prints."""
+        dense = []
+        for entries in self.sparse_rows:
+            row = [Fraction(0)] * len(self.cols)
+            for k, x in entries:
+                row[k] = x
+            dense.append(tuple(row))
+        return tuple(dense)
 
     @property
     def is_smooth(self) -> bool:
@@ -196,47 +193,49 @@ class JacobianResult:
 
 
 def _ranked(
-    rs: RootSystem, rows: List[int], cols: List[int], matrix: Sequence[Tuple[Fraction, ...]],
+    rs: RootSystem, rows: List[int], cols: List[int], sparse: List[Dict[int, Fraction]],
     note: str,
 ) -> JacobianResult:
     """The Jacobian with its rank and verdict, rows and columns as roots."""
-    rk = rank(matrix)
+    stored = tuple(tuple(sorted((k, x) for k, x in row.items() if x)) for row in sparse)
+    rk = rank(stored)
     verdict = SMOOTH if rk == len(rows) else SINGULAR
     roots = [tuple(rs.root_list[k] for k in ks) for ks in (rows, cols)]
-    return JacobianResult(*roots, tuple(matrix), rk, verdict, note)
+    return JacobianResult(*roots, stored, rk, verdict, note)
 
 
 def _jacobian_from_conjugation(
-    w: WeylElement, cfg: HessConfig, base: Matrix, note: str = ""
+    w: WeylElement, cfg: HessConfig, base: Matrix, point: str, note: str = ""
 ) -> JacobianResult:
     """Linear parts of the defining equations of the chart at w, read off the
     commutator [base, Z]: the coefficient of z_gamma, gamma = (a, b), in the
     entry eta = (i, j) is base[i][a] [b = j] - [i = a] base[b][j], so row eta
     touches only the columns (a, j) with base[i][a] != 0 and (i, b) with
-    base[b][j] != 0."""
+    base[b][j] != 0.  The rows eta = w(eps_a - eps_b), a > b + 1, are the
+    entries P^-1 base P must leave zero, so a nonzero constant term
+    base[i][j] puts the point outside the variety."""
     pairs = cfg.rs.pairs
     cols, rows = _chart_roots(w, cfg)
     column = {(a - 1, b - 1): k for k, (a, b) in enumerate(map(pairs.__getitem__, cols))}
     in_row = [[(a, x) for a, x in enumerate(r) if x] for r in base]
     in_col = [[(b, r[j]) for b, r in enumerate(base) if r[j]] for j in range(len(base))]
-    matrix: List[Tuple[Fraction, ...]] = []
+    sparse: List[Dict[int, Fraction]] = []
     for eta in rows:
         i, j = pairs[eta]
         i, j = i - 1, j - 1
         if base[i][j]:
-            raise RuntimeError("defining equation has a nonzero constant term")
-        row = [_ZERO] * len(cols)
+            raise DomainError(f"the {point} does not lie in the variety")
+        row: Dict[int, Fraction] = {}
         for a, x in in_row[i]:
             k = column.get((a, j))
             if k is not None:
                 row[k] = x
-        # the two kinds of column share only gamma = eta, where b = j
         for b, y in in_col[j]:
             k = column.get((i, b))
             if k is not None:
-                row[k] = row[k] - y if b == j else -y
-        matrix.append(tuple(row))
-    return _ranked(cfg.rs, rows, cols, matrix, note)
+                row[k] = row.get(k, 0) - y
+        sparse.append(row)
+    return _ranked(cfg.rs, rows, cols, sparse, note)
 
 
 def jacobian_at_fixed_point(
@@ -252,9 +251,7 @@ def jacobian_at_fixed_point(
     full row rank.
     """
     reg, element, cfg = _oracle_input(w, mu, s_values, size_bound)
-    if not is_admissible(element, cfg):
-        raise DomainError("the fixed point does not lie in the variety")
-    return _jacobian_from_conjugation(element, cfg, reg.X)
+    return _jacobian_from_conjugation(element, cfg, reg.X, "fixed point")
 
 
 def linear_terms_closed_form(
@@ -268,24 +265,23 @@ def linear_terms_closed_form(
     commutator of explicit matrices so the two can be compared entrywise.
     """
     reg, element, cfg = _oracle_input(w, mu, s_values, size_bound)
-    if not is_admissible(element, cfg):
+    if not _fixed_point_in_variety(reg, element):
         raise DomainError("the fixed point does not lie in the variety")
     pairs = cfg.rs.pairs
     cols, rows = _chart_roots(element, cfg)
     column = {pairs[gamma]: k for k, gamma in enumerate(cols)}
     block_simples = {(a, a + 1) for a in cfg.J}
-    matrix = []
+    sparse = []
     for eta in map(pairs.__getitem__, rows):
         i, j = eta
-        row = [_ZERO] * len(cols)
-        row[column[eta]] = reg.diag[i - 1] - reg.diag[j - 1]
+        row = {column[eta]: reg.diag[i - 1] - reg.diag[j - 1]}
         # eta - gamma is a simple root alpha only for gamma = (i+1, j), (i, j-1)
         for gamma, alpha in (((i + 1, j), (i, i + 1)), ((i, j - 1), (j - 1, j))):
             k = column.get(gamma)
             if k is not None and alpha in block_simples:
                 row[k] = -_structure_constant(gamma, alpha, eta)
-        matrix.append(tuple(row))
-    return _ranked(cfg.rs, rows, cols, matrix, "")
+        sparse.append(row)
+    return _ranked(cfg.rs, rows, cols, sparse, "")
 
 
 def _structure_constant(
@@ -297,12 +293,19 @@ def _structure_constant(
     return Fraction(int(b == c and (a, d) == eta) - int(d == a and (c, b) == eta))
 
 
+def _fixed_point_in_variety(reg: RegularMatrix, element: WeylElement) -> bool:
+    """Whether P^-1 N P, P the permutation matrix of w, vanishes below the
+    first subdiagonal; conjugating by P relabels, (P^-1 N P)[a][b] = N[w(a)][w(b)]."""
+    N, line = reg.N, one_line(element)
+    return not any(N[line[a] - 1][line[b] - 1] for a in range(len(line)) for b in range(a - 1))
+
+
 def admissibility_matrix_check(w, mu) -> bool:
     """Matrix form of the cell-nonemptiness test: conjugate the nilpotent
     part by the permutation and check membership in the Hessenberg space.
     Like the Jacobians, it refuses n above DEFAULT_SIZE_BOUND."""
     reg, element, _ = _oracle_input(w, mu, None, DEFAULT_SIZE_BOUND)
-    return in_hessenberg_space(_relabel(reg.N, one_line(element)))
+    return _fixed_point_in_variety(reg, element)
 
 
 def jacobian_at_cell_point(
@@ -311,9 +314,9 @@ def jacobian_at_cell_point(
 ) -> JacobianResult:
     """Jacobian at the translated point u1.wB of w's cell.
 
-    The chart is recentered by conjugating the regular element by u1 first;
-    membership of the translated point in the variety is checked exactly
-    before the Jacobian is built.
+    The chart is recentered by conjugating the regular element by u1 first,
+    since (U P)^-1 X (U P) = P^-1 (U^-1 X U) P; the recentered chart's
+    constant terms decide whether the translated point lies in the variety.
     """
     reg, element, cfg = _oracle_input(w, mu, s_values, size_bound)
     n = reg.n
@@ -324,9 +327,6 @@ def jacobian_at_cell_point(
         if U[i][i] != 1 or any(U[i][j] != 0 for j in range(i)):
             raise DomainError("u1 must be unipotent upper triangular")
     recentered = _unipotent_conjugate(U, reg.X)
-    # (U P)^-1 X (U P) = P^-1 (U^-1 X U) P
-    if not in_hessenberg_space(_relabel(recentered, one_line(element))):
-        raise DomainError("the translated point does not lie in the variety")
     return _jacobian_from_conjugation(
-        element, cfg, recentered, note=CELL_POINT_NOTE
+        element, cfg, recentered, "translated point", CELL_POINT_NOTE
     )

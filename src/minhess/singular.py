@@ -215,13 +215,11 @@ def _block_windows(w_line: Sequence[int], mu: Composition) -> List[Tuple[int, Tu
 def typeA_fixed_point_smooth(w, mu) -> SmoothnessVerdict:
     """One-line criterion for smoothness of a permutation flag: each block's
     values must sit in consecutive positions, and the induced pattern within
-    each block must avoid 123 and 2143.
-
-    Purely combinatorial: callers are responsible for the membership
-    precondition (the flag lying in the variety); the verdict agrees with
-    the geometric routes on every admissible element.
+    each block must avoid 123 and 2143.  A flag outside the variety is
+    refused with a DomainError, as by the other routes.
     """
     element, cfg = typeA_point(w, mu)
+    require_admissible(element, cfg)
     line = one_line(element)
     windows = _block_windows(line, cfg.mu)
     for p, positions in windows:

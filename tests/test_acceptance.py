@@ -171,7 +171,7 @@ def test_criterion_05_counting():
 
 def test_criterion_06_specific_flags():
     cases = [
-        ((6, 5, 4, 3, 1, 2), (4, 2), "smooth"),
+        ((5, 6, 4, 3, 2, 1), (4, 2), "smooth"),
         ((6, 5, 1, 3, 2, 4), (4, 2), "singular"),
         ((5, 2, 1, 6, 3, 4), (4, 2), "singular"),
         ((7, 6, 5, 8, 2, 1, 4, 3), (4, 3, 1), "singular"),

@@ -367,6 +367,15 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     assert "Traceback" in error["traceback"]
 
 
+def fresh_process(argv, **kwargs):
+    """Run the command line in a process of its own, on this source tree."""
+    src = str(Path(minhess.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, "-m", "minhess.cli", *argv], env=env, timeout=60, **kwargs
+    )
+
+
 def test_reused_parser_matches_fresh_processes(capsys):
     """The parser is built once per process; successive commands through it
     print what each prints in a process of its own."""
@@ -378,12 +387,20 @@ def test_reused_parser_matches_fresh_processes(capsys):
         ["decompose", "--family", "B", "--rank", "4", "--J", "1,2,4", "--w", "1,3,4"],
         ["count-smooth", "--mu", "4,3,1"],
     ]
-    src = str(Path(minhess.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     for argv in commands:
         code, out, err = run(capsys, *argv)
-        fresh = subprocess.run(
-            [sys.executable, "-m", "minhess.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        fresh = fresh_process(argv, capture_output=True, text=True)
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_closed_stdout_exits_quietly_with_sigpipe_status():
+    """A reader that has closed its end of the pipe, as `| head -1` does,
+    ends the command with 128 + SIGPIPE and no error document."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = fresh_process(["count-smooth", "--mu", "4,3,1"], stdout=write_end,
+                             stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")

@@ -2,13 +2,15 @@
 commutator form against exact conjugation, the dual-path identity between
 the commutator and the assembled linear terms, a pinned hash of both
 Jacobians' matrices, the sparse integer elimination (the oracle's only one)
-against Gauss-Jordan, and invariance properties of the verdict."""
+against Gauss-Jordan, membership decided without hess, and invariance
+properties of the verdict."""
 
 from __future__ import annotations
 
 import hashlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -135,6 +137,12 @@ def test_linear_terms_do_not_depend_on_factor_order():
 # Gauss-Jordan kept here as the reference.
 
 
+def sparse(matrix):
+    """Dense rows as the sparse rows oracle.rank takes: (column, value)
+    pairs of the nonzero entries, the form JacobianResult stores."""
+    return [tuple((c, x) for c, x in enumerate(row) if x) for row in matrix]
+
+
 def gauss_jordan_rank(matrix):
     rows = [[Fraction(x) for x in row] for row in matrix]
     r = 0
@@ -172,7 +180,7 @@ def rational_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(rational_matrices())
 def test_bareiss_rank_matches_gauss_jordan(matrix):
-    assert oracle.rank(matrix) == gauss_jordan_rank(matrix)
+    assert oracle.rank(sparse(matrix)) == gauss_jordan_rank(matrix)
 
 
 fractions_large = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
@@ -201,7 +209,7 @@ def jacobian_shaped_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(jacobian_shaped_matrices())
 def test_rank_of_jacobian_shaped_matrices(matrix):
-    assert oracle.rank(matrix) == gauss_jordan_rank(matrix)
+    assert oracle.rank(sparse(matrix)) == gauss_jordan_rank(matrix)
 
 
 def test_rank_of_every_jacobian_matches_gauss_jordan():
@@ -219,6 +227,7 @@ def test_rank_of_every_jacobian_matches_gauss_jordan():
             results.append(oracle.jacobian_at_cell_point(w, mu, U, s_values))
     for res in results:
         assert res.rank == gauss_jordan_rank(res.matrix)
+        assert list(res.sparse_rows) == sparse(res.matrix)
 
 
 def test_jacobian_matrices_are_pinned():
@@ -396,6 +405,46 @@ def test_admissibility_matrix_matches_root_test(n):
             )
 
 
+def test_oracle_decides_membership_without_hess(monkeypatch):
+    """With hess.is_admissible made to fail in every module that holds it,
+    the Jacobians and the matrix admissibility check still answer inside
+    the variety and refuse outside it: the oracle's membership tests are its
+    own."""
+    cases = []
+    for mu in SAMPLE_MUS:
+        cfg = hess.config_from_mu(mu)
+        for perm in itertools.permutations(range(1, sum(mu) + 1)):
+            cases.append((perm, mu, hess.is_admissible(from_one_line(cfg.rs, perm), cfg)))
+    points = list(itertools.islice(seeded_cell_points(), 80))
+
+    def refuse(*args):
+        raise AssertionError("hess.is_admissible was consulted")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "minhess" and hasattr(module, "is_admissible"):
+            monkeypatch.setattr(module, "is_admissible", refuse)
+    assert sorted(set(inside for _, _, inside in cases)) == [False, True]
+    for perm, mu, inside in cases:
+        eye = [[int(i == j) for j in range(len(perm))] for i in range(len(perm))]
+        assert oracle.admissibility_matrix_check(perm, mu) == inside
+        for build in (
+            oracle.jacobian_at_fixed_point,
+            oracle.linear_terms_closed_form,
+            lambda w, mu: oracle.jacobian_at_cell_point(w, mu, eye),
+        ):
+            if inside:
+                build(perm, mu)
+            else:
+                with pytest.raises(DomainError, match="does not lie in the variety"):
+                    build(perm, mu)
+    for w, mu, s_values, _, U, inside in points:
+        if inside:
+            oracle.jacobian_at_cell_point(w, mu, U, s_values)
+        else:
+            with pytest.raises(DomainError, match="translated point does not lie"):
+                oracle.jacobian_at_cell_point(w, mu, U, s_values)
+
+
 # -- cell points -----------------------------------------------------------------
 
 
@@ -500,11 +549,23 @@ def test_cell_points_agree_with_exact_conjugation():
 
 
 def test_rank_helper():
-    assert oracle.rank([]) == 0
-    assert oracle.rank([[Fraction(0), Fraction(0)]]) == 0
+    assert oracle.rank(sparse([])) == 0
+    assert oracle.rank(sparse([[Fraction(0), Fraction(0)]])) == 0
     m = [
         [Fraction(1), Fraction(2), Fraction(3)],
         [Fraction(2), Fraction(4), Fraction(6)],
         [Fraction(0), Fraction(1), Fraction(1)],
     ]
-    assert oracle.rank(m) == 2
+    assert oracle.rank(sparse(m)) == 2
+
+
+def test_rank_of_explicit_zeros_and_empty_rows():
+    """An explicit zero value counts as absent, and an empty row, or one
+    holding only zeros, adds nothing to the rank."""
+    one, zero = Fraction(1), Fraction(0)
+    assert oracle.rank([(), ()]) == 0
+    assert oracle.rank([((0, zero), (2, zero))]) == 0
+    assert oracle.rank([(), ((3, one),), ()]) == 1
+    # the zero at column 0 must not be taken as the pivot
+    assert oracle.rank([((0, zero), (1, one)), ((0, one), (1, one))]) == 2
+    assert oracle.rank([((0, zero), (1, Fraction(1, 2))), ((1, Fraction(-3)),), ()]) == 1

@@ -197,7 +197,7 @@ def test_hess_fixed_point_b4_delta_v_route():
 
 def test_type_a_flags_and_reasons():
     cases = [
-        ((6, 5, 4, 3, 1, 2), (4, 2), "smooth", singular.SMOOTH_BY_CRITERION),
+        ((5, 6, 4, 3, 2, 1), (4, 2), "smooth", singular.SMOOTH_BY_CRITERION),
         ((6, 5, 1, 3, 2, 4), (4, 2), "singular", singular.PATTERN_HIT),
         ((5, 2, 1, 6, 3, 4), (4, 2), "singular", singular.BLOCK_SPLIT),
         ((7, 6, 5, 8, 2, 1, 4, 3), (4, 3, 1), "singular", singular.PATTERN_HIT),
@@ -207,6 +207,13 @@ def test_type_a_flags_and_reasons():
     for line, mu, verdict, reason in cases:
         v = singular.typeA_fixed_point_smooth(line, mu)
         assert (v.verdict, v.reason) == (verdict, reason)
+
+
+def test_type_a_pattern_route_refuses_flags_outside_the_variety():
+    """The one-line criterion would answer for any permutation; 3241 is not
+    admissible for mu = (2, 2), so the route refuses it like the others."""
+    with pytest.raises(DomainError, match="not admissible"):
+        singular.typeA_fixed_point_smooth((3, 2, 4, 1), (2, 2))
 
 
 def test_type_a_singletons_always_smooth():
