@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import traceback
+from decimal import Decimal
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -92,6 +93,9 @@ def _resolve_config(args) -> hess.HessConfig:
             raise DomainError(
                 f"--rank {args.rank} conflicts with --mu (rank {cfg.rs.rank})"
             )
+        if args.J is not None and frozenset(_ints(args.J)) != cfg.J:
+            J = ",".join(map(str, sorted(cfg.J)))
+            raise DomainError(f"--J {args.J} conflicts with --mu (J {J})")
         return cfg
     if not args.family or args.rank is None:
         raise DomainError("need either --mu or both --family and --rank")
@@ -229,7 +233,7 @@ def _cmd_count_smooth(args) -> int:
     _emit(
         "count-smooth",
         {"family": "A", "rank": mu.n - 1, "mu": list(mu.parts)},
-        {"count": str(count)},
+        {"count": str(Decimal(count))},  # exact at any size, unlike str(int)
         ["smooth-count-formula"],
     )
     return 0

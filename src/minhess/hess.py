@@ -28,10 +28,10 @@ from .weyl import (
     DEFAULT_ENUMERATION_BOUND,
     Composition,
     WeylElement,
+    _in_parabolic,
     descent_decomposition,
     enumerate_min_reps,
     from_one_line,
-    in_parabolic,
     is_min_rep,
     longest_element,
     min_right_coset_rep,
@@ -252,10 +252,11 @@ def _cells_below(
     with descent sets descents: des(a) lies in des(b) and b^{-1} a in
     W_des(b).  This is the one statement of the closure order."""
     des_b = b.descents()
+    outside = ~b.rs.simple_mask(des_b)
     b_inv = b.inverse()
     return [
         k for k, (a, des_a) in enumerate(zip(cells, descents))
-        if des_a <= des_b and in_parabolic(b_inv * a, des_b)
+        if des_a <= des_b and _in_parabolic(b_inv * a, outside)
     ]
 
 

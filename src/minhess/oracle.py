@@ -14,9 +14,10 @@ commutator [X, Z].  A row of [X, Z] has at most three nonzero entries at a
 fixed point, so the rows are filled from the nonzeros of X, stored as sparse
 rows and ranked by exact integer elimination on them, the only elimination
 here.  The rows are the entries the point must leave zero to lie in the
-Hessenberg space, so a nonzero constant term refuses a point outside the
-variety: membership comes from the chart, and no result from ``hess`` is
-consulted.
+Hessenberg space, so the chart's constant terms decide membership: one test
+on them refuses a point outside the variety for both Jacobians and the
+closed form, and is the whole of the admissibility check.  Every entry point
+sets up its chart the same way, and no result from ``hess`` is consulted.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import DomainError
 from .hess import HessConfig, typeA_point
 from .roots import Coeffs, RootSystem
 from .singular import SINGULAR, SMOOTH
-from .weyl import Composition, WeylElement, one_line
+from .weyl import Composition
 
 DEFAULT_SIZE_BOUND = 6
 
@@ -96,24 +97,18 @@ def _unipotent_conjugate(U: Matrix, M: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class RegularMatrix:
-    """diag + N for a composition: diag is constant exactly on the blocks, N
-    has a 1 in position (i, i+1) for every alpha_i inside a block."""
+    """X = diag + N for a composition: diag is constant exactly on the
+    blocks, N has a 1 in position (i, i+1) for every alpha_i inside a block."""
 
     n: int
     mu: Composition
     diag: Tuple[Fraction, ...]
 
     @property
-    def N(self) -> Matrix:
-        J = self.mu.to_J()
-        M = [[Fraction(0)] * self.n for _ in range(self.n)]
-        for i in J:
-            M[i - 1][i] = Fraction(1)
-        return M
-
-    @property
     def X(self) -> Matrix:
-        X = self.N
+        X = [[Fraction(0)] * self.n for _ in range(self.n)]
+        for i in self.mu.to_J():
+            X[i - 1][i] = Fraction(1)
         for i, s in enumerate(self.diag):
             X[i][i] = s
         return X
@@ -145,25 +140,27 @@ def require_size(n: int, size_bound: int) -> None:
         raise DomainError(f"n={n} exceeds the size bound {size_bound}")
 
 
-def _oracle_input(
+def _chart(
     w, mu, s_values: Optional[Sequence], size_bound: int
-) -> Tuple[RegularMatrix, WeylElement, HessConfig]:
-    """The regular element of mu, and w as an element of mu's configuration;
-    an n above the size bound is refused before its root system is built."""
+) -> Tuple[RegularMatrix, HessConfig, List[int], List[int]]:
+    """The regular element of mu, its configuration, and the chart at w: the
+    indices of the row roots w(Phi^- minus the negative simples) and of the
+    column roots w(Phi^-), both in the package's deterministic root order.
+    An n above the size bound is refused before its root system is built."""
     reg = regular_matrix(mu, s_values)
     require_size(reg.n, size_bound)
     element, cfg = typeA_point(w, reg.mu)
-    return reg, element, cfg
-
-
-def _chart_roots(w: WeylElement, cfg: HessConfig) -> Tuple[List[int], List[int]]:
-    """Indices of the column roots w(Phi^-) and the row roots w(Phi^- minus
-    the negative simples), both in the package's deterministic root order."""
     rs = cfg.rs
-    N = rs.npos
-    cols = sorted(w.perm[N:], key=rs.index_key)
-    rows = sorted(w.perm[N + rs.rank :], key=rs.index_key)
-    return cols, rows
+    rows = sorted(element.perm[rs.npos + rs.rank :], key=rs.index_key)
+    cols = sorted(element.perm[rs.npos :], key=rs.index_key)
+    return reg, cfg, rows, cols
+
+
+def _in_variety(base: Matrix, cfg: HessConfig, rows: List[int]) -> bool:
+    """Whether every chart row eta = (i, j) has a zero constant term
+    base[i][j]: the rows eta = w(eps_a - eps_b), a > b + 1, are exactly the
+    entries P^-1 base P must leave zero to lie in the Hessenberg space."""
+    return not any(base[i - 1][j - 1] for i, j in map(cfg.rs.pairs.__getitem__, rows))
 
 
 @dataclass(frozen=True)
@@ -205,17 +202,18 @@ def _ranked(
 
 
 def _jacobian_from_conjugation(
-    w: WeylElement, cfg: HessConfig, base: Matrix, point: str, note: str = ""
+    cfg: HessConfig, rows: List[int], cols: List[int], base: Matrix, point: str,
+    note: str = "",
 ) -> JacobianResult:
-    """Linear parts of the defining equations of the chart at w, read off the
+    """Linear parts of the defining equations of the chart, read off the
     commutator [base, Z]: the coefficient of z_gamma, gamma = (a, b), in the
     entry eta = (i, j) is base[i][a] [b = j] - [i = a] base[b][j], so row eta
     touches only the columns (a, j) with base[i][a] != 0 and (i, b) with
-    base[b][j] != 0.  The rows eta = w(eps_a - eps_b), a > b + 1, are the
-    entries P^-1 base P must leave zero, so a nonzero constant term
-    base[i][j] puts the point outside the variety."""
+    base[b][j] != 0.  A nonzero constant term puts the point outside the
+    variety."""
+    if not _in_variety(base, cfg, rows):
+        raise DomainError(f"the {point} does not lie in the variety")
     pairs = cfg.rs.pairs
-    cols, rows = _chart_roots(w, cfg)
     column = {(a - 1, b - 1): k for k, (a, b) in enumerate(map(pairs.__getitem__, cols))}
     in_row = [[(a, x) for a, x in enumerate(r) if x] for r in base]
     in_col = [[(b, r[j]) for b, r in enumerate(base) if r[j]] for j in range(len(base))]
@@ -223,8 +221,6 @@ def _jacobian_from_conjugation(
     for eta in rows:
         i, j = pairs[eta]
         i, j = i - 1, j - 1
-        if base[i][j]:
-            raise DomainError(f"the {point} does not lie in the variety")
         row: Dict[int, Fraction] = {}
         for a, x in in_row[i]:
             k = column.get((a, j))
@@ -239,10 +235,7 @@ def _jacobian_from_conjugation(
 
 
 def jacobian_at_fixed_point(
-    w,
-    mu,
-    s_values: Optional[Sequence] = None,
-    size_bound: int = DEFAULT_SIZE_BOUND,
+    w, mu, s_values: Optional[Sequence] = None, size_bound: int = DEFAULT_SIZE_BOUND
 ) -> JacobianResult:
     """Jacobian of the chart equations at the torus-fixed point of w.
 
@@ -250,8 +243,8 @@ def jacobian_at_fixed_point(
     the chart variables; the point is smooth exactly when the matrix has
     full row rank.
     """
-    reg, element, cfg = _oracle_input(w, mu, s_values, size_bound)
-    return _jacobian_from_conjugation(element, cfg, reg.X, "fixed point")
+    reg, cfg, rows, cols = _chart(w, mu, s_values, size_bound)
+    return _jacobian_from_conjugation(cfg, rows, cols, reg.X, "fixed point")
 
 
 def linear_terms_closed_form(
@@ -264,11 +257,10 @@ def linear_terms_closed_form(
     differs from gamma by a block simple root.  Kept independent of the
     commutator of explicit matrices so the two can be compared entrywise.
     """
-    reg, element, cfg = _oracle_input(w, mu, s_values, size_bound)
-    if not _fixed_point_in_variety(reg, element):
+    reg, cfg, rows, cols = _chart(w, mu, s_values, size_bound)
+    if not _in_variety(reg.X, cfg, rows):
         raise DomainError("the fixed point does not lie in the variety")
     pairs = cfg.rs.pairs
-    cols, rows = _chart_roots(element, cfg)
     column = {pairs[gamma]: k for k, gamma in enumerate(cols)}
     block_simples = {(a, a + 1) for a in cfg.J}
     sparse = []
@@ -293,19 +285,13 @@ def _structure_constant(
     return Fraction(int(b == c and (a, d) == eta) - int(d == a and (c, b) == eta))
 
 
-def _fixed_point_in_variety(reg: RegularMatrix, element: WeylElement) -> bool:
-    """Whether P^-1 N P, P the permutation matrix of w, vanishes below the
-    first subdiagonal; conjugating by P relabels, (P^-1 N P)[a][b] = N[w(a)][w(b)]."""
-    N, line = reg.N, one_line(element)
-    return not any(N[line[a] - 1][line[b] - 1] for a in range(len(line)) for b in range(a - 1))
-
-
 def admissibility_matrix_check(w, mu) -> bool:
-    """Matrix form of the cell-nonemptiness test: conjugate the nilpotent
-    part by the permutation and check membership in the Hessenberg space.
-    Like the Jacobians, it refuses n above DEFAULT_SIZE_BOUND."""
-    reg, element, _ = _oracle_input(w, mu, None, DEFAULT_SIZE_BOUND)
-    return _fixed_point_in_variety(reg, element)
+    """Matrix form of the cell-nonemptiness test, the chart's constant terms
+    at the fixed point: whether X conjugated by the permutation lies in the
+    Hessenberg space.  Like the Jacobians, it refuses n above
+    DEFAULT_SIZE_BOUND."""
+    reg, cfg, rows, _ = _chart(w, mu, None, DEFAULT_SIZE_BOUND)
+    return _in_variety(reg.X, cfg, rows)
 
 
 def jacobian_at_cell_point(
@@ -318,7 +304,7 @@ def jacobian_at_cell_point(
     since (U P)^-1 X (U P) = P^-1 (U^-1 X U) P; the recentered chart's
     constant terms decide whether the translated point lies in the variety.
     """
-    reg, element, cfg = _oracle_input(w, mu, s_values, size_bound)
+    reg, cfg, rows, cols = _chart(w, mu, s_values, size_bound)
     n = reg.n
     U = [[Fraction(x) for x in row] for row in u1]
     if len(U) != n or any(len(row) != n for row in U):
@@ -328,5 +314,5 @@ def jacobian_at_cell_point(
             raise DomainError("u1 must be unipotent upper triangular")
     recentered = _unipotent_conjugate(U, reg.X)
     return _jacobian_from_conjugation(
-        element, cfg, recentered, "translated point", CELL_POINT_NOTE
+        cfg, rows, cols, recentered, "translated point", CELL_POINT_NOTE
     )

@@ -6,7 +6,9 @@ regression data for the worked examples, the cross-validate suite replays
 the triple smoothness comparison at desk scale and judges closures by the
 oracle on the Levi of des(w), the cominuscule suite checks the
 root-arithmetic characterization against the index-set tables in every
-type, and the fig1 suite instantiates the shared-linear case table.
+type, and the fig1 suite instantiates the shared-linear case table.  Only
+cross-validate and cominuscule take a max_rank.  The closure check, being a
+reference, reads the Levi of des(w) from the one-line of w, not from ``hess``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import classes, hess, oracle, singular
 from .errors import DomainError
@@ -185,23 +187,39 @@ def suite_paper_tables() -> List[Check]:
     return checks
 
 
+def _levi_compositions(line: Sequence[int], mu: Sequence[int]) -> List[Tuple[int, ...]]:
+    """The Levi of des(w) with J_w, read from the one-line of w: the blocks
+    of des(w) are the descending runs of w, tau_w sorts each run, and a run's
+    sorted values u_1 < ... < u_m carry the composition of m that joins u_k
+    to u_{k+1} = u_k + 1 when both lie in one block of mu."""
+    J = Composition(tuple(mu)).to_J()
+    ends = [0, *(i for i in range(1, len(line)) if line[i - 1] < line[i]), len(line)]
+    out = []
+    for u in (sorted(line[a:b]) for a, b in zip(ends, ends[1:]) if b - a > 1):
+        joins = [k for k in range(1, len(u)) if u[k] == u[k - 1] + 1 and u[k - 1] in J]
+        out.append(Composition.from_J(len(u), joins).parts)
+    return out
+
+
 def _levi_oracle_smooth(
-    w: WeylElement, cfg: hess.HessConfig, verdicts: Dict[Tuple[int, ...], bool]
+    line: Sequence[int], mu: Sequence[int], verdicts: Dict[Tuple[int, ...], bool]
 ) -> bool:
     """Smoothness of the closure of w's cell by the Levi correspondence: the
     closure is a product, over the blocks of des(w), of the varieties of the
     compositions J_w induces there, and such a variety is smooth when the
-    oracle finds it smooth at every admissible fixed point.  verdicts caches
-    that finding per composition."""
-    dec = hess.decompose_admissible(w, cfg)
-    for c in dec.levi.components:
-        mu = Composition.from_J(c.datum.rank + 1, c.to_canonical(dec.Jw)).parts
-        if mu not in verdicts:
-            admissible = hess.enumerate_admissible(hess.config_from_mu(mu))
-            verdicts[mu] = all(
-                oracle.jacobian_at_fixed_point(x, mu).is_smooth for x, _, _ in admissible
+    oracle finds it smooth at every fixed point that the oracle's own
+    admissibility check admits.  verdicts caches that finding per
+    composition.  As a reference, it derives all this from the one-line on
+    purpose, a second time, and reads nothing from ``hess``."""
+    for comp in _levi_compositions(line, mu):
+        if comp not in verdicts:
+            points = itertools.permutations(range(1, sum(comp) + 1))
+            verdicts[comp] = all(
+                oracle.jacobian_at_fixed_point(x, comp).is_smooth
+                for x in points
+                if oracle.admissibility_matrix_check(x, comp)
             )
-        if not verdicts[mu]:
+        if not verdicts[comp]:
             return False
     return True
 
@@ -236,7 +254,7 @@ def suite_cross_validate(max_rank: Optional[int] = None) -> List[Check]:
                 bracket = singular.hess_schubert_smooth(w, cfg)
                 if bracket.verdict != singular.typeA_hess_schubert_smooth(w, mu).verdict:
                     schubert += 1
-                if bracket.is_smooth != _levi_oracle_smooth(w, cfg, levi_verdicts):
+                if bracket.is_smooth != _levi_oracle_smooth(one_line(w), mu, levi_verdicts):
                     levi += 1
     checks.append(
         Check(
@@ -331,11 +349,20 @@ def suite_fig1() -> List[Check]:
     return checks
 
 
+def _unranked(suite: Callable[[], List[Check]]) -> Callable[[Optional[int]], List[Check]]:
+    """A suite with no size to set: it refuses a max_rank rather than ignore it."""
+    def run(max_rank: Optional[int]) -> List[Check]:
+        if max_rank is not None:
+            raise DomainError(f"this suite takes no max_rank (given {max_rank})")
+        return suite()
+    return run
+
+
 SUITES = {
-    "paper-tables": lambda max_rank: suite_paper_tables(),
+    "paper-tables": _unranked(suite_paper_tables),
     "cross-validate": suite_cross_validate,
     "cominuscule": suite_cominuscule,
-    "fig1": lambda max_rank: suite_fig1(),
+    "fig1": _unranked(suite_fig1),
 }
 
 

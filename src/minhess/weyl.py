@@ -178,10 +178,16 @@ def is_min_rep(w: WeylElement, J: Iterable[int]) -> bool:
 
 def in_parabolic(w: WeylElement, K: Iterable[int]) -> bool:
     """Whether w lies in the parabolic subgroup generated by K."""
-    rs = w.rs
     Kset = frozenset(K)
-    rs.check_simple(Kset)
-    outside = ~rs.simple_mask(Kset)
+    w.rs.check_simple(Kset)
+    return _in_parabolic(w, ~w.rs.simple_mask(Kset))
+
+
+def _in_parabolic(w: WeylElement, outside: int) -> bool:
+    """Whether w lies in W_K, given the complement outside of K's mask: no
+    inversion of w has a simple root outside K in its support.  The one
+    statement of the test, for callers that check many elements against one K."""
+    rs = w.rs
     N = rs.npos
     return not any(rs.support_mask[k] & outside for k in range(N) if w.perm[k] >= N)
 

@@ -313,7 +313,8 @@ def test_criterion_11_hess_schubert_smoothness():
                 verdicts.add(bracket.verdict)
                 ok = ok and (
                     bracket.verdict == singular.typeA_hess_schubert_smooth(w, mu).verdict
-                    and bracket.is_smooth == verification._levi_oracle_smooth(w, cfg, levi_verdicts)
+                    and bracket.is_smooth
+                    == verification._levi_oracle_smooth(one_line(w), mu, levi_verdicts)
                 )
     ok = ok and verdicts == {"smooth", "singular"}
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import shlex
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -68,6 +70,22 @@ def test_count_smooth(capsys):
     assert doc["payload"]["count"] == "54"
     assert doc["command"] == "count-smooth"
     assert doc["citations"]
+
+
+def test_count_smooth_prints_counts_past_the_int_string_limit(capsys):
+    """2000 blocks of size one give 2000!, 5736 digits: more than str(int)
+    converts by default, printed exactly and with the limit left alone."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    doc = run_json(capsys, "count-smooth", "--mu", ",".join(["1"] * 2000))
+    count = doc["payload"]["count"]
+    assert len(count) == 5736 and count.isdigit()
+    assert Decimal(count) == math.factorial(2000)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_matching_J_beside_mu_is_accepted(capsys):
+    plain = run_json(capsys, "decompose", "--mu", "2,2", "--w", "3421")
+    assert run_json(capsys, "decompose", "--mu", "2,2", "--J", "3,1", "--w", "3421") == plain
 
 
 def test_fixed_point_smooth_type_a(capsys):
@@ -275,6 +293,9 @@ def test_out_of_range_simple_index_is_domain_error(capsys, w):
         (["admissible", "--mu", "2,2", "--rank", "0"], "--rank 0 conflicts"),
         (["admissible", "--family", "A", "--rank", "0"], "rank must be positive"),
         (["admissible", "--mu", "", "--family", "A", "--rank", "3"], "invalid composition"),
+        (["decompose", "--mu", "2,2", "--J", "1", "--w", "3421"], "--J 1 conflicts"),
+        (["verify", "--suite", "fig1", "--max-rank", "1"], "takes no max_rank"),
+        (["verify", "--suite", "paper-tables", "--max-rank", "99"], "takes no max_rank"),
     ],
 )
 def test_zero_or_empty_is_a_value_not_an_absent_flag(capsys, argv, message):

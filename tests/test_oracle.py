@@ -256,8 +256,8 @@ def test_jacobian_matrices_are_pinned():
 def test_regular_matrix_shape():
     reg = oracle.regular_matrix((3, 1))
     assert reg.diag == (1, 1, 1, -1)
-    N = reg.N
-    assert N[0][1] == N[1][2] == 1 and N[2][3] == 0
+    X = reg.X
+    assert X[0][1] == X[1][2] == 1 and X[2][3] == 0
     reg22 = oracle.regular_matrix((2, 2))
     assert reg22.diag == (1, 1, -1, -1)
     # alpha(S) vanishes exactly on the block simple roots

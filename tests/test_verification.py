@@ -1,0 +1,51 @@
+"""The verification suites' own reference derivations."""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+from minhess import hess, singular, verification
+from minhess.weyl import Composition, compositions, one_line
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_one_line_levi_compositions_match_the_decomposition(n):
+    """The Levi of des(w) with J_w, read from the one-line, is the one
+    decompose_admissible classifies, component by component."""
+    for mu in compositions(n):
+        cfg = hess.config_from_mu(mu)
+        for w, _, _ in hess.enumerate_admissible(cfg):
+            dec = hess.decompose_admissible(w, cfg)
+            expect = [
+                Composition.from_J(c.datum.rank + 1, c.to_canonical(dec.Jw)).parts
+                for c in dec.levi.components
+            ]
+            assert verification._levi_compositions(one_line(w), mu) == expect
+
+
+def test_levi_check_reads_nothing_from_hess(monkeypatch):
+    """With the decomposition, the enumeration and the admissibility test of
+    hess made to fail in every module that holds them, the Levi check of
+    cross-validate still answers, and agrees with the bracket criterion."""
+    cases = []
+    for n in range(2, 6):
+        for mu in compositions(n):
+            cfg = hess.config_from_mu(mu)
+            for w, _, _ in hess.enumerate_admissible(cfg):
+                smooth = singular.hess_schubert_smooth(w, cfg).is_smooth
+                cases.append((one_line(w), mu, smooth))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hess was consulted")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "minhess":
+            for attr in ("decompose_admissible", "enumerate_admissible", "is_admissible"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    assert {smooth for _, _, smooth in cases} == {False, True}
+    verdicts = {}
+    for line, mu, smooth in cases:
+        assert verification._levi_oracle_smooth(line, mu, verdicts) == smooth
