@@ -3,11 +3,12 @@
 Every query prints one JSON document on stdout (or DOT when asked for a
 graph) with a stable shape: the echoed command, the resolved configuration,
 an operation-specific payload, and the rule tags the classification relied
-on.  Domain and input failures print a machine-readable error object on
-stderr and exit with status 1; usage errors exit 2; verification failures
-exit 3; any other exception is reported the same way with kind ``internal``
-and exits 4.  A reader that closes stdout early (``| head``) ends the
-command quietly with status 141, as SIGPIPE ends native tools.
+on.  A command that ends in an error prints nothing on stdout.  Domain and
+input failures print a machine-readable error object on stderr and exit
+with status 1; usage errors exit 2; verification failures exit 3; any other
+exception is reported the same way with kind ``internal`` and exits 4.  A
+reader that closes stdout early (``| head``) ends the command quietly with
+status 141, as SIGPIPE ends native tools.
 """
 
 from __future__ import annotations
@@ -50,18 +51,52 @@ def _verdict(v: singular.SmoothnessVerdict) -> Dict[str, object]:
     }
 
 
+_str_text = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value: object, indent: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``; ``indent``
+    is the line break and indentation at which ``value`` sits.
+
+    With an indent the stdlib encodes in pure Python, token by token.  Here
+    lists, tuples and dicts with ``str`` keys are joined in one recursion,
+    and every other value goes to ``json.dumps``, so the text and any error
+    are the stdlib's.  Only the stack differs: a value that contains itself
+    raises RecursionError (the stdlib: ValueError), and before Python 3.12
+    the recursion stops near 500 levels of nesting (the stdlib: 1000).
+    """
+    if isinstance(value, str):
+        return _str_text(value)
+    if type(value) is int:
+        return repr(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [repr(x) if type(x) is int else _json_text(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        if not value:
+            return "{}"
+        items = [_str_text(k) + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    # JSON text holds no raw newline, so this re-indents exactly.
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
+
+
 def _emit(
     command: str, config: Dict[str, object], payload: Dict[str, object], citations: Sequence[str]
 ) -> None:
-    """Print the one JSON document every query answers with."""
+    """Print the one JSON document every query answers with: the bytes of
+    ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, in one
+    write, so a payload that cannot be encoded prints nothing."""
     doc = {
         "command": command,
         "config": config,
         "payload": payload,
         "citations": list(citations),
     }
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json_text(doc) + "\n")
 
 
 INTERNAL_ERROR_EXIT = 4
@@ -69,8 +104,7 @@ INTERNAL_ERROR_EXIT = 4
 
 def _fail(kind: str, message: str, code: int = 1, **extra: str) -> int:
     error = {"kind": kind, "message": message, **extra}
-    json.dump({"error": error}, sys.stderr, sort_keys=True)
-    sys.stderr.write("\n")
+    sys.stderr.write(json.dumps({"error": error}, sort_keys=True) + "\n")
     return code
 
 

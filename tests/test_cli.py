@@ -10,13 +10,16 @@ import shlex
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minhess
 from minhess import hess
-from minhess.cli import main
+from minhess.cli import _json_text, main
 from minhess.roots import build_root_system
 from minhess.weyl import one_line_str
 
@@ -53,16 +56,73 @@ def test_readme_example_runs(capsys, argv):
         assert json.loads(out)["command"] == argv[0]
 
 
-def test_readme_outputs_are_pinned(capsys):
-    """(argv, exit code, stdout) of every README example, hashed: the
-    example outputs are byte-stable across changes that keep every answer."""
+def outputs_digest(capsys, commands):
+    """sha256 of (argv, exit code, stdout) of each command, in order."""
     h = hashlib.sha256()
-    for argv in readme_commands():
+    for argv in commands:
         code, out, _ = run(capsys, *argv)
         h.update(repr((argv, code, out)).encode())
-    assert h.hexdigest() == (
+    return h.hexdigest()
+
+
+def test_readme_outputs_are_pinned(capsys):
+    """Every README example, hashed: the example outputs are byte-stable
+    across changes that keep every answer."""
+    assert outputs_digest(capsys, readme_commands()) == (
         "36c36873fd3182eb433ea46dfdb43fb2ff7e88bfda46971e16360c9d22ab6af5"
     )
+
+
+HEAVY_COMMANDS = [
+    ["peterson-singular-locus", "--family", "E", "--rank", "8"],
+    ["class", "--family", "E", "--rank", "8", "--J", "1,2,3,7", "--w", "8,6", "--form", "k-theory"],
+    ["admissible", "--family", "E", "--rank", "6", "--J", "1,3,5", "--list"],
+    ["oracle", "--mu", "3,2", "--w", "s1", "--u1",
+     "[[1,0,0,0,0],[0,1,0,-1,0],[0,0,1,0,0],[0,0,0,1,0],[0,0,0,0,1]]"],
+]
+
+
+def test_heavy_outputs_are_pinned(capsys):
+    """The largest answers, hashed as the README examples are: they nest
+    deeper (lists of lists, fractions inside lists, a 7920-element listing)."""
+    assert outputs_digest(capsys, HEAVY_COMMANDS) == (
+        "927841041f2d6a043e6e10ad02849768461344c92a5ab715339d5fd6769ef30b"
+    )
+
+
+def json_values():
+    """Values for ``json.dumps``: every JSON kind, the non-finite floats,
+    ints past the int-to-string limit, tuples, non-``str`` and mixed dict
+    keys, and Fractions, which JSON cannot encode."""
+    huge = st.builds(lambda k, sign: sign * 10**k, st.integers(4200, 4400), st.sampled_from([1, -1]))
+    scalars = (
+        st.none() | st.booleans() | st.integers() | huge | st.floats()
+        | st.text() | st.fractions()
+    )
+    keys = st.text() | st.integers() | st.booleans()
+    return st.recursive(
+        scalars,
+        lambda children: (
+            st.lists(children, max_size=4)
+            | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(st.text(), children, max_size=4)
+            | st.dictionaries(keys, children, max_size=4)
+        ),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_values())
+def test_json_text_is_the_stdlib_text(value):
+    try:
+        expected = json.dumps(value, indent=2, sort_keys=True)
+    except Exception as exc:
+        with pytest.raises(Exception) as raised:
+            _json_text(value)
+        assert type(raised.value) is type(exc)
+    else:
+        assert _json_text(value) == expected
 
 
 def test_count_smooth(capsys):
@@ -386,6 +446,20 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     assert error["kind"] == "internal"
     assert error["message"] == "TypeError: injected"
     assert "Traceback" in error["traceback"]
+
+
+def test_unencodable_payload_prints_nothing_on_stdout(capsys, monkeypatch):
+    """An answer that JSON cannot encode is an internal error, and no part
+    of it reaches stdout."""
+    from minhess import cli
+
+    verdict = cli._verdict
+    monkeypatch.setattr(cli, "_verdict", lambda v: {**verdict(v), "detail": Fraction(1, 2)})
+    code, out, err = run(capsys, "fixed-point-smooth", "--mu", "2,2", "--w", "3421")
+    assert (code, out) == (4, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "internal"
+    assert error["message"] == "TypeError: Object of type Fraction is not JSON serializable"
 
 
 def fresh_process(argv, **kwargs):
