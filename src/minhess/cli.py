@@ -142,6 +142,9 @@ def _parse_element(rs: RootSystem, text: str, notation: Optional[str]) -> WeylEl
     text = text.strip()
     if text in ("e", ""):
         return WeylElement.identity(rs)
+    bracketed = text.startswith("[") and text.endswith("]")
+    if bracketed and notation != "word":  # the form one_line_str prints for n >= 10
+        return from_one_line(rs, tuple(_ints(text[1:-1])))
     if notation == "one-line":
         tokens = _ints(text) if "," in text else [int(ch) for ch in text]
         return from_one_line(rs, tuple(tokens))

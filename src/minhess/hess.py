@@ -20,7 +20,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from math import comb
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .roots import ParabolicSubsystem, RootSystem, build_root_system, parabolic
@@ -191,14 +192,21 @@ def _admissible(
     """The elements of W_gens admissible for J (a subset of gens), as triples
     (w, v, K) with w = y_K v reduced: shortest representatives v of W_J in
     W_gens in enumeration order, then subsets K of Delta(v) by (size, sorted
-    elements).  The bound counts the cosets."""
+    elements).  The bound counts the cosets.
+
+    Every w carries its canonical word: v's comes from the enumeration, and
+    the others share one table of stripped prefixes, which lives as long as
+    this generator."""
     gens = sorted(gens)
     idx = [i - 1 for i in gens]
+    known: Dict[int, Tuple[int, ...]] = {}
     for v in enumerate_min_reps(rs, J, bound, within=gens):
         dv = sorted(_simple_among(rs, map(v.perm.__getitem__, idx), J))
-        for size in range(len(dv) + 1):
+        yield v, v, frozenset()
+        for size in range(1, len(dv) + 1):
             for K in itertools.combinations(dv, size):
-                w = longest_element(rs, K) * v if K else v
+                w = longest_element(rs, K) * v
+                w.word(known)
                 yield w, v, frozenset(K)
 
 
@@ -238,11 +246,12 @@ def closure_intersecting_cells(
     """
     require_admissible(w, cfg)
     tau, _, des, Jw = _descent_levi(w, cfg)
+    known: Dict[int, Tuple[int, ...]] = {}
     cells = (
         ClosureCell(v=tau * x, x=x, dim=len(x.descents()))
         for x, _, _ in _admissible(cfg.rs, des, Jw, bound)
     )
-    return tuple(sorted(cells, key=lambda c: (c.dim, c.v.word())))
+    return tuple(sorted(cells, key=lambda c: (c.dim, c.v.word(known))))
 
 
 def _cells_below(
@@ -292,6 +301,16 @@ def poincare_polynomial(
     cfg: HessConfig, bound: int = DEFAULT_ENUMERATION_BOUND
 ) -> Tuple[int, ...]:
     """Coefficient list c_0..c_d, where c_k counts the admissible elements
-    with k descents (equivalently, the k-dimensional cells)."""
-    coeffs = Counter(len(w.descents()) for w, _, _ in enumerate_admissible(cfg, bound))
+    with k descents (equivalently, the k-dimensional cells).
+
+    des(y_K v) is des(v) and v^{-1}(K) disjointly, so each representative v
+    gives binom(|Delta(v)|, s) elements with |des(v)| + s descents, counted
+    without building them, as in admissible_count."""
+    rs = cfg.rs
+    coeffs: Counter = Counter()
+    for v in enumerate_min_reps(rs, cfg.J, bound):
+        m = len(_simple_among(rs, v.perm[: rs.rank], cfg.J))
+        d = len(v.descents())
+        for s in range(m + 1):
+            coeffs[d + s] += comb(m, s)
     return tuple(coeffs[k] for k in range(max(coeffs) + 1))

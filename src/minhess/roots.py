@@ -69,8 +69,10 @@ def root_key(root: Coeffs) -> Tuple[int, Coeffs]:
     return (height(root), tuple(-c for c in root))
 
 
+@lru_cache(maxsize=None)
 def root_str(root: Coeffs) -> str:
-    """Human-readable form like ``a1+2a2``, ``-a3`` or ``-(a1+a2)``."""
+    """Human-readable form like ``a1+2a2``, ``-a3`` or ``-(a1+a2)``; formatted
+    once per distinct root, when first asked for."""
     if all(c == 0 for c in root):
         return "0"
     if not is_positive(root):

@@ -7,8 +7,9 @@ following W. Casselman, "Machine calculations in Weyl groups" (Invent. Math.
 one-line notation are index arithmetic; coefficient tuples enter only through
 ``act`` and ``root_pair`` and leave only through ``images``, ``inversions``
 and ``act``.  Words are never part of an element's identity: equality and
-hashing use the permutation only, and the canonical word (least-index greedy
-descent stripping) is computed on demand or carried along by enumeration.
+hashing use the permutation only.  The canonical word (least-index greedy
+descent stripping) is computed on demand, or carried along by enumeration;
+a caller that words many elements in one call shares the prefixes it strips.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, EnumerationBoundError
 from .roots import Coeffs, RootSystem, parabolic
@@ -106,24 +107,41 @@ class WeylElement:
             i + 1 for i, image in enumerate(self.perm[: self.rs.rank]) if image >= N
         )
 
-    def word(self) -> Tuple[int, ...]:
+    def word(self, known: Optional[Dict[int, Tuple[int, ...]]] = None) -> Tuple[int, ...]:
         """Canonical reduced word via least-index greedy descent stripping.
 
         Works on the inversion set: inv(w s_i) = s_i(inv(w) - {alpha_i}) for
         a descent i, and since the simple roots carry the lowest indices, the
         least descent is the least index in the set.
+
+        Each stripped element's canonical word is a prefix of w's, so a caller
+        that words many related elements of one root system may share
+        ``known``, a table from inversion sets (as bitmasks of root indices)
+        to canonical words: stripping stops at the first prefix in it, and
+        every prefix stripped on the way is recorded.
         """
         if self._word is None:
             rs = self.rs
             N = rs.npos
             inv = [k for k in range(N) if self.perm[k] >= N]
             rev = []
+            keys = []
+            head: Tuple[int, ...] = ()
             while inv:
+                if known is not None:
+                    key = sum([1 << k for k in inv])
+                    if key in known:
+                        head = known[key]
+                        break
+                    keys.append(key)
                 i = min(inv)
                 rev.append(i + 1)
                 image = rs.simple_perms[i].__getitem__
                 inv = [image(k) for k in inv if k != i]
-            self._word = tuple(reversed(rev))
+            word = head + tuple(reversed(rev))
+            for stripped, key in enumerate(keys):
+                known[key] = word[: len(word) - stripped]
+            self._word = word
         return self._word
 
     # -- identity ----------------------------------------------------------

@@ -325,6 +325,22 @@ def test_notation_flags(capsys):
     assert doc["config"]["w"]["one_line"] == "3421"
 
 
+@pytest.mark.parametrize("n", [10, 11])
+def test_echoed_bracketed_one_line_reads_back(capsys, n):
+    """From n = 10 on, one_line is echoed as [w(1),...,w(n)]; that text
+    names the same element again, with or without --notation one-line."""
+    mu = ",".join("1" * n)
+    words = [[1], [n - 1], list(range(1, n)), [2, 1, 3, 2, n - 1], list(range(n - 1, 0, -1)) * 2]
+    for word in words:
+        text = ",".join(f"s{i}" for i in word)
+        echoed = run_json(capsys, "decompose", "--mu", mu, "--w", text)
+        w = echoed["config"]["w"]
+        assert w["one_line"].startswith("[")
+        for notation in ([], ["--notation", "one-line"]):
+            again = run_json(capsys, "decompose", "--mu", mu, "--w", w["one_line"], *notation)
+            assert again["config"]["w"] == w
+
+
 def test_cache_flag_is_usage_error(tmp_path):
     """Enumeration is cheaper than loading a cache, so there is none."""
     with pytest.raises(SystemExit) as exc:

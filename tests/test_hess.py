@@ -4,6 +4,7 @@ including exhaustive consistency sweeps in small rank."""
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import comb
 
 import pytest
@@ -140,6 +141,14 @@ def test_closure_cells_b4():
         assert WeylElement.from_word(b4, word) in vs
 
 
+def assert_carry_canonical_words(elements):
+    """Each element already holds its word, and that word is the one
+    stripped afresh from the element's permutation."""
+    for w in elements:
+        assert w._word is not None
+        assert w.word() == WeylElement(w.rs, w.perm).word()
+
+
 def reference_closure(w, cfg):
     """The walk over the whole descent parabolic: tau_w x for every x in
     W_{des(w)} with tau_w x admissible, as (v, x, dim, x's word)."""
@@ -176,6 +185,8 @@ def test_closure_matches_walk_over_descent_parabolic(family, rank, J):
     for w, _, _ in hess.enumerate_admissible(cfg):
         cells = hess.closure_intersecting_cells(w, cfg)
         assert [(c.v, c.x, c.dim, c.x.word()) for c in cells] == reference_closure(w, cfg)
+        assert_carry_canonical_words(c.v for c in cells)
+        assert_carry_canonical_words(c.x for c in cells)
 
 
 def test_top_closure_is_the_whole_variety_e6():
@@ -184,6 +195,55 @@ def test_top_closure_is_the_whole_variety_e6():
     cells = hess.closure_intersecting_cells(longest_element(rs, range(1, 7)), cfg)
     assert len(cells) == 7920
     assert {c.v for c in cells} == {w for w, _, _ in hess.enumerate_admissible(cfg)}
+    assert_carry_canonical_words(c.v for c in cells)
+    assert_carry_canonical_words(c.x for c in cells)
+
+
+# the configurations of the benchmark's coset sweep
+SWEEP_CONFIGS = [
+    ("E", 6, [1, 3, 5]),
+    ("C", 5, [2, 4]),
+    ("A", 7, [1, 2, 3, 5, 6]),
+    ("B", 5, [1, 3, 5]),
+    ("D", 5, [1, 3, 5]),
+    ("F", 4, [1, 3]),
+    ("G", 2, [1]),
+]
+
+
+@pytest.mark.parametrize(
+    "family,rank,J", SWEEP_CONFIGS, ids=[f"{f}{r}-J{J}" for f, r, J in SWEEP_CONFIGS]
+)
+def test_admissible_elements_carry_canonical_words(family, rank, J):
+    """Every element carries its word, and the Poincare polynomial counts
+    the elements by descents."""
+    cfg = hess.hess_config(build_root_system(family, rank), J)
+    elements = [w for w, _, _ in hess.enumerate_admissible(cfg)]
+    assert_carry_canonical_words(elements)
+    counts = Counter(len(w.descents()) for w in elements)
+    assert hess.poincare_polynomial(cfg) == tuple(counts[k] for k in range(max(counts) + 1))
+
+
+def test_interleaved_enumerations_keep_their_own_words():
+    """The enumerations of every nonempty J of B4 and C4 (16 positive roots
+    each) and of A3 and G2 (6 each), advanced in turn, then their top
+    closures: every element gets its own word.  Some inversion set of root
+    indices names one word in A3 and another in G2, so a table of words
+    that outlived its call or crossed root systems would fail here."""
+    cfgs = [
+        hess.hess_config(rs, J)
+        for rs in map(build_root_system, "BCAG", (4, 4, 3, 2))
+        for size in range(1, rs.rank + 1)
+        for J in itertools.combinations(range(1, rs.rank + 1), size)
+    ]
+    streams = [hess.enumerate_admissible(cfg) for cfg in cfgs]
+    for row in itertools.zip_longest(*streams):
+        assert_carry_canonical_words(w for w, _, _ in filter(None, row))
+    for cfg in cfgs:
+        w0 = longest_element(cfg.rs, range(1, cfg.rs.rank + 1))
+        cells = hess.closure_intersecting_cells(w0, cfg)
+        assert_carry_canonical_words(c.v for c in cells)
+        assert_carry_canonical_words(c.x for c in cells)
 
 
 def test_closure_bound_counts_levi_cosets():
