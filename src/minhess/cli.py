@@ -138,29 +138,25 @@ def _resolve_config(args) -> hess.HessConfig:
     return hess.hess_config(rs, J)
 
 
-def _parse_element(rs: RootSystem, text: str, notation: Optional[str]) -> WeylElement:
+def _parse_element(rs: RootSystem, text: str) -> WeylElement:
+    """Read ``--w``: bracketed text is one-line notation, as is a type A
+    permutation of 1..n in bare digits; other text is a word."""
     text = text.strip()
     if text in ("e", ""):
         return WeylElement.identity(rs)
-    bracketed = text.startswith("[") and text.endswith("]")
-    if bracketed and notation != "word":  # the form one_line_str prints for n >= 10
+    if text.startswith("[") and text.endswith("]"):
         return from_one_line(rs, tuple(_ints(text[1:-1])))
-    if notation == "one-line":
-        tokens = _ints(text) if "," in text else [int(ch) for ch in text]
-        return from_one_line(rs, tuple(tokens))
     if "," in text or text.startswith("s"):
         tokens = [tok.lstrip("s") for tok in text.split(",")]
         return WeylElement.from_word(rs, [int(t) for t in tokens])
-    if notation == "word":
-        return WeylElement.from_word(rs, [int(ch) for ch in text])
-    n = rs.rank + 1
-    if rs.cartan.family == "A" and len(text) == n and text.isdigit():
-        perm = tuple(int(ch) for ch in text)
-        if sorted(perm) == list(range(1, n + 1)):
-            return from_one_line(rs, perm)
-    if text.isdigit():
-        return WeylElement.from_word(rs, [int(ch) for ch in text])
-    raise DomainError(f"cannot parse element {text!r}")
+    if not text.isdigit():
+        raise DomainError(f"cannot parse element {text!r}")
+    letters = tuple(int(ch) for ch in text)
+    if rs.cartan.family == "A" and sorted(letters) == list(range(1, rs.rank + 2)):
+        return from_one_line(rs, letters)
+    if rs.rank >= 10 and len(letters) > 1:
+        raise DomainError(f"element {text!r} is ambiguous: separate its letters by commas")
+    return WeylElement.from_word(rs, list(letters))
 
 
 def _config_doc(cfg: hess.HessConfig, w: Optional[WeylElement] = None) -> Dict[str, object]:
@@ -193,7 +189,7 @@ def _cmd_admissible(args) -> int:
 
 def _cmd_decompose(args) -> int:
     cfg = _resolve_config(args)
-    w = _parse_element(cfg.rs, args.w, args.notation)
+    w = _parse_element(cfg.rs, args.w)
     d = hess.decompose_admissible(w, cfg)
     payload = {
         "K": sorted(d.K),
@@ -227,7 +223,7 @@ def _closure_dot(cfg: hess.HessConfig, cells) -> str:
 
 def _cmd_closure(args) -> int:
     cfg = _resolve_config(args)
-    w = _parse_element(cfg.rs, args.w, args.notation)
+    w = _parse_element(cfg.rs, args.w)
     cells = hess.closure_intersecting_cells(w, cfg, args.bound)
     if args.dot:
         sys.stdout.write(_closure_dot(cfg, cells) + "\n")
@@ -243,7 +239,7 @@ def _cmd_closure(args) -> int:
 
 def _cmd_fixed_point_smooth(args) -> int:
     cfg = _resolve_config(args)
-    w = _parse_element(cfg.rs, args.w, args.notation)
+    w = _parse_element(cfg.rs, args.w)
     if cfg.is_type_a:
         verdict = singular.typeA_fixed_point_smooth(w, cfg.mu)
     else:
@@ -278,7 +274,7 @@ def _cmd_count_smooth(args) -> int:
 
 def _cmd_class(args) -> int:
     cfg = _resolve_config(args)
-    w = _parse_element(cfg.rs, args.w, args.notation)
+    w = _parse_element(cfg.rs, args.w)
     form = classes.K_THEORY if args.form == "k-theory" else classes.COHOMOLOGY
     expr = classes.hess_schubert_class(w, cfg, form)
     payload: Dict[str, object] = {
@@ -312,7 +308,7 @@ def _is_matrix(raw) -> bool:
 def _cmd_oracle(args) -> int:
     mu = Composition(tuple(_ints(args.mu)))
     cfg = hess.config_from_mu(mu)
-    w = _parse_element(cfg.rs, args.w, args.notation)
+    w = _parse_element(cfg.rs, args.w)
     if args.u1:
         if args.u1.startswith("@"):
             with open(args.u1[1:]) as fh:
@@ -321,7 +317,10 @@ def _cmd_oracle(args) -> int:
             raw = json.loads(args.u1)
         if not _is_matrix(raw):
             raise ValueError("--u1 must be a JSON list of rows of numbers or strings")
-        u1 = [[Fraction(str(x)) for x in row] for row in raw]
+        try:
+            u1 = [[Fraction(str(x)) for x in row] for row in raw]
+        except ZeroDivisionError:
+            raise ValueError("--u1 has an entry with a zero denominator") from None
         res = oracle.jacobian_at_cell_point(w, mu, u1, size_bound=args.size_bound)
     else:
         res = oracle.jacobian_at_fixed_point(w, mu, size_bound=args.size_bound)
@@ -366,11 +365,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_element_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--w", required=True, help="one-line notation (type A) or reflection word")
-    p.add_argument(
-        "--notation",
-        choices=["one-line", "word"],
-        help="force how --w is read when ambiguous",
-    )
 
 
 @functools.lru_cache(maxsize=None)

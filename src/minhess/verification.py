@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import classes, hess, oracle, singular
-from .errors import DomainError
+from .errors import DomainError, EnumerationBoundError
 from .roots import build_root_system, cartan_datum, from_cartan
 from .weyl import (
     Composition,
@@ -283,8 +283,13 @@ _FAMILY_RANKS = {
 
 
 def suite_cominuscule(max_rank: Optional[int] = None) -> List[Check]:
-    """Every proper subset K in every type up to max_rank (default 8)."""
+    """Every proper subset K in every type up to max_rank (default 8).  A
+    max_rank whose subsets exceed the Peterson bound is refused at once."""
     max_rank = 8 if max_rank is None else max_rank
+    bound = singular.DEFAULT_PETERSON_BOUND
+    sizes = (2**rank - 1 for ranks in _FAMILY_RANKS.values() for rank in ranks(max_rank))
+    if any(count > bound for count in itertools.accumulate(sizes)):  # lazy, for a huge max_rank
+        raise EnumerationBoundError(f"max_rank {max_rank} scans more than {bound} subsets")
     bad = 0
     scanned = 0
     containment = 0

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -314,21 +315,46 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 
 def test_notation_flags(capsys):
-    doc = run_json(
-        capsys,
-        "decompose", "--mu", "2,2", "--w", "3,4,2,1", "--notation", "one-line",
-    )
-    assert doc["config"]["w"]["one_line"] == "3421"
-    doc = run_json(
-        capsys, "decompose", "--mu", "2,2", "--w", "12312", "--notation", "word"
-    )
-    assert doc["config"]["w"]["one_line"] == "3421"
+    """--w has one grammar, so there is no --notation; the texts its two
+    values once forced have spellings of their own."""
+    for notation in ("one-line", "word"):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--mu", "2,2", "--w", "3421", "--notation", notation])
+        assert exc.value.code == 2
+    for text in ("[3,4,2,1]", "12312"):
+        doc = run_json(capsys, "decompose", "--mu", "2,2", "--w", text)
+        assert doc["config"]["w"]["one_line"] == "3421"
+
+
+@pytest.mark.parametrize(
+    "rank,text,one_line",
+    [
+        (3, "e", "1234"),
+        (3, "", "1234"),
+        (3, "3421", "3421"),
+        (3, "[3,4,2,1]", "3421"),
+        (3, "12312", "3421"),
+        (3, "s3", "1243"),
+        (4, "1,3,4", "21453"),
+        (4, "s1,s3,s4", "21453"),
+        (12, "s12", "[1,2,3,4,5,6,7,8,9,10,11,13,12]"),
+        (12, "1,2", "[2,3,1,4,5,6,7,8,9,10,11,12,13]"),
+        (12, "[13,1,2,3,4,5,6,7,8,9,10,11,12]", "[13,1,2,3,4,5,6,7,8,9,10,11,12]"),
+    ],
+)
+def test_element_grammar(capsys, rank, text, one_line):
+    """The one reading of --w: identity, bracketed one-line notation, words
+    with commas or a leading s, and bare digits as a permutation of 1..n or
+    else a word of one-digit letters."""
+    config = ["--family", "A", "--rank", str(rank), "--J", ""]
+    doc = run_json(capsys, "fixed-point-smooth", *config, "--w", text)
+    assert doc["config"]["w"]["one_line"] == one_line
 
 
 @pytest.mark.parametrize("n", [10, 11])
 def test_echoed_bracketed_one_line_reads_back(capsys, n):
     """From n = 10 on, one_line is echoed as [w(1),...,w(n)]; that text
-    names the same element again, with or without --notation one-line."""
+    names the same element again."""
     mu = ",".join("1" * n)
     words = [[1], [n - 1], list(range(1, n)), [2, 1, 3, 2, n - 1], list(range(n - 1, 0, -1)) * 2]
     for word in words:
@@ -336,9 +362,8 @@ def test_echoed_bracketed_one_line_reads_back(capsys, n):
         echoed = run_json(capsys, "decompose", "--mu", mu, "--w", text)
         w = echoed["config"]["w"]
         assert w["one_line"].startswith("[")
-        for notation in ([], ["--notation", "one-line"]):
-            again = run_json(capsys, "decompose", "--mu", mu, "--w", w["one_line"], *notation)
-            assert again["config"]["w"] == w
+        again = run_json(capsys, "decompose", "--mu", mu, "--w", w["one_line"])
+        assert again["config"]["w"] == w
 
 
 def test_cache_flag_is_usage_error(tmp_path):
@@ -388,6 +413,12 @@ def test_zero_or_empty_is_a_value_not_an_absent_flag(capsys, argv, message):
         (["decompose", "--family", "B", "--mu", "2,2", "--w", "e"], "--mu implies a type A"),
         (["decompose", "--w", "e"], "need either --mu or both --family and --rank"),
         (["decompose", "--mu", "2,2", "--w", "x"], "cannot parse element 'x'"),
+        (["decompose", "--family", "A", "--rank", "1", "--J", "", "--w", "1,2"],
+         "simple index 2 out of range for A1"),
+        (["decompose", "--family", "A", "--rank", "10", "--J", "", "--w", "10"],
+         "element '10' is ambiguous"),
+        (["fixed-point-smooth", "--family", "A", "--rank", "12", "--J", "", "--w", "12"],
+         "element '12' is ambiguous"),
     ],
 )
 def test_configuration_and_element_errors(capsys, argv, message):
@@ -411,6 +442,23 @@ def test_cross_validate_refuses_an_oversized_rank_before_sweeping(capsys, monkey
     assert json.loads(err) == {
         "error": {"kind": "domain", "message": "n=7 exceeds the size bound 6"}
     }
+
+
+def test_cominuscule_refuses_an_oversized_rank_before_scanning(capsys, monkeypatch):
+    from minhess import singular
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan ran before the size bound was checked")
+
+    monkeypatch.setattr(singular, "cominuscule_check", refuse)
+    for max_rank in ("17", "100"):
+        code, out, err = run(capsys, "verify", "--suite", "cominuscule", "--max-rank", max_rank)
+        assert code == 1
+        assert not out
+        assert json.loads(err) == {"error": {
+            "kind": "domain",
+            "message": f"max_rank {max_rank} scans more than 1048576 subsets",
+        }}
 
 
 def test_fixed_point_smooth_rejects_non_admissible(capsys):
@@ -448,6 +496,18 @@ def test_oracle_u1_from_file(capsys, tmp_path):
     assert json.loads(err)["error"]["kind"] == "input"
 
 
+def test_oracle_u1_zero_denominator_is_input_error(capsys, tmp_path):
+    u1 = '[["1/0",0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]'
+    path = tmp_path / "u1.json"
+    path.write_text(u1)
+    for text in (u1, f"@{path}"):
+        code, out, err = run(capsys, "oracle", "--mu", "2,2", "--w", "3214", "--u1", text)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": {
+            "kind": "input", "message": "--u1 has an entry with a zero denominator",
+        }}
+
+
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     from minhess import hess
 
@@ -476,6 +536,98 @@ def test_unencodable_payload_prints_nothing_on_stdout(capsys, monkeypatch):
     error = json.loads(err)["error"]
     assert error["kind"] == "internal"
     assert error["message"] == "TypeError: Object of type Fraction is not JSON serializable"
+
+
+ELEMENT_TEXTS = [
+    "e", "", "21", "3421", "12312", "[2,1]", "[3,4,2,1]", "[1,1]", "1,3,4", "s1,s3,s4",
+    "s3", "s0", "4", "1,9", "[", "1,", "s", "ss2", "x", "[1,e]", "-1", "00",
+]
+U1_TEXTS = [
+    "[[1,0],[0,1]]", "[[1,1],[0,1]]", '[["1/2",0],[0,1]]', '[["1/0",0],[0,1]]',
+    '[["inf",0],[0,1]]', '[[1,"0x1"],[0,1]]', "[[1,0,0],[0,1,0],[0,0,1]]", "[[1,0],[0]]",
+    "[[1]]", "[]", "[[2,0],[0,1]]", "[[1,0],[1,1]]", "null", "[[", '"x"',
+]
+
+
+SYSTEMS = [("A", r) for r in range(1, 7)] + [(f, r) for f in "BC" for r in range(2, 7)] + [
+    ("D", 4), ("D", 5), ("D", 6), ("E", 6), ("F", 4), ("G", 2),
+]
+
+
+def random_argv(rng):
+    """One command line over all nine subcommands, with ranks up to 6 and a
+    fair share of malformed values."""
+    pick = rng.choice
+    family, rank = pick(SYSTEMS)
+    parts = [rng.randint(1, 2) for _ in range(rng.randint(2, 3))]
+    mu = ",".join(map(str, parts))
+    J = ",".join(str(i) for i in range(1, rank + 1) if rng.random() < 0.5)
+    if rng.random() < 0.3:
+        config = pick([
+            ["--family", family, "--rank", str(rank), "--J", pick(["0", "1,,2", "x"])],
+            ["--family", pick("EFG"), "--rank", str(rank)],
+            ["--mu", pick(["", "0", "1", "2,-1", "a"])],
+            ["--mu", mu, "--J", J],
+            ["--family", family, "--mu", mu],
+            ["--rank", str(rank)],
+        ])
+    elif rng.random() < 0.5:
+        config = ["--family", family, "--rank", str(rank), "--J", pick([J, ""])]
+    else:
+        config, rank = ["--mu", mu], sum(parts) - 1
+
+    def element(rank):
+        word = [rng.randint(1, rank) for _ in range(rng.randint(1, 4))]
+        return ["--w", pick([
+            pick(ELEMENT_TEXTS), ",".join(map(str, word)), ",".join(f"s{i}" for i in word),
+        ])]
+
+    command = pick([
+        "admissible", "decompose", "closure", "fixed-point-smooth", "peterson-singular-locus",
+        "count-smooth", "class", "oracle", "verify",
+    ])
+    if command == "admissible":  # a bound keeps E6 and B6 with small J quick
+        return [command, *config, "--bound", pick(["0", "50", "2000"])] + (
+            ["--list"] if rng.random() < 0.5 else [])
+    if command in ("decompose", "fixed-point-smooth"):
+        return [command, *config, *element(rank)]
+    if command == "closure":
+        return [command, *config, *element(rank)] + (["--dot"] if rng.random() < 0.5 else [])
+    if command == "class":
+        extra = [pick(["--expand", "--form=k-theory", "--form=bogus"])]
+        return [command, *config, *element(rank), *(extra if rng.random() < 0.5 else [])]
+    if command == "peterson-singular-locus":
+        return [command, "--family", family, "--rank", str(rank), "--bound", pick(["1", "100"])]
+    if command == "count-smooth":
+        return [command, "--mu", pick([mu, mu, "", "0", "1,,1", "b"])]
+    if command == "oracle":
+        n = sum(parts)
+        u1 = [[int(i == j) for j in range(n)] for i in range(n)]
+        u1[0][n - 1] = pick([2, "-1/2", "1/0", "inf"])
+        u1 = ["--u1", pick([json.dumps(u1), pick(U1_TEXTS)])] if rng.random() < 0.6 else []
+        return [command, "--mu", pick([mu, mu, "x"]), *element(n - 1), *u1]
+    suite = pick(["paper-tables", "cross-validate", "cominuscule", "fig1", "none"])
+    if suite in ("paper-tables", "fig1") and rng.random() < 0.5:
+        return [command, "--suite", suite]  # the other suites' defaults take a second
+    return [command, "--suite", suite, "--max-rank", pick(["0", "1", "3", "17"])]
+
+
+def test_random_command_lines_fail_cleanly(capsys):
+    """Seeded random command lines, malformed ones among them: none is an
+    internal error, and every domain or input error leaves stdout empty and
+    prints one JSON error."""
+    rng = random.Random(0)
+    for _ in range(1000):
+        argv = random_argv(rng)
+        try:
+            code, out, err = run(capsys, *argv)
+        except SystemExit as exc:
+            code, out, err = exc.code, *capsys.readouterr()
+        assert code in (0, 1, 2, 3), (argv, err)
+        if code == 1:
+            assert out == "", argv
+            assert err.count("\n") == 1, argv
+            assert json.loads(err)["error"]["kind"] in ("domain", "input"), argv
 
 
 def fresh_process(argv, **kwargs):
