@@ -112,9 +112,9 @@ def _fail(kind: str, message: str, code: int = 1, **extra: str) -> int:
 
 
 def _ints(text: str) -> List[int]:
-    if not text:
-        return []
-    return [int(tok) for tok in text.split(",") if tok != ""]
+    """A comma-separated list of integers; an empty entry is refused, but
+    the empty text is the empty list."""
+    return [int(tok) for tok in text.split(",")] if text else []
 
 
 def _resolve_config(args) -> hess.HessConfig:
@@ -147,7 +147,7 @@ def _parse_element(rs: RootSystem, text: str) -> WeylElement:
     if text.startswith("[") and text.endswith("]"):
         return from_one_line(rs, tuple(_ints(text[1:-1])))
     if "," in text or text.startswith("s"):
-        tokens = [tok.lstrip("s") for tok in text.split(",")]
+        tokens = [tok.removeprefix("s") for tok in text.split(",")]
         return WeylElement.from_word(rs, [int(t) for t in tokens])
     if not text.isdigit():
         raise DomainError(f"cannot parse element {text!r}")
@@ -182,7 +182,7 @@ def _cmd_admissible(args) -> int:
         elements = [_element(w) for w, _, _ in hess.enumerate_admissible(cfg, args.bound)]
         payload = {"count": len(elements), "elements": elements}
     else:
-        payload = {"count": hess.admissible_count(cfg, args.bound)}
+        payload = {"count": sum(hess.poincare_polynomial(cfg, args.bound))}
     _emit("admissible", _config_doc(cfg), payload, ["cell-nonemptiness-criterion"])
     return 0
 
@@ -321,9 +321,9 @@ def _cmd_oracle(args) -> int:
             u1 = [[Fraction(str(x)) for x in row] for row in raw]
         except ZeroDivisionError:
             raise ValueError("--u1 has an entry with a zero denominator") from None
-        res = oracle.jacobian_at_cell_point(w, mu, u1, size_bound=args.size_bound)
+        res = oracle.jacobian_at_cell_point(w, mu, u1)
     else:
-        res = oracle.jacobian_at_fixed_point(w, mu, size_bound=args.size_bound)
+        res = oracle.jacobian_at_fixed_point(w, mu)
     payload = {
         "rows": res.rows,
         "cols": res.cols,
@@ -424,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True)
     _add_element_flags(p)
     p.add_argument("--u1", help="rational unipotent matrix as JSON, or @file")
-    p.add_argument("--size-bound", type=int, default=oracle.DEFAULT_SIZE_BOUND)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("verify", help="run a verification suite")

@@ -218,14 +218,6 @@ def enumerate_admissible(
     yield from _admissible(cfg.rs, range(1, cfg.rs.rank + 1), cfg.J, bound)
 
 
-def admissible_count(cfg: HessConfig, bound: int = DEFAULT_ENUMERATION_BOUND) -> int:
-    """The number of admissible elements, 2^|Delta(v)| per representative v,
-    without building them."""
-    rs = cfg.rs
-    reps = enumerate_min_reps(rs, cfg.J, bound)
-    return sum(2 ** len(_simple_among(rs, v.perm[: rs.rank], cfg.J)) for v in reps)
-
-
 @dataclass(frozen=True)
 class ClosureCell:
     v: WeylElement
@@ -305,7 +297,8 @@ def poincare_polynomial(
 
     des(y_K v) is des(v) and v^{-1}(K) disjointly, so each representative v
     gives binom(|Delta(v)|, s) elements with |des(v)| + s descents, counted
-    without building them, as in admissible_count."""
+    without building them; the coefficients sum to the number of admissible
+    elements."""
     rs = cfg.rs
     coeffs: Counter = Counter()
     for v in enumerate_min_reps(rs, cfg.J, bound):

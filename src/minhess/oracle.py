@@ -95,28 +95,11 @@ def _unipotent_conjugate(U: Matrix, M: Matrix) -> Matrix:
 # -- the regular element -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegularMatrix:
-    """X = diag + N for a composition: diag is constant exactly on the
-    blocks, N has a 1 in position (i, i+1) for every alpha_i inside a block."""
-
-    n: int
-    mu: Composition
-    diag: Tuple[Fraction, ...]
-
-    @property
-    def X(self) -> Matrix:
-        X = [[Fraction(0)] * self.n for _ in range(self.n)]
-        for i in self.mu.to_J():
-            X[i - 1][i] = Fraction(1)
-        for i, s in enumerate(self.diag):
-            X[i][i] = s
-        return X
-
-
-def regular_matrix(mu, s_values: Optional[Sequence] = None) -> RegularMatrix:
-    """Default eigenvalues are the centered integers l-1, l-3, ..., 1-l, so a
-    two-block composition gets the classical (1, -1) pair."""
+def regular_matrix(mu, s_values: Optional[Sequence] = None) -> Matrix:
+    """X = diag + N for a composition: the diagonal is constant exactly on
+    the blocks, N has a 1 in position (i, i+1) for every alpha_i inside a
+    block.  Default eigenvalues are the centered integers l-1, l-3, ..., 1-l,
+    so a two-block composition gets the classical (1, -1) pair."""
     comp = mu if isinstance(mu, Composition) else Composition(tuple(mu))
     ell = comp.length
     if s_values is None:
@@ -125,35 +108,39 @@ def regular_matrix(mu, s_values: Optional[Sequence] = None) -> RegularMatrix:
         values = [Fraction(v) for v in s_values]
         if len(values) != ell or len(set(values)) != ell:
             raise DomainError("need one distinct eigenvalue per block")
-    diag: List[Fraction] = []
-    for p, part in enumerate(comp.parts):
-        diag.extend([values[p]] * part)
-    return RegularMatrix(comp.n, comp, tuple(diag))
+    diag = [s for s, part in zip(values, comp.parts) for _ in range(part)]
+    X = [[Fraction(0)] * comp.n for _ in range(comp.n)]
+    for i, s in enumerate(diag):
+        X[i][i] = s
+    for i in comp.to_J():
+        X[i - 1][i] = Fraction(1)
+    return X
 
 
 # -- charts and Jacobians ----------------------------------------------------
 
 
-def require_size(n: int, size_bound: int) -> None:
-    """Refuse an n above the size bound."""
-    if n > size_bound:
-        raise DomainError(f"n={n} exceeds the size bound {size_bound}")
+def require_size(n: int) -> None:
+    """Refuse an n above DEFAULT_SIZE_BOUND."""
+    if n > DEFAULT_SIZE_BOUND:
+        raise DomainError(f"n={n} exceeds the size bound {DEFAULT_SIZE_BOUND}")
 
 
 def _chart(
-    w, mu, s_values: Optional[Sequence], size_bound: int
-) -> Tuple[RegularMatrix, HessConfig, List[int], List[int]]:
-    """The regular element of mu, its configuration, and the chart at w: the
-    indices of the row roots w(Phi^- minus the negative simples) and of the
-    column roots w(Phi^-), both in the package's deterministic root order.
-    An n above the size bound is refused before its root system is built."""
-    reg = regular_matrix(mu, s_values)
-    require_size(reg.n, size_bound)
-    element, cfg = typeA_point(w, reg.mu)
+    w, mu, s_values: Optional[Sequence]
+) -> Tuple[Matrix, HessConfig, List[int], List[int]]:
+    """The regular element X of mu, its configuration, and the chart at w:
+    the indices of the row roots w(Phi^- minus the negative simples) and of
+    the column roots w(Phi^-), both in the package's deterministic root
+    order.  An n above the size bound is refused before its root system is
+    built."""
+    X = regular_matrix(mu, s_values)
+    require_size(len(X))
+    element, cfg = typeA_point(w, mu)
     rs = cfg.rs
     rows = sorted(element.perm[rs.npos + rs.rank :], key=rs.index_key)
     cols = sorted(element.perm[rs.npos :], key=rs.index_key)
-    return reg, cfg, rows, cols
+    return X, cfg, rows, cols
 
 
 def _in_variety(base: Matrix, cfg: HessConfig, rows: List[int]) -> bool:
@@ -234,22 +221,18 @@ def _jacobian_from_conjugation(
     return _ranked(cfg.rs, rows, cols, sparse, note)
 
 
-def jacobian_at_fixed_point(
-    w, mu, s_values: Optional[Sequence] = None, size_bound: int = DEFAULT_SIZE_BOUND
-) -> JacobianResult:
+def jacobian_at_fixed_point(w, mu, s_values: Optional[Sequence] = None) -> JacobianResult:
     """Jacobian of the chart equations at the torus-fixed point of w.
 
     Rows are indexed by the non-simple negative roots moved by w, columns by
     the chart variables; the point is smooth exactly when the matrix has
     full row rank.
     """
-    reg, cfg, rows, cols = _chart(w, mu, s_values, size_bound)
-    return _jacobian_from_conjugation(cfg, rows, cols, reg.X, "fixed point")
+    X, cfg, rows, cols = _chart(w, mu, s_values)
+    return _jacobian_from_conjugation(cfg, rows, cols, X, "fixed point")
 
 
-def linear_terms_closed_form(
-    w, mu, s_values: Optional[Sequence] = None, size_bound: int = DEFAULT_SIZE_BOUND
-) -> JacobianResult:
+def linear_terms_closed_form(w, mu, s_values: Optional[Sequence] = None) -> JacobianResult:
     """The same Jacobian assembled entry by entry, with no conjugation.
 
     The (eta, gamma) entry is the eigenvalue difference eta(diag) on the
@@ -257,8 +240,8 @@ def linear_terms_closed_form(
     differs from gamma by a block simple root.  Kept independent of the
     commutator of explicit matrices so the two can be compared entrywise.
     """
-    reg, cfg, rows, cols = _chart(w, mu, s_values, size_bound)
-    if not _in_variety(reg.X, cfg, rows):
+    X, cfg, rows, cols = _chart(w, mu, s_values)
+    if not _in_variety(X, cfg, rows):
         raise DomainError("the fixed point does not lie in the variety")
     pairs = cfg.rs.pairs
     column = {pairs[gamma]: k for k, gamma in enumerate(cols)}
@@ -266,7 +249,7 @@ def linear_terms_closed_form(
     sparse = []
     for eta in map(pairs.__getitem__, rows):
         i, j = eta
-        row = {column[eta]: reg.diag[i - 1] - reg.diag[j - 1]}
+        row = {column[eta]: X[i - 1][i - 1] - X[j - 1][j - 1]}
         # eta - gamma is a simple root alpha only for gamma = (i+1, j), (i, j-1)
         for gamma, alpha in (((i + 1, j), (i, i + 1)), ((i, j - 1), (j - 1, j))):
             k = column.get(gamma)
@@ -290,13 +273,12 @@ def admissibility_matrix_check(w, mu) -> bool:
     at the fixed point: whether X conjugated by the permutation lies in the
     Hessenberg space.  Like the Jacobians, it refuses n above
     DEFAULT_SIZE_BOUND."""
-    reg, cfg, rows, _ = _chart(w, mu, None, DEFAULT_SIZE_BOUND)
-    return _in_variety(reg.X, cfg, rows)
+    X, cfg, rows, _ = _chart(w, mu, None)
+    return _in_variety(X, cfg, rows)
 
 
 def jacobian_at_cell_point(
-    w, mu, u1: Sequence[Sequence], s_values: Optional[Sequence] = None,
-    size_bound: int = DEFAULT_SIZE_BOUND,
+    w, mu, u1: Sequence[Sequence], s_values: Optional[Sequence] = None
 ) -> JacobianResult:
     """Jacobian at the translated point u1.wB of w's cell.
 
@@ -304,15 +286,15 @@ def jacobian_at_cell_point(
     since (U P)^-1 X (U P) = P^-1 (U^-1 X U) P; the recentered chart's
     constant terms decide whether the translated point lies in the variety.
     """
-    reg, cfg, rows, cols = _chart(w, mu, s_values, size_bound)
-    n = reg.n
+    X, cfg, rows, cols = _chart(w, mu, s_values)
+    n = len(X)
     U = [[Fraction(x) for x in row] for row in u1]
     if len(U) != n or any(len(row) != n for row in U):
         raise DomainError("u1 has the wrong shape")
     for i in range(n):
         if U[i][i] != 1 or any(U[i][j] != 0 for j in range(i)):
             raise DomainError("u1 must be unipotent upper triangular")
-    recentered = _unipotent_conjugate(U, reg.X)
+    recentered = _unipotent_conjugate(U, X)
     return _jacobian_from_conjugation(
         cfg, rows, cols, recentered, "translated point", CELL_POINT_NOTE
     )

@@ -230,7 +230,7 @@ def suite_cross_validate(max_rank: Optional[int] = None) -> List[Check]:
     sweep starts, with the oracle's own error."""
     max_rank = 4 if max_rank is None else max_rank
     for n in range(2, max_rank + 2):
-        oracle.require_size(n, oracle.DEFAULT_SIZE_BOUND)
+        oracle.require_size(n)
     checks: List[Check] = []
     mismatches = 0
     dual_path = 0

@@ -429,6 +429,36 @@ def test_configuration_and_element_errors(capsys, argv, message):
     assert error["kind"] == "domain" and message in error["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--mu", "2,2", "--w", "ss2"],
+        ["decompose", "--mu", "2,2", "--w", "1,ss2"],
+        ["decompose", "--mu", "2,,2", "--w", "e"],
+        ["decompose", "--mu", "2,2,", "--w", "e"],
+        ["admissible", "--family", "A", "--rank", "3", "--J", "1,,3"],
+        ["admissible", "--mu", "2,2", "--J", "1,,3"],
+    ],
+)
+def test_malformed_list_tokens_are_input_errors(capsys, argv):
+    """A word letter takes at most one leading s, and a list has no empty
+    entries: each is refused, not read as a nearby valid text."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["kind"] == "input"
+
+
+def test_oracle_refuses_n_above_the_size_bound(capsys):
+    code, out, err = run(capsys, "oracle", "--mu", "4,3", "--w", "e")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": {"kind": "domain", "message": "n=7 exceeds the size bound 6"}
+    }
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--mu", "4,3", "--w", "e", "--size-bound", "7"])
+    assert exc.value.code == 2
+
+
 def test_cross_validate_refuses_an_oversized_rank_before_sweeping(capsys, monkeypatch):
     from minhess import oracle
 
