@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Dict, FrozenSet, Iterable, Tuple
 
 from .errors import DomainError
 from .hess import HessConfig, require_admissible
@@ -33,12 +33,12 @@ class ClassExpression:
             raise DomainError(f"unknown form {self.form!r}")
 
 
-def _subgroup_order(rs: RootSystem, I: Iterable[int]) -> int:
-    return parabolic(rs, I).weyl_order()
-
-
-def _factors(rs: RootSystem, indices: Iterable[int]) -> Tuple[Coeffs, ...]:
-    return tuple(rs.root_list[k] for k in sorted(indices, key=rs.index_key))
+def _class(rs: RootSystem, S: FrozenSet[int], negatives: Iterable[int], form: str) -> ClassExpression:
+    """Scalar |W_S|/|W| times the negative roots with the given indices, in
+    root order."""
+    scalar = Fraction(parabolic(rs, S).weyl_order(), rs.weyl_order())
+    factors = tuple(rs.root_list[k] for k in sorted(negatives, key=rs.index_key))
+    return ClassExpression(scalar, factors, form)
 
 
 def hess_schubert_class(w: WeylElement, cfg: HessConfig, form: str = COHOMOLOGY) -> ClassExpression:
@@ -46,32 +46,25 @@ def hess_schubert_class(w: WeylElement, cfg: HessConfig, form: str = COHOMOLOGY)
     variety: scalar |W_des|/|W| with one factor per negative root outside
     the negated descent set."""
     require_admissible(w, cfg)
-    rs = cfg.rs
     des = w.descents()
-    scalar = Fraction(_subgroup_order(rs, des), rs.weyl_order())
-    N = rs.npos
-    factors = _factors(rs, set(range(N, 2 * N)) - {N + i - 1 for i in des})
-    return ClassExpression(scalar, factors, form)
+    N = cfg.rs.npos  # simple root i has index i - 1
+    return _class(cfg.rs, des, (N + k for k in range(N) if k + 1 not in des), form)
 
 
 def levi_flag_class(I: Iterable[int], rs: RootSystem, form: str = K_THEORY) -> ClassExpression:
     """Class of the embedded flag variety of the standard Levi on I."""
     Iset = frozenset(I)
-    scalar = Fraction(_subgroup_order(rs, Iset), rs.weyl_order())
+    rs.check_simple(Iset)
     outside = ~rs.simple_mask(Iset)
     N = rs.npos
-    factors = _factors(rs, (k + N for k in range(N) if rs.support_mask[k] & outside))
-    return ClassExpression(scalar, factors, form)
+    return _class(rs, Iset, (N + k for k in range(N) if rs.support_mask[k] & outside), form)
 
 
 def peterson_dual_class(K: Iterable[int], rs: RootSystem) -> ClassExpression:
     """Dual class of a Peterson cell closure: only negative simple-root
     factors survive the restriction."""
     Kset = frozenset(K)
-    rs.check_simple(Kset)
-    scalar = Fraction(_subgroup_order(rs, Kset), rs.weyl_order())
-    factors = _factors(rs, (rs.npos + i - 1 for i in range(1, rs.rank + 1) if i not in Kset))
-    return ClassExpression(scalar, factors, COHOMOLOGY)
+    return _class(rs, Kset, (rs.npos + k for k in range(rs.rank) if k + 1 not in Kset), COHOMOLOGY)
 
 
 # -- type A expansion -------------------------------------------------------
@@ -107,42 +100,21 @@ class ChernPolynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _poly_from_dict(n: int, d: Dict[Monomial, Fraction]) -> ChernPolynomial:
-    items = tuple(sorted(((m, c) for m, c in d.items() if c != 0), reverse=True))
-    return ChernPolynomial(n, items)
-
-
-def poly_constant(n: int, c: Fraction) -> ChernPolynomial:
-    if c == 0:
-        return ChernPolynomial(n, ())
-    return ChernPolynomial(n, (((0,) * n, Fraction(c)),))
-
-
-def poly_mul(p: ChernPolynomial, q: ChernPolynomial) -> ChernPolynomial:
-    out: Dict[Monomial, Fraction] = {}
-    for m1, c1 in p.coeffs:
-        for m2, c2 in q.coeffs:
-            m = tuple(a + b for a, b in zip(m1, m2))
-            out[m] = out.get(m, Fraction(0)) + c1 * c2
-    return _poly_from_dict(p.n, out)
-
-
-def _linear_factor(n: int, i: int, j: int) -> ChernPolynomial:
-    """x_i - x_j, 1-based."""
-    mi = tuple(1 if k == i - 1 else 0 for k in range(n))
-    mj = tuple(1 if k == j - 1 else 0 for k in range(n))
-    return _poly_from_dict(n, {mi: Fraction(1), mj: Fraction(-1)})
-
-
 def expand_typeA(expr: ClassExpression, rs: RootSystem) -> ChernPolynomial:
-    """Expanded Chern-root polynomial of a cohomology-form class."""
+    """Expanded Chern-root polynomial of a cohomology-form class, multiplied
+    out one linear factor at a time."""
     if expr.form != COHOMOLOGY:
         raise DomainError("only cohomology-form classes expand to polynomials")
     if rs.cartan.family != "A":
         raise DomainError("polynomial expansion requires a type A ambient")
     n = rs.rank + 1
-    out = poly_constant(n, expr.scalar)
+    terms: Dict[Monomial, Fraction] = {(0,) * n: Fraction(expr.scalar)} if expr.scalar else {}
     for root in expr.factor_roots:
-        j, i = root_pair(rs, root)  # root = -(eps_i - eps_j)
-        out = poly_mul(out, _linear_factor(n, i, j))
-    return out
+        j, i = root_pair(rs, root)  # root = -(eps_i - eps_j): times x_i - x_j
+        product: Dict[Monomial, Fraction] = {}
+        for m, c in terms.items():
+            for k, term in ((i - 1, c), (j - 1, -c)):
+                raised = m[:k] + (m[k] + 1,) + m[k + 1 :]
+                product[raised] = product.get(raised, 0) + term
+        terms = {m: c for m, c in product.items() if c}
+    return ChernPolynomial(n, tuple(sorted(terms.items(), reverse=True)))

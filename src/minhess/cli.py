@@ -233,6 +233,7 @@ def _cmd_closure(args) -> int:
             {"v": _element(c.v), "x": _element(c.x), "dim": c.dim} for c in cells
         ]
     }
+    del cells  # free every cell's two elements before the text is built
     _emit("closure", _config_doc(cfg, w), payload, ["closure-intersection-criterion"])
     return 0
 

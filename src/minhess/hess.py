@@ -63,6 +63,8 @@ def hess_config(rs: RootSystem, J: Iterable[int]) -> HessConfig:
 
 def config_from_mu(mu: Sequence[int]) -> HessConfig:
     comp = mu if isinstance(mu, Composition) else Composition(tuple(mu))
+    if comp.n < 2:
+        raise DomainError(f"composition {comp.parts} sums to {comp.n}; a type A root system needs n >= 2")
     return HessConfig(build_root_system("A", comp.n - 1), comp.to_J())
 
 

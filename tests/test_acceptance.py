@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 from minhess import classes, hess, oracle, singular, verification
 from minhess.roots import build_root_system, cartan_datum, negate, parabolic, root_key
@@ -250,10 +250,12 @@ def test_criterion_09_class_regression():
     cfg = hess.config_from_mu((2, 2))
     w = from_one_line(cfg.rs, (3, 4, 2, 1))
     poly = classes.expand_typeA(classes.hess_schubert_class(w, cfg), cfg.rs)
-    ref = classes.poly_constant(4, Fraction(1, 4))
-    for i, j in [(1, 2), (1, 3), (1, 4), (2, 4)]:
-        ref = classes.poly_mul(ref, classes._linear_factor(4, i, j))
-    ok = poly == ref
+    # degree < 5 in each variable, so the values on {0..4}^4 fix the polynomial
+    ok = all(max(m) < 5 for m, _ in poly.coeffs) and all(
+        sum(c * prod(x**e for x, e in zip(p, m)) for m, c in poly.coeffs)
+        == Fraction((p[0] - p[1]) * (p[0] - p[2]) * (p[0] - p[3]) * (p[1] - p[3]), 4)
+        for p in itertools.product(range(5), repeat=4)
+    )
 
     for family, rank in [("A", 3), ("A", 4), ("B", 3), ("C", 3), ("B", 4), ("D", 4), ("G", 2), ("F", 4)]:
         rs = build_root_system(family, rank)

@@ -5,14 +5,16 @@ properties."""
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from minhess import classes, hess
 from minhess.errors import DomainError
 from minhess.roots import build_root_system, negate, root_key
-from minhess.weyl import WeylElement, from_one_line, longest_element
+from minhess.weyl import WeylElement, compositions, from_one_line, longest_element
 
 
 def support(root):
@@ -53,15 +55,41 @@ def test_class_requires_admissible():
         classes.hess_schubert_class(from_one_line(cfg.rs, (3, 2, 4, 1)), cfg)
 
 
+def value(poly, point):
+    """The expanded polynomial at an integer point."""
+    return sum(c * prod(x**e for x, e in zip(point, m)) for m, c in poly.coeffs)
+
+
 def test_expand_3421_matches_reference():
     cfg = hess.config_from_mu((2, 2))
     w = from_one_line(cfg.rs, (3, 4, 2, 1))
     poly = classes.expand_typeA(classes.hess_schubert_class(w, cfg), cfg.rs)
-    ref = classes.poly_constant(4, Fraction(1, 4))
-    for i, j in [(1, 2), (1, 3), (1, 4), (2, 4)]:
-        ref = classes.poly_mul(ref, classes._linear_factor(4, i, j))
-    assert poly == ref
     assert {sum(m) for m, _ in poly.coeffs} == {4}  # homogeneous of degree 4
+    # degree < 5 in each variable, so the values on {0..4}^4 fix the polynomial
+    for p in itertools.product(range(5), repeat=4):
+        ref = Fraction((p[0] - p[1]) * (p[0] - p[2]) * (p[0] - p[3]) * (p[1] - p[3]), 4)
+        assert value(poly, p) == ref
+
+
+def test_expand_equals_the_factored_class_at_seeded_points():
+    """Every admissible class with n <= 4, at seeded integer points: a
+    negative root -(eps_i - eps_j), i < j, has -1 at simple indices
+    i..j - 1 and stands for x_i - x_j."""
+    rng = random.Random(0)
+    checked = 0
+    for n in range(2, 5):
+        for mu in compositions(n):
+            cfg = hess.config_from_mu(mu)
+            for w, _, _ in hess.enumerate_admissible(cfg):
+                expr = classes.hess_schubert_class(w, cfg)
+                poly = classes.expand_typeA(expr, cfg.rs)
+                pairs = [(min(support(r)), max(support(r)) + 1) for r in expr.factor_roots]
+                for _ in range(3):
+                    x = [rng.randint(-50, 50) for _ in range(n)]
+                    ref = expr.scalar * prod(x[i - 1] - x[j - 1] for i, j in pairs)
+                    assert value(poly, x) == ref
+                checked += 1
+    assert checked == 148
 
 
 def test_expand_edge_cases():

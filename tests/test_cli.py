@@ -80,6 +80,7 @@ HEAVY_COMMANDS = [
     ["admissible", "--family", "E", "--rank", "6", "--J", "1,3,5", "--list"],
     ["oracle", "--mu", "3,2", "--w", "s1", "--u1",
      "[[1,0,0,0,0],[0,1,0,-1,0],[0,0,1,0,0],[0,0,0,1,0],[0,0,0,0,1]]"],
+    ["class", "--mu", "1,1,1,1,1,1", "--w", "123456", "--expand"],
 ]
 
 
@@ -87,7 +88,7 @@ def test_heavy_outputs_are_pinned(capsys):
     """The largest answers, hashed as the README examples are: they nest
     deeper (lists of lists, fractions inside lists, a 7920-element listing)."""
     assert outputs_digest(capsys, HEAVY_COMMANDS) == (
-        "927841041f2d6a043e6e10ad02849768461344c92a5ab715339d5fd6769ef30b"
+        "060401789bd99e92073121a24e066c7d344fb8401d6aea311b37a05fb8a7d4d5"
     )
 
 
@@ -131,6 +132,8 @@ def test_count_smooth(capsys):
     assert doc["payload"]["count"] == "54"
     assert doc["command"] == "count-smooth"
     assert doc["citations"]
+    # C^1 has exactly one flag
+    assert run_json(capsys, "count-smooth", "--mu", "1")["payload"]["count"] == "1"
 
 
 def test_count_smooth_prints_counts_past_the_int_string_limit(capsys):
@@ -419,6 +422,16 @@ def test_zero_or_empty_is_a_value_not_an_absent_flag(capsys, argv, message):
          "element '10' is ambiguous"),
         (["fixed-point-smooth", "--family", "A", "--rank", "12", "--J", "", "--w", "12"],
          "element '12' is ambiguous"),
+        # C^1 has no type A root system: the error names the composition,
+        # not a --rank the user never gave
+        *(
+            ([command, "--mu", "1", *rest], "composition (1,)")
+            for command, *rest in [
+                ["decompose", "--w", "e"], ["closure", "--w", "e"],
+                ["fixed-point-smooth", "--w", "e"], ["class", "--w", "e"],
+                ["admissible"], ["oracle", "--w", "e"],
+            ]
+        ),
     ],
 )
 def test_configuration_and_element_errors(capsys, argv, message):
