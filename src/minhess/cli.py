@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import traceback
 from decimal import Decimal
@@ -26,7 +27,7 @@ from typing import Dict, List, Optional, Sequence
 from . import classes, hess, oracle, singular, verification
 from .errors import DomainError
 from .roots import RootSystem, build_root_system, cartan_datum, root_str
-from .weyl import DEFAULT_ENUMERATION_BOUND, Composition, WeylElement, from_one_line, one_line_str
+from .weyl import Composition, WeylElement, from_one_line, one_line_str
 
 
 # -- serialization helpers ---------------------------------------------------
@@ -179,10 +180,10 @@ def _cmd_admissible(args) -> int:
     cfg = _resolve_config(args)
     payload: Dict[str, object]
     if args.list:
-        elements = [_element(w) for w, _, _ in hess.enumerate_admissible(cfg, args.bound)]
+        elements = [_element(w) for w, _, _ in hess.enumerate_admissible(cfg)]
         payload = {"count": len(elements), "elements": elements}
     else:
-        payload = {"count": sum(hess.poincare_polynomial(cfg, args.bound))}
+        payload = {"count": sum(hess.poincare_polynomial(cfg))}
     _emit("admissible", _config_doc(cfg), payload, ["cell-nonemptiness-criterion"])
     return 0
 
@@ -224,7 +225,7 @@ def _closure_dot(cfg: hess.HessConfig, cells) -> str:
 def _cmd_closure(args) -> int:
     cfg = _resolve_config(args)
     w = _parse_element(cfg.rs, args.w)
-    cells = hess.closure_intersecting_cells(w, cfg, args.bound)
+    cells = hess.closure_intersecting_cells(w, cfg)
     if args.dot:
         sys.stdout.write(_closure_dot(cfg, cells) + "\n")
         return 0
@@ -251,7 +252,7 @@ def _cmd_fixed_point_smooth(args) -> int:
 
 def _cmd_peterson_singular_locus(args) -> int:
     datum = cartan_datum(args.family, args.rank)
-    locus = singular.peterson_singular_locus(datum, bound=args.bound)
+    locus = singular.peterson_singular_locus(datum)
     _emit(
         "peterson-singular-locus",
         {"family": datum.family, "rank": datum.rank},
@@ -306,6 +307,16 @@ def _is_matrix(raw) -> bool:
     )
 
 
+def _u1_entry(text: str) -> Fraction:
+    """One --u1 entry; an exponent past 4300 (json.loads's digit limit on an
+    integer) is refused before Fraction builds 10**exponent."""
+    m = re.search(r"[eE][-+]?([\d_]+)", text)
+    digits = m.group(1).replace("_", "").lstrip("0") if m else ""
+    if len(digits) > 4 or int(digits or 0) > 4300:
+        raise ValueError("--u1 has an entry with an exponent past 4300")
+    return Fraction(text)
+
+
 def _cmd_oracle(args) -> int:
     mu = Composition(tuple(_ints(args.mu)))
     cfg = hess.config_from_mu(mu)
@@ -319,7 +330,7 @@ def _cmd_oracle(args) -> int:
         if not _is_matrix(raw):
             raise ValueError("--u1 must be a JSON list of rows of numbers or strings")
         try:
-            u1 = [[Fraction(str(x)) for x in row] for row in raw]
+            u1 = [[_u1_entry(str(x)) for x in row] for row in raw]
         except ZeroDivisionError:
             raise ValueError("--u1 has an entry with a zero denominator") from None
         res = oracle.jacobian_at_cell_point(w, mu, u1)
@@ -384,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("admissible", help="count or list nonempty cells")
     _add_config_flags(p)
     p.add_argument("--list", action="store_true")
-    p.add_argument("--bound", type=int, default=DEFAULT_ENUMERATION_BOUND)
     p.set_defaults(func=_cmd_admissible)
 
     p = sub.add_parser("decompose", help="full decomposition data of an admissible element")
@@ -396,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     _add_element_flags(p)
     p.add_argument("--dot", action="store_true", help="emit a DOT containment diagram")
-    p.add_argument("--bound", type=int, default=DEFAULT_ENUMERATION_BOUND)
     p.set_defaults(func=_cmd_closure)
 
     p = sub.add_parser("fixed-point-smooth", help="smooth/singular verdict at a fixed point")
@@ -407,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("peterson-singular-locus", help="singular cells of a Peterson variety")
     p.add_argument("--family", choices=list("ABCDEFG"), required=True)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--bound", type=int, default=singular.DEFAULT_PETERSON_BOUND)
     p.set_defaults(func=_cmd_peterson_singular_locus)
 
     p = sub.add_parser("count-smooth", help="number of smooth permutation flags")

@@ -13,4 +13,4 @@ class DomainError(ValueError):
 
 
 class EnumerationBoundError(DomainError):
-    """An enumeration would exceed the caller-supplied size bound."""
+    """An enumeration would exceed its size bound."""

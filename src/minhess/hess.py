@@ -26,7 +26,6 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 from .errors import DomainError
 from .roots import ParabolicSubsystem, RootSystem, build_root_system, parabolic
 from .weyl import (
-    DEFAULT_ENUMERATION_BOUND,
     Composition,
     WeylElement,
     _in_parabolic,
@@ -189,12 +188,12 @@ def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposi
 
 
 def _admissible(
-    rs: RootSystem, gens: Iterable[int], J: FrozenSet[int], bound: int
+    rs: RootSystem, gens: Iterable[int], J: FrozenSet[int]
 ) -> Iterator[Tuple[WeylElement, WeylElement, FrozenSet[int]]]:
     """The elements of W_gens admissible for J (a subset of gens), as triples
     (w, v, K) with w = y_K v reduced: shortest representatives v of W_J in
     W_gens in enumeration order, then subsets K of Delta(v) by (size, sorted
-    elements).  The bound counts the cosets.
+    elements).  DEFAULT_ENUMERATION_BOUND counts the cosets W_J \\ W_gens.
 
     Every w carries its canonical word: v's comes from the enumeration, and
     the others share one table of stripped prefixes, which lives as long as
@@ -202,7 +201,7 @@ def _admissible(
     gens = sorted(gens)
     idx = [i - 1 for i in gens]
     known: Dict[int, Tuple[int, ...]] = {}
-    for v in enumerate_min_reps(rs, J, bound, within=gens):
+    for v in enumerate_min_reps(rs, J, within=gens):
         dv = sorted(_simple_among(rs, map(v.perm.__getitem__, idx), J))
         yield v, v, frozenset()
         for size in range(1, len(dv) + 1):
@@ -212,12 +211,10 @@ def _admissible(
                 yield w, v, frozenset(K)
 
 
-def enumerate_admissible(
-    cfg: HessConfig, bound: int = DEFAULT_ENUMERATION_BOUND
-) -> Iterator[Tuple[WeylElement, WeylElement, FrozenSet[int]]]:
-    """All admissible elements, as triples (w, v, K) with w = y_K v reduced,
-    in the deterministic order of the coset enumeration."""
-    yield from _admissible(cfg.rs, range(1, cfg.rs.rank + 1), cfg.J, bound)
+def enumerate_admissible(cfg: HessConfig) -> Iterator[Tuple[WeylElement, WeylElement, FrozenSet[int]]]:
+    """All admissible elements as triples (w, v, K), w = y_K v reduced, in the
+    order of the coset enumeration; DEFAULT_ENUMERATION_BOUND counts W_J \\ W."""
+    yield from _admissible(cfg.rs, range(1, cfg.rs.rank + 1), cfg.J)
 
 
 @dataclass(frozen=True)
@@ -227,23 +224,21 @@ class ClosureCell:
     dim: int
 
 
-def closure_intersecting_cells(
-    w: WeylElement, cfg: HessConfig, bound: int = DEFAULT_ENUMERATION_BOUND
-) -> Tuple[ClosureCell, ...]:
+def closure_intersecting_cells(w: WeylElement, cfg: HessConfig) -> Tuple[ClosureCell, ...]:
     """The Schubert cells meeting the closure of w's Hessenberg cell, by
     (dimension, canonical word).
 
     By the Levi correspondence these are the v = tau_w x with x admissible
     for J_w in the Levi of des(w); the intersection with the cell of v has
-    dimension equal to the descent count of x.  The bound counts the cosets
-    W_{J_w} \\ W_{des(w)}.
+    dimension equal to the descent count of x.  DEFAULT_ENUMERATION_BOUND
+    counts the cosets W_{J_w} \\ W_{des(w)}.
     """
     require_admissible(w, cfg)
     tau, _, des, Jw = _descent_levi(w, cfg)
     known: Dict[int, Tuple[int, ...]] = {}
     cells = (
         ClosureCell(v=tau * x, x=x, dim=len(x.descents()))
-        for x, _, _ in _admissible(cfg.rs, des, Jw, bound)
+        for x, _, _ in _admissible(cfg.rs, des, Jw)
     )
     return tuple(sorted(cells, key=lambda c: (c.dim, c.v.word(known))))
 
@@ -291,19 +286,17 @@ def closure_covers(cells: Sequence[WeylElement]) -> List[Tuple[WeylElement, Weyl
     return covers
 
 
-def poincare_polynomial(
-    cfg: HessConfig, bound: int = DEFAULT_ENUMERATION_BOUND
-) -> Tuple[int, ...]:
+def poincare_polynomial(cfg: HessConfig) -> Tuple[int, ...]:
     """Coefficient list c_0..c_d, where c_k counts the admissible elements
     with k descents (equivalently, the k-dimensional cells).
 
     des(y_K v) is des(v) and v^{-1}(K) disjointly, so each representative v
     gives binom(|Delta(v)|, s) elements with |des(v)| + s descents, counted
     without building them; the coefficients sum to the number of admissible
-    elements."""
+    elements.  DEFAULT_ENUMERATION_BOUND counts the cosets W_J \\ W."""
     rs = cfg.rs
     coeffs: Counter = Counter()
-    for v in enumerate_min_reps(rs, cfg.J, bound):
+    for v in enumerate_min_reps(rs, cfg.J):
         m = len(_simple_among(rs, v.perm[: rs.rank], cfg.J))
         d = len(v.descents())
         for s in range(m + 1):

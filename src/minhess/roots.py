@@ -21,11 +21,12 @@ from math import factorial
 from operator import mul
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, EnumerationBoundError
 
 Coeffs = Tuple[int, ...]
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
+DEFAULT_ENUMERATION_BOUND = 10**6  # cosets per enumeration, and A-D root table entries
 
 POSITIVE_COUNT = {
     "A": lambda n: n * (n + 1) // 2,
@@ -148,12 +149,16 @@ def cartan_datum(family: str, rank: int) -> CartanDatum:
     """Reference Cartan datum for a valid (family, rank) pair, built once.
 
     Degenerate low ranks are normalized to their A-type isomorphs:
-    B_1 = C_1 = A_1 and D_3 = A_3.  Invalid pairs raise DomainError.
+    B_1 = C_1 = A_1 and D_3 = A_3.  Invalid pairs raise DomainError, and so
+    does a rank whose root table passes DEFAULT_ENUMERATION_BOUND entries.
     """
     if family not in FAMILIES:
         raise DomainError(f"unknown family {family!r}")
     if rank < 1:
         raise DomainError("rank must be positive")
+    size = POSITIVE_COUNT[family](rank) * rank if family in "ABCD" else 0
+    if size > DEFAULT_ENUMERATION_BOUND:
+        raise EnumerationBoundError(f"{family}{rank} root table: {size} entries exceed the bound")
     if family == "A":
         return CartanDatum("A", rank, tuple(map(tuple, _chain_matrix(rank))))
     if family in ("B", "C"):

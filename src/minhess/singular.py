@@ -307,13 +307,12 @@ def typeA_hess_schubert_smooth(w, mu) -> SmoothnessVerdict:
 # -- whole singular locus of a Peterson variety ------------------------------
 
 
-def peterson_singular_locus(
-    component: CartanDatum, bound: int = DEFAULT_PETERSON_BOUND
-) -> Tuple[Tuple[int, ...], ...]:
-    """All K whose cell lies in the singular locus, for one simple component."""
-    if 2**component.rank > bound:
+def peterson_singular_locus(component: CartanDatum) -> Tuple[Tuple[int, ...], ...]:
+    """All K whose cell lies in the singular locus, for one simple component;
+    more than DEFAULT_PETERSON_BOUND subsets K are refused."""
+    if 2**component.rank > DEFAULT_PETERSON_BOUND:
         raise EnumerationBoundError(
-            f"2^{component.rank} subsets exceed the bound {bound}"
+            f"2^{component.rank} subsets exceed the bound {DEFAULT_PETERSON_BOUND}"
         )
     out = []
     universe = sorted(range(1, component.rank + 1))

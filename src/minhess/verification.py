@@ -178,14 +178,18 @@ def suite_paper_tables() -> List[Check]:
     ok = res.rank == 3 and res.is_smooth and entries == named
     checks.append(Check("jacobian-regression", ok))
 
-    # class expansion for 3421 against (1/4)(x1-x2)(x1-x3)(x1-x4)(x2-x4) by its
-    # values on {0..4}^4, which fix a polynomial of degree < 5 in each variable
-    poly = classes.expand_typeA(classes.hess_schubert_class(w, cfg), rs)
-    ok = all(max(m) < 5 for m, _ in poly.coeffs) and all(
-        sum(c * math.prod(x**e for x, e in zip(p, m)) for m, c in poly.coeffs)
-        == Fraction((p[0] - p[1]) * (p[0] - p[2]) * (p[0] - p[3]) * (p[1] - p[3]), 4)
-        for p in itertools.product(range(5), repeat=4)
-    )
+    # class expansions against (1/4)(x1-x2)(x1-x3)(x1-x4)(x2-x4) for 3421 and
+    # (1/12)(x1-x3)(x1-x4)(x2-x3)(x2-x4)(x3-x4) for 3124 by their values on
+    # {0..4}^4, which fix a polynomial of degree < 5 in each variable; the five
+    # factors of 3124 show a sign error that the four of 3421 cancel
+    ok = True
+    for line, den, ijs in [((3, 4, 2, 1), 4, "12 13 14 24"), ((3, 1, 2, 4), 12, "13 14 23 24 34")]:
+        poly = classes.expand_typeA(classes.hess_schubert_class(from_one_line(rs, line), cfg), rs)
+        ok = ok and all(max(m) < 5 for m, _ in poly.coeffs) and all(
+            sum(c * math.prod(x**e for x, e in zip(p, m)) for m, c in poly.coeffs)
+            == Fraction(math.prod(p[int(i) - 1] - p[int(j) - 1] for i, j in ijs.split()), den)
+            for p in itertools.product(range(5), repeat=4)
+        )
     checks.append(Check("class-expansion-3421", ok))
     return checks
 

@@ -20,9 +20,7 @@ from itertools import accumulate
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, EnumerationBoundError
-from .roots import Coeffs, RootSystem, parabolic
-
-DEFAULT_ENUMERATION_BOUND = 10**6
+from .roots import DEFAULT_ENUMERATION_BOUND, Coeffs, RootSystem, parabolic
 
 
 def _simple_perm(rs: RootSystem, i: int) -> Tuple[int, ...]:
@@ -287,7 +285,6 @@ def _level_order(
 def enumerate_min_reps(
     rs: RootSystem,
     J: Iterable[int],
-    bound: int = DEFAULT_ENUMERATION_BOUND,
     within: Optional[Iterable[int]] = None,
 ) -> Iterator[WeylElement]:
     """The shortest representatives of the right cosets W_J \\ W_within,
@@ -298,7 +295,7 @@ def enumerate_min_reps(
     (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4): every shortest
     representative has a reduced word all of whose prefixes are again
     shortest representatives, so a right-multiplication search finds each
-    exactly once.  The bound counts the cosets.
+    exactly once.  DEFAULT_ENUMERATION_BOUND caps the coset count.
     """
     gens = frozenset(range(1, rs.rank + 1) if within is None else within)
     Jset = frozenset(J)
@@ -306,8 +303,10 @@ def enumerate_min_reps(
     count = order // parabolic(rs, Jset).weyl_order()
     if not Jset <= gens:
         raise DomainError(f"J={sorted(Jset)} is not contained in {sorted(gens)}")
-    if count > bound:
-        raise EnumerationBoundError(f"coset count {count} exceeds enumeration bound {bound}")
+    if count > DEFAULT_ENUMERATION_BOUND:
+        raise EnumerationBoundError(
+            f"coset count {count} exceeds enumeration bound {DEFAULT_ENUMERATION_BOUND}"
+        )
     yield from _level_order(rs, gens, Jset)
 
 

@@ -247,13 +247,16 @@ def test_interleaved_enumerations_keep_their_own_words():
 
 
 def test_closure_bound_counts_levi_cosets():
-    """The Peterson variety of A5 is the top closure; J_w = des(w) leaves a
-    single coset of W_{J_w} in W_{des(w)}, although that group has order 720."""
-    cfg = hess.config_from_mu((6,))
-    w0 = longest_element(cfg.rs, range(1, 6))
-    assert len(hess.closure_intersecting_cells(w0, cfg, bound=1)) == 32
+    """The Peterson variety of A9 is the top closure; J_w = des(w) leaves a
+    single coset of W_{J_w} in W_{des(w)}, although that group has order
+    10! = 3628800, past the enumeration bound.  With J empty, the top cell
+    of E8 meets |W(E8)| cells, and is refused."""
+    cfg = hess.config_from_mu((10,))
+    w0 = longest_element(cfg.rs, range(1, 10))
+    assert len(hess.closure_intersecting_cells(w0, cfg)) == 2**9
+    e8 = build_root_system("E", 8)
     with pytest.raises(EnumerationBoundError):
-        hess.closure_intersecting_cells(w0, cfg, bound=0)
+        hess.closure_intersecting_cells(longest_element(e8, range(1, 9)), hess.hess_config(e8, []))
 
 
 def test_closure_of_identity():

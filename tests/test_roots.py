@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from minhess import classes, hess
+from minhess import classes, hess, roots
 from minhess.errors import DomainError
 from minhess.roots import (
     bracket_set,
@@ -286,3 +286,14 @@ def test_cartan_datum_is_built_once_and_invalid_pairs_always_raise():
     for _ in range(2):
         with pytest.raises(DomainError):
             cartan_datum("D", 2)
+
+
+def test_cartan_datum_refuses_a_root_table_past_the_bound_before_building_it(monkeypatch):
+    """A125 has 7875 positive roots of 125 coefficients, just under 10**6
+    entries; one rank more passes the bound, in D as in A."""
+    assert cartan_datum("A", 125).rank == 125
+    for builder in ("_chain_matrix", "_tree_matrix"):
+        monkeypatch.setattr(roots, builder, lambda *args: pytest.fail("matrix built"))
+    for family, rank in (("A", 126), ("D", 101)):
+        with pytest.raises(DomainError, match=f"^{family}{rank} root table: "):
+            cartan_datum(family, rank)

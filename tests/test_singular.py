@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minhess import hess, singular
-from minhess.errors import DomainError
+from minhess.errors import DomainError, EnumerationBoundError
 from minhess.roots import build_root_system, cartan_datum, parabolic
 from minhess.weyl import (
     Composition,
@@ -136,8 +136,8 @@ def test_peterson_singular_locus_examples():
     assert singular.peterson_singular_locus(cartan_datum("A", 1)) == ()
     assert singular.peterson_singular_locus(cartan_datum("A", 2)) == ((),)
     assert singular.peterson_singular_locus(cartan_datum("B", 2)) == ((), (1,))
-    with pytest.raises(Exception):
-        singular.peterson_singular_locus(cartan_datum("E", 8), bound=4)
+    with pytest.raises(EnumerationBoundError):
+        singular.peterson_singular_locus(cartan_datum("A", 21))
 
 
 def test_peterson_fixed_points_b4_example():

@@ -176,11 +176,11 @@ def test_enumerate_group_sizes_and_order():
     lengths = [w.length() for w in els]
     assert lengths == sorted(lengths)
     assert len(set(els)) == 6
-    with pytest.raises(EnumerationBoundError):
-        list(enumerate_min_reps(build_root_system("A", 5), (), bound=10))
+    a9 = build_root_system("A", 9)
     with pytest.raises(EnumerationBoundError) as exc:
-        list(enumerate_min_reps(build_root_system("A", 7), (), bound=100))
-    assert "40320" in str(exc.value)
+        next(enumerate_min_reps(a9, ()))
+    assert "3628800" in str(exc.value)
+    assert next(enumerate_min_reps(a9, [1, 2])).length() == 0  # 604800 cosets
 
 
 @pytest.mark.parametrize(
@@ -200,14 +200,17 @@ def test_enumeration_carries_canonical_words_in_order(family, rank, J):
 
 def test_parabolic_enumeration_matches_group_filter():
     """W_K is the set of shortest representatives of the trivial cosets in
-    W_K, in the same (length, canonical word) order as the whole group."""
+    W_K, in the same (length, canonical word) order as the whole group.  The
+    enumeration bound counts cosets in W_K, not in W."""
     rs = build_root_system("B", 3)
     K = [2, 3]
     members = [w for w in enumerate_min_reps(rs, ()) if in_parabolic(w, K)]
     assert list(enumerate_min_reps(rs, (), within=K)) == members
+    assert len(list(enumerate_min_reps(rs, [2], within=K))) == len(members) // 2 == 4
+    e8 = build_root_system("E", 8)
     with pytest.raises(EnumerationBoundError):
-        list(enumerate_min_reps(rs, (), bound=len(members) - 1, within=K))
-    assert len(list(enumerate_min_reps(rs, [2], bound=len(members) // 2, within=K))) == 4
+        next(enumerate_min_reps(e8, ()))
+    assert len(list(enumerate_min_reps(e8, (), within=[1, 3, 4]))) == 24
     with pytest.raises(DomainError):
         list(enumerate_min_reps(rs, [1], within=K))
 
