@@ -60,11 +60,21 @@ def hess_config(rs: RootSystem, J: Iterable[int]) -> HessConfig:
     return HessConfig(rs, frozenset(J))
 
 
+_TYPE_A_CONFIGS: Dict[Composition, HessConfig] = {}
+
+
 def config_from_mu(mu: Sequence[int]) -> HessConfig:
-    comp = mu if isinstance(mu, Composition) else Composition(tuple(mu))
-    if comp.n < 2:
-        raise DomainError(f"composition {comp.parts} sums to {comp.n}; a type A root system needs n >= 2")
-    return HessConfig(build_root_system("A", comp.n - 1), comp.to_J())
+    """The type A configuration of a composition, given as a Composition or
+    as its parts.  Configurations are interned per composition, as root
+    systems are per Cartan datum; an invalid composition is refused on every
+    call."""
+    comp = Composition.of(mu)
+    cfg = _TYPE_A_CONFIGS.get(comp)
+    if cfg is None:
+        if comp.n < 2:
+            raise DomainError(f"composition {comp.parts} sums to {comp.n}; a type A root system needs n >= 2")
+        cfg = _TYPE_A_CONFIGS[comp] = HessConfig(build_root_system("A", comp.n - 1), comp.to_J())
+    return cfg
 
 
 def typeA_point(w, mu) -> Tuple[WeylElement, HessConfig]:

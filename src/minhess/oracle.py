@@ -1,6 +1,6 @@
 """Independent type A verification engine.
 
-Everything here works with explicit matrices over exact rationals: the
+Everything here works with explicit matrices over exact numbers: the
 regular element X is a matrix, the coordinate chart at a fixed point is the
 generic unipotent element I + Z with Z = sum_k z_k E_k over the chart's matrix
 units, and smoothness is decided by the rank of the Jacobian of the chart's
@@ -18,14 +18,20 @@ Hessenberg space, so the chart's constant terms decide membership: one test
 on them refuses a point outside the variety for both Jacobians and the
 closed form, and is the whole of the admissibility check.  Every entry point
 sets up its chart the same way, and no result from ``hess`` is consulted.
+
+Entries stay ``int`` wherever the inputs are integers, as they always are
+with the default eigenvalues, and are ``Fraction`` only where a rational
+eigenvalue or a translate u1 brings one in.  X is built once per composition
+and eigenvalues, as an immutable table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
 from .hess import HessConfig, typeA_point
@@ -41,24 +47,29 @@ CELL_POINT_NOTE = (
 )
 
 
-# -- exact rational matrices -------------------------------------------------
+# -- exact matrices ------------------------------------------------------------
 
-Matrix = List[List[Fraction]]
+# an int wherever the inputs allow it, else a Fraction
+Entry = Union[int, Fraction]
+Matrix = Sequence[Sequence[Entry]]
 
 
-def rank(sparse_rows: Iterable[Iterable[Tuple[int, Fraction]]]) -> int:
+def rank(sparse_rows: Iterable[Iterable[Tuple[int, Entry]]]) -> int:
     """Rank by exact integer elimination on sparse rows of (column, value)
-    pairs, the oracle's only elimination.  Each row with a nonzero value,
-    scaled by the lowest common denominator of its entries, becomes a
-    {column: int} row.  A pivot row is set aside, and only the rows nonzero
-    in the column of its first entry are combined with it, each result
-    divided by the gcd of its entries."""
+    pairs, the oracle's only elimination.  Each row with a nonzero value
+    becomes a {column: int} row: as it is when every value is an int, else
+    scaled by the lowest common denominator of its entries.  A pivot row is
+    set aside, and only the rows nonzero in the column of its first entry
+    are combined with it, each result divided by the gcd of its entries."""
     rows = []
     for row in sparse_rows:
         nz = {c: x for c, x in row if x}
-        if nz:
+        if not nz:
+            continue
+        if not all(type(x) is int for x in nz.values()):
             lcd = lcm(*(x.denominator for x in nz.values()))
-            rows.append({c: x.numerator * (lcd // x.denominator) for c, x in nz.items()})
+            nz = {c: x.numerator * (lcd // x.denominator) for c, x in nz.items()}
+        rows.append(nz)
     r = 0
     while rows:
         top = rows.pop()
@@ -95,35 +106,50 @@ def _unipotent_conjugate(U: Matrix, M: Matrix) -> Matrix:
 # -- the regular element -----------------------------------------------------
 
 
-def regular_matrix(mu, s_values: Optional[Sequence] = None) -> Matrix:
-    """X = diag + N for a composition: the diagonal is constant exactly on
-    the blocks, N has a 1 in position (i, i+1) for every alpha_i inside a
-    block.  Default eigenvalues are the centered integers l-1, l-3, ..., 1-l,
-    so a two-block composition gets the classical (1, -1) pair."""
-    comp = mu if isinstance(mu, Composition) else Composition(tuple(mu))
-    ell = comp.length
-    if s_values is None:
-        values = [Fraction(ell - 1 - 2 * p) for p in range(ell)]
-    else:
-        values = [Fraction(v) for v in s_values]
-        if len(values) != ell or len(set(values)) != ell:
-            raise DomainError("need one distinct eigenvalue per block")
-    diag = [s for s, part in zip(values, comp.parts) for _ in range(part)]
-    X = [[Fraction(0)] * comp.n for _ in range(comp.n)]
-    for i, s in enumerate(diag):
-        X[i][i] = s
-    for i in comp.to_J():
-        X[i - 1][i] = Fraction(1)
-    return X
-
-
-# -- charts and Jacobians ----------------------------------------------------
-
-
 def require_size(n: int) -> None:
     """Refuse an n above DEFAULT_SIZE_BOUND."""
     if n > DEFAULT_SIZE_BOUND:
         raise DomainError(f"n={n} exceeds the size bound {DEFAULT_SIZE_BOUND}")
+
+
+def _exact(value) -> Entry:
+    """value as an int if it is an integer, else as a Fraction."""
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
+
+
+def regular_matrix(mu, s_values: Optional[Sequence] = None) -> Matrix:
+    """X = diag + N for a composition: the diagonal is constant exactly on
+    the blocks, N has a 1 in position (i, i+1) for every alpha_i inside a
+    block.  Default eigenvalues are the centered integers l-1, l-3, ..., 1-l,
+    so a two-block composition gets the classical (1, -1) pair.  X is a
+    tuple of rows, shared by every call with the same composition and
+    eigenvalues; its entries are ints except for rational eigenvalues.  An n
+    above DEFAULT_SIZE_BOUND is refused before anything is built."""
+    comp = Composition.of(mu)
+    require_size(comp.n)
+    ell = comp.length
+    if s_values is None:
+        values = tuple(range(ell - 1, -ell, -2))
+    else:
+        values = tuple(map(_exact, s_values))
+        if len(values) != ell or len(set(values)) != ell:
+            raise DomainError("need one distinct eigenvalue per block")
+    return _regular_table(comp, values)
+
+
+@lru_cache(maxsize=256)
+def _regular_table(comp: Composition, values: Tuple[Entry, ...]) -> Matrix:
+    diag = [s for s, part in zip(values, comp.parts) for _ in range(part)]
+    X = [[0] * comp.n for _ in range(comp.n)]
+    for i, s in enumerate(diag):
+        X[i][i] = s
+    for i in comp.to_J():
+        X[i - 1][i] = 1
+    return tuple(map(tuple, X))
+
+
+# -- charts and Jacobians ----------------------------------------------------
 
 
 def _chart(
@@ -132,11 +158,11 @@ def _chart(
     """The regular element X of mu, its configuration, and the chart at w:
     the indices of the row roots w(Phi^- minus the negative simples) and of
     the column roots w(Phi^-), both in the package's deterministic root
-    order.  An n above the size bound is refused before its root system is
-    built."""
-    X = regular_matrix(mu, s_values)
-    require_size(len(X))
-    element, cfg = typeA_point(w, mu)
+    order.  An n above the size bound is refused before X or its root system
+    is built."""
+    comp = Composition.of(mu)
+    X = regular_matrix(comp, s_values)
+    element, cfg = typeA_point(w, comp)
     rs = cfg.rs
     rows = sorted(element.perm[rs.npos + rs.rank :], key=rs.index_key)
     cols = sorted(element.perm[rs.npos :], key=rs.index_key)
@@ -154,20 +180,22 @@ def _in_variety(base: Matrix, cfg: HessConfig, rows: List[int]) -> bool:
 class JacobianResult:
     rows: Tuple[Coeffs, ...]
     cols: Tuple[Coeffs, ...]
-    # per row, the (column, value) pairs of its nonzeros in column order
-    sparse_rows: Tuple[Tuple[Tuple[int, Fraction], ...], ...]
+    # per row, the (column, value) pairs of its nonzeros in column order;
+    # a value is an int when every input to the chart is an integer
+    sparse_rows: Tuple[Tuple[Tuple[int, Entry], ...], ...]
     rank: int
     verdict: str
     note: str = ""
 
     @property
     def matrix(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        """The dense view of the sparse rows, the form the CLI prints."""
+        """The dense view of the sparse rows as Fractions, the form the CLI
+        prints."""
         dense = []
         for entries in self.sparse_rows:
             row = [Fraction(0)] * len(self.cols)
             for k, x in entries:
-                row[k] = x
+                row[k] = Fraction(x)
             dense.append(tuple(row))
         return tuple(dense)
 
@@ -177,7 +205,7 @@ class JacobianResult:
 
 
 def _ranked(
-    rs: RootSystem, rows: List[int], cols: List[int], sparse: List[Dict[int, Fraction]],
+    rs: RootSystem, rows: List[int], cols: List[int], sparse: List[Dict[int, Entry]],
     note: str,
 ) -> JacobianResult:
     """The Jacobian with its rank and verdict, rows and columns as roots."""
@@ -204,11 +232,11 @@ def _jacobian_from_conjugation(
     column = {(a - 1, b - 1): k for k, (a, b) in enumerate(map(pairs.__getitem__, cols))}
     in_row = [[(a, x) for a, x in enumerate(r) if x] for r in base]
     in_col = [[(b, r[j]) for b, r in enumerate(base) if r[j]] for j in range(len(base))]
-    sparse: List[Dict[int, Fraction]] = []
+    sparse: List[Dict[int, Entry]] = []
     for eta in rows:
         i, j = pairs[eta]
         i, j = i - 1, j - 1
-        row: Dict[int, Fraction] = {}
+        row: Dict[int, Entry] = {}
         for a, x in in_row[i]:
             k = column.get((a, j))
             if k is not None:
@@ -261,11 +289,11 @@ def linear_terms_closed_form(w, mu, s_values: Optional[Sequence] = None) -> Jaco
 
 def _structure_constant(
     gamma: Tuple[int, int], alpha: Tuple[int, int], eta: Tuple[int, int]
-) -> Fraction:
+) -> int:
     """Coefficient of the eta matrix unit in [E_gamma, E_alpha], for type A
     roots given as pairs (i, j) for eps_i - eps_j."""
     (a, b), (c, d) = gamma, alpha
-    return Fraction(int(b == c and (a, d) == eta) - int(d == a and (c, b) == eta))
+    return int(b == c and (a, d) == eta) - int(d == a and (c, b) == eta)
 
 
 def admissibility_matrix_check(w, mu) -> bool:

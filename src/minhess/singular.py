@@ -247,7 +247,7 @@ def typeA_fixed_point_smooth(w, mu) -> SmoothnessVerdict:
 
 def count_smooth_flags(mu) -> int:
     """Closed-form count of smooth permutation flags."""
-    mu = mu if isinstance(mu, Composition) else Composition(tuple(mu))
+    mu = Composition.of(mu)
     threes = sum(1 for p in mu.parts if p >= 3)
     twos = sum(1 for p in mu.parts if p == 2)
     return factorial(mu.length) * 3**threes * 2**twos

@@ -208,23 +208,38 @@ def _levi_compositions(line: Sequence[int], mu: Sequence[int]) -> List[Tuple[int
     return out
 
 
+def _oracle_fixed_points(comp: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+    """The one-lines, in lexicographic order, of the fixed points whose
+    chart has zero constant terms at the regular element X of comp: the
+    points the oracle's admissibility check admits.  Positions are filled
+    in order: placing w(a) finishes the chart rows w(eps_a - eps_b),
+    b < a - 1, whose constant terms are X[w(a)][w(b)], and a prefix with a
+    nonzero one is dropped with all its completions."""
+    X = oracle.regular_matrix(comp)
+    prefixes: List[Tuple[int, ...]] = [()]
+    for _ in X:
+        prefixes = [
+            p + (x,) for p in prefixes for x in range(len(X))
+            if x not in p and not any(X[x][y] for y in p[:-1])
+        ]
+    return [tuple(x + 1 for x in p) for p in prefixes]
+
+
 def _levi_oracle_smooth(
     line: Sequence[int], mu: Sequence[int], verdicts: Dict[Tuple[int, ...], bool]
 ) -> bool:
     """Smoothness of the closure of w's cell by the Levi correspondence: the
     closure is a product, over the blocks of des(w), of the varieties of the
     compositions J_w induces there, and such a variety is smooth when the
-    oracle finds it smooth at every fixed point that the oracle's own
-    admissibility check admits.  verdicts caches that finding per
-    composition.  As a reference, it derives all this from the one-line on
-    purpose, a second time, and reads nothing from ``hess``."""
+    oracle finds it smooth at every fixed point whose chart has zero
+    constant terms.  verdicts caches that finding per composition.  As a
+    reference, it derives all this from the one-line on purpose, a second
+    time, and reads nothing from ``hess``."""
     for comp in _levi_compositions(line, mu):
         if comp not in verdicts:
-            points = itertools.permutations(range(1, sum(comp) + 1))
             verdicts[comp] = all(
                 oracle.jacobian_at_fixed_point(x, comp).is_smooth
-                for x in points
-                if oracle.admissibility_matrix_check(x, comp)
+                for x in _oracle_fixed_points(comp)
             )
         if not verdicts[comp]:
             return False

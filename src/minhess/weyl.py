@@ -363,6 +363,11 @@ class Composition:
         if not self.parts or any(p < 1 for p in self.parts):
             raise DomainError(f"invalid composition {self.parts}")
 
+    @staticmethod
+    def of(mu: Iterable[int]) -> "Composition":
+        """mu itself if it is a Composition, else the composition of its parts."""
+        return mu if isinstance(mu, Composition) else Composition(tuple(mu))
+
     @property
     def n(self) -> int:
         return sum(self.parts)

@@ -375,6 +375,19 @@ def test_config_validation():
     assert cfg.mu == Composition((2, 1)) and sorted(cfg.J) == [1]
 
 
+def test_config_from_mu_is_one_object_per_composition():
+    """A list, a tuple and a Composition of the same parts give the same
+    configuration, and a bad composition is refused on every call."""
+    cfg = hess.config_from_mu((2, 1))
+    assert hess.config_from_mu([2, 1]) is cfg
+    assert hess.config_from_mu(Composition((2, 1))) is cfg
+    assert hess.config_from_mu((1, 2)) is not cfg
+    for bad in [(1,), (0, 2), [0, 2], (), (2, -1)]:
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                hess.config_from_mu(bad)
+
+
 A4 = build_root_system("A", 4)
 B4 = build_root_system("B", 4)
 C4 = build_root_system("C", 4)

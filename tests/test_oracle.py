@@ -7,6 +7,7 @@ properties of the verdict."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -268,7 +269,83 @@ def test_regular_matrix_shape():
         oracle.regular_matrix((2, 2), s_values=[1, 1])
 
 
+def test_regular_matrix_is_one_table_of_ints_per_composition():
+    """Default eigenvalues give int entries, integer eigenvalues given as
+    Fractions give the same table, and only a rational eigenvalue brings a
+    Fraction in."""
+    X = oracle.regular_matrix((2, 1))
+    assert X == ((1, 1, 0), (0, 1, 0), (0, 0, -1))
+    assert all(type(x) is int for row in X for x in row)
+    assert oracle.regular_matrix([2, 1]) is X
+    assert oracle.regular_matrix((2, 1), [Fraction(1), -1]) is X
+    Y = oracle.regular_matrix((2, 1), [Fraction(1, 2), 3])
+    assert Y[0][0] == Y[1][1] == Fraction(1, 2) and type(Y[0][0]) is Fraction
+    assert Y[2][2] == 3 and type(Y[2][2]) is int and type(Y[0][1]) is int
+
+
+def test_size_bound_is_checked_before_x_is_built(monkeypatch):
+    """An oversized n is refused before the regular element is built or
+    cached."""
+    def refuse(*args):
+        raise AssertionError("X was built")
+
+    monkeypatch.setattr(oracle, "_regular_table", refuse)
+    with pytest.raises(DomainError, match="size bound"):
+        oracle.admissibility_matrix_check(range(1, 3001), (3000,))
+    with pytest.raises(DomainError, match="size bound"):
+        oracle.jacobian_at_fixed_point(range(1, 3001), [3000], s_values=[1])
+    with pytest.raises(DomainError, match="size bound"):
+        oracle.regular_matrix((3000,))
+
+
 # -- fixed-point Jacobians -------------------------------------------------------
+
+
+def entry_types(res):
+    return {type(x) for row in res.sparse_rows for _, x in row}
+
+
+def test_default_eigenvalue_jacobians_hold_ints():
+    """At the default eigenvalues both Jacobians store int entries, while
+    the dense matrix is all Fractions."""
+    for n in range(2, 6):
+        for mu in compositions(n):
+            for w, _, _ in hess.enumerate_admissible(hess.config_from_mu(mu)):
+                for res in (
+                    oracle.jacobian_at_fixed_point(w, mu),
+                    oracle.linear_terms_closed_form(w, mu),
+                ):
+                    assert entry_types(res) <= {int}
+                    assert {type(x) for row in res.matrix for x in row} <= {Fraction}
+
+
+def test_rational_eigenvalues_and_cell_points_give_fractions():
+    """A rational eigenvalue gives the Fraction eigenvalue differences, a
+    translate u1 gives Fractions throughout, and either compares equal to
+    the int Jacobian wherever the values agree."""
+    w, mu = (1, 3, 2, 4), (3, 1)
+    res = oracle.jacobian_at_fixed_point(w, mu, s_values=[Fraction(1, 2), Fraction(-1, 3)])
+    closed = oracle.linear_terms_closed_form(w, mu, s_values=["1/2", "-1/3"])
+    assert res == closed and entry_types(res) == {int, Fraction}
+    entries = {
+        (res.rows[r], res.cols[k]): x for r, row in enumerate(res.sparse_rows) for k, x in row
+    }
+    assert entries == {
+        ((0, 0, -1), (0, 0, -1)): Fraction(-5, 6),
+        ((0, 0, -1), (0, -1, -1)): -1,
+        ((-1, -1, -1), (-1, -1, -1)): Fraction(-5, 6),
+        ((-1, 0, 0), (-1, -1, 0)): 1,
+    }
+    assert {type(x) for row in res.matrix for x in row} == {Fraction}
+    at_fixed = oracle.jacobian_at_fixed_point(w, mu)
+    assert oracle.jacobian_at_fixed_point(w, mu, s_values=[Fraction(1), Fraction(-1)]) == at_fixed
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    at_cell = oracle.jacobian_at_cell_point(w, mu, eye)
+    assert entry_types(at_cell) == {Fraction} and entry_types(at_fixed) == {int}
+    assert dataclasses.replace(at_cell, note="") == at_fixed
+    assert at_cell.matrix == at_fixed.matrix
+    moved = oracle.jacobian_at_cell_point((3, 2, 1, 4), (2, 2), chart_translate(Fraction(1, 2), 1))
+    assert entry_types(moved) == {Fraction} and moved.is_smooth
 
 
 def test_jacobian_regression_s2():
@@ -544,6 +621,29 @@ def test_cell_points_agree_with_exact_conjugation():
         assert res.note == oracle.CELL_POINT_NOTE
         assert_columns_are_linear_terms(res, matmul(matmul(inverse(U), X), U))
     assert min(seen.values()) >= 100, seen
+
+
+def test_rank_of_int_rows_equals_rank_of_the_same_rows_as_fractions():
+    """Seeded integer rows, with rows that are integer combinations of
+    earlier ones, ranked as ints, as Fractions, and with each entry drawn
+    as either; rows scaled by a rational must rank the same too."""
+    rng = random.Random(19)
+    for _ in range(300):
+        ncols = rng.randint(1, 12)
+        rows = [
+            [rng.choice([0, 0, 0, rng.randint(-9, 9)]) for _ in range(ncols)]
+            for _ in range(rng.randint(0, 8))
+        ]
+        for _ in range(rng.randint(0, 3) if rows else 0):
+            picks = [(rng.choice(rows), rng.randint(-3, 3)) for _ in range(2)]
+            rows.append([sum(c * row[j] for row, c in picks) for j in range(ncols)])
+        rng.shuffle(rows)
+        expect = gauss_jordan_rank(rows)
+        as_fractions = [[Fraction(x) for x in row] for row in rows]
+        mixed = [[rng.choice([x, Fraction(x)]) for x in row] for row in rows]
+        scaled = [[Fraction(x, d) for x in row] for row, d in zip(rows, itertools.count(2))]
+        for form in (rows, as_fractions, mixed, scaled):
+            assert oracle.rank(sparse(form)) == expect
 
 
 def test_rank_helper():

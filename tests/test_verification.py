@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import sys
 
 import pytest
 
-from minhess import hess, singular, verification
+from minhess import hess, oracle, singular, verification
 from minhess.weyl import Composition, compositions, one_line
 
 
@@ -23,6 +24,19 @@ def test_one_line_levi_compositions_match_the_decomposition(n):
                 for c in dec.levi.components
             ]
             assert verification._levi_compositions(one_line(w), mu) == expect
+
+
+@pytest.mark.parametrize("n", range(2, oracle.DEFAULT_SIZE_BOUND + 1))
+def test_pruned_fixed_points_are_the_ones_the_oracle_admits(n):
+    """Filling positions in order and dropping a prefix at its first nonzero
+    constant term keeps exactly the permutations, in lexicographic order,
+    that the oracle's admissibility check admits."""
+    for mu in compositions(n):
+        expect = [
+            perm for perm in itertools.permutations(range(1, n + 1))
+            if oracle.admissibility_matrix_check(perm, mu)
+        ]
+        assert verification._oracle_fixed_points(mu) == expect
 
 
 def test_levi_check_reads_nothing_from_hess(monkeypatch):
