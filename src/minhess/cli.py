@@ -210,7 +210,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _closure_dot(cfg: hess.HessConfig, cells) -> str:
-    name = one_line_str if cfg.is_type_a else repr
+    name = one_line_str if cfg.mu is not None else repr
     names = {c.v: name(c.v) for c in cells}
     lines = ["digraph closure {", "  rankdir=BT;"]
     for c in cells:
@@ -242,7 +242,7 @@ def _cmd_closure(args) -> int:
 def _cmd_fixed_point_smooth(args) -> int:
     cfg = _resolve_config(args)
     w = _parse_element(cfg.rs, args.w)
-    if cfg.is_type_a:
+    if cfg.mu is not None:
         verdict = singular.typeA_fixed_point_smooth(w, cfg.mu)
     else:
         verdict = singular.hess_fixed_point_smooth(w, cfg)

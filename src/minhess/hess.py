@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -34,46 +34,42 @@ from .weyl import (
     from_one_line,
     is_min_rep,
     longest_element,
-    min_right_coset_rep,
 )
 
 
 @dataclass(frozen=True)
 class HessConfig:
+    """Root system, J naming the regular element, and mu: J's composition in type A, else None."""
+
     rs: RootSystem
     J: FrozenSet[int]
+    mu: Optional[Composition] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         self.rs.check_simple(self.J)
-
-    @property
-    def is_type_a(self) -> bool:
-        return self.rs.cartan.family == "A"
-
-    @property
-    def mu(self) -> Optional[Composition]:
-        """The composition of n that J names in type A, else None."""
-        return Composition.from_J(self.rs.rank + 1, self.J) if self.is_type_a else None
+        mu = Composition.from_J(self.rs.rank + 1, self.J) if self.rs.cartan.family == "A" else None
+        object.__setattr__(self, "mu", mu)
 
 
 def hess_config(rs: RootSystem, J: Iterable[int]) -> HessConfig:
     return HessConfig(rs, frozenset(J))
 
 
-_TYPE_A_CONFIGS: Dict[Composition, HessConfig] = {}
+_TYPE_A_CONFIGS: Dict[Tuple[int, ...], HessConfig] = {}
 
 
 def config_from_mu(mu: Sequence[int]) -> HessConfig:
     """The type A configuration of a composition, given as a Composition or
-    as its parts.  Configurations are interned per composition, as root
-    systems are per Cartan datum; an invalid composition is refused on every
-    call."""
-    comp = Composition.of(mu)
-    cfg = _TYPE_A_CONFIGS.get(comp)
+    as its parts.  Configurations are interned by parts, as root systems are
+    per Cartan datum, so a known composition builds nothing; an invalid
+    composition is refused on every call."""
+    parts = mu.parts if isinstance(mu, Composition) else tuple(mu)
+    cfg = _TYPE_A_CONFIGS.get(parts)
     if cfg is None:
+        comp = Composition(parts)
         if comp.n < 2:
             raise DomainError(f"composition {comp.parts} sums to {comp.n}; a type A root system needs n >= 2")
-        cfg = _TYPE_A_CONFIGS[comp] = HessConfig(build_root_system("A", comp.n - 1), comp.to_J())
+        cfg = _TYPE_A_CONFIGS[parts] = HessConfig(build_root_system("A", comp.n - 1), comp.to_J())
     return cfg
 
 
@@ -172,11 +168,16 @@ def _descent_levi(
 
 
 def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposition:
+    """w = y_K v, where K, the left descents of w in J, are those of its W_J
+    factor (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4): v = y_K w
+    is shortest in its coset exactly when y_K is that factor."""
     require_admissible(w, cfg)
     rs = cfg.rs
-    y, v = min_right_coset_rep(w, cfg.J)
-    K = y.descents()
-    if y != longest_element(rs, K):
+    winv = w.inverse()
+    K = frozenset(j for j in cfg.J if winv.perm[j - 1] >= rs.npos)
+    y = longest_element(rs, K)
+    v = y * w  # y is an involution
+    if not is_min_rep(v, cfg.J):
         raise RuntimeError("coset factor is not the longest element of its support")
     delta = _simple_among(rs, v.perm[: rs.rank], cfg.J)
     if not K <= delta:
@@ -184,7 +185,7 @@ def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposi
     tau, y_des, des, Jw = _descent_levi(w, cfg)
     # consistency of the two factorizations: y_des(alpha_k) for k in J_w
     # against v^{-1}(-alpha_k) for k in K
-    vinv = v.inverse()
+    vinv = winv * y
     left = {y_des.perm[k - 1] for k in Jw}
     right = {vinv.perm[rs.npos + k - 1] for k in K}
     if left != right:

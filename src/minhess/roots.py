@@ -117,16 +117,6 @@ class CartanDatum:
         return f"{self.family}{self.rank}"
 
 
-def _chain_matrix(n: int) -> List[List[int]]:
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = 2
-    for i in range(n - 1):
-        m[i][i + 1] = -1
-        m[i + 1][i] = -1
-    return m
-
-
 def _tree_matrix(n: int, edges: Iterable[Tuple[int, int]]) -> List[List[int]]:
     m = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -137,11 +127,8 @@ def _tree_matrix(n: int, edges: Iterable[Tuple[int, int]]) -> List[List[int]]:
     return m
 
 
-_E_EDGES = {
-    6: [(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)],
-    7: [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)],
-    8: [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)],
-}
+def _chain(n: int) -> List[Tuple[int, int]]:
+    return [(i, i + 1) for i in range(1, n)]
 
 
 @lru_cache(maxsize=None)
@@ -160,11 +147,11 @@ def cartan_datum(family: str, rank: int) -> CartanDatum:
     if size > DEFAULT_ENUMERATION_BOUND:
         raise EnumerationBoundError(f"{family}{rank} root table: {size} entries exceed the bound")
     if family == "A":
-        return CartanDatum("A", rank, tuple(map(tuple, _chain_matrix(rank))))
+        return CartanDatum("A", rank, tuple(map(tuple, _tree_matrix(rank, _chain(rank)))))
     if family in ("B", "C"):
         if rank == 1:
             return cartan_datum("A", 1)
-        m = _chain_matrix(rank)
+        m = _tree_matrix(rank, _chain(rank))
         if family == "B":
             m[rank - 2][rank - 1] = -2
         else:
@@ -175,17 +162,17 @@ def cartan_datum(family: str, rank: int) -> CartanDatum:
             return cartan_datum("A", 3)
         if rank < 4:
             raise DomainError(f"D_{rank} is not a simple root system")
-        edges = [(i, i + 1) for i in range(1, rank - 2)]
-        edges += [(rank - 2, rank - 1), (rank - 2, rank)]
+        edges = _chain(rank - 1) + [(rank - 2, rank)]
         return CartanDatum("D", rank, tuple(map(tuple, _tree_matrix(rank, edges))))
     if family == "E":
         if rank not in (6, 7, 8):
             raise DomainError(f"E_{rank} is not a simple root system")
-        return CartanDatum("E", rank, tuple(map(tuple, _tree_matrix(rank, _E_EDGES[rank]))))
+        edges = [(1, 3), (2, 4)] + _chain(rank)[2:]
+        return CartanDatum("E", rank, tuple(map(tuple, _tree_matrix(rank, edges))))
     if family == "F":
         if rank != 4:
             raise DomainError(f"F_{rank} is not a simple root system")
-        m = _chain_matrix(4)
+        m = _tree_matrix(4, _chain(4))
         m[1][2] = -2
         return CartanDatum("F", 4, tuple(map(tuple, m)))
     if rank != 2:

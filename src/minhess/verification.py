@@ -23,7 +23,6 @@ from . import classes, hess, oracle, singular
 from .errors import DomainError, EnumerationBoundError
 from .roots import build_root_system, cartan_datum, from_cartan
 from .weyl import (
-    Composition,
     WeylElement,
     compositions,
     enumerate_min_reps,
@@ -198,13 +197,15 @@ def _levi_compositions(line: Sequence[int], mu: Sequence[int]) -> List[Tuple[int
     """The Levi of des(w) with J_w, read from the one-line of w: the blocks
     of des(w) are the descending runs of w, tau_w sorts each run, and a run's
     sorted values u_1 < ... < u_m carry the composition of m that joins u_k
-    to u_{k+1} = u_k + 1 when both lie in one block of mu."""
-    J = Composition(tuple(mu)).to_J()
+    to u_{k+1} = u_k + 1 when both lie in one block of mu, so the run is cut
+    everywhere else."""
+    block_ends = set(itertools.accumulate(mu))
     ends = [0, *(i for i in range(1, len(line)) if line[i - 1] < line[i]), len(line)]
     out = []
     for u in (sorted(line[a:b]) for a, b in zip(ends, ends[1:]) if b - a > 1):
-        joins = [k for k in range(1, len(u)) if u[k] == u[k - 1] + 1 and u[k - 1] in J]
-        out.append(Composition.from_J(len(u), joins).parts)
+        breaks = (k for k in range(1, len(u)) if u[k] != u[k - 1] + 1 or u[k - 1] in block_ends)
+        cuts = [0, *breaks, len(u)]
+        out.append(tuple(b - a for a, b in zip(cuts, cuts[1:])))
     return out
 
 

@@ -20,6 +20,7 @@ from minhess.weyl import (
     enumerate_min_reps,
     from_one_line,
     longest_element,
+    min_right_coset_rep,
     one_line,
     one_line_str,
 )
@@ -297,14 +298,20 @@ def test_admissible_set_matches_constructive_description(family, rank):
             assert len(by_construction) == sum(hess.poincare_polynomial(cfg))
 
 
-@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3)])
+@pytest.mark.parametrize(
+    "family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
+)
 def test_decomposition_invariants_exhaustive(family, rank):
+    """decompose_admissible reads K off the left descents of w in J; the
+    reference peels W_J off w one reflection at a time."""
     rs = build_root_system(family, rank)
     for size in range(rank + 1):
         for J in itertools.combinations(range(1, rank + 1), size):
             cfg = hess.hess_config(rs, J)
             for w, v, K in hess.enumerate_admissible(cfg):
                 d = hess.decompose_admissible(w, cfg)
+                y, ref_v = min_right_coset_rep(w, J)
+                assert (d.K, d.v) == (y.descents(), ref_v)
                 assert d.v == v and d.K == K
                 assert d.tau * d.y_des == w
                 assert longest_element(rs, d.K) * d.v == w
@@ -371,8 +378,33 @@ def test_config_validation():
     rs = build_root_system("B", 3)
     with pytest.raises(DomainError):
         hess.hess_config(rs, [5])
+    assert hess.hess_config(rs, [1, 3]).mu is None
+    assert hess.hess_config(build_root_system("A", 3), [1, 3]).mu == Composition((2, 2))
     cfg = hess.config_from_mu((2, 1))
     assert cfg.mu == Composition((2, 1)) and sorted(cfg.J) == [1]
+
+
+def test_known_composition_is_answered_without_rebuilding_it(monkeypatch):
+    """A configuration stores its composition once: for an interned mu,
+    neither the configuration nor the type A routes build a Composition or
+    derive one from J again."""
+    cfg = hess.config_from_mu((2, 2))
+    comp = cfg.mu
+    w = (3, 4, 2, 1)
+
+    def answers():
+        return (
+            singular.typeA_fixed_point_smooth(w, (2, 2)),
+            singular.typeA_hess_schubert_smooth(w, (2, 2)),
+            oracle.jacobian_at_fixed_point(w, comp),
+        )
+
+    expect = answers()
+    for name in ("from_J", "__post_init__"):
+        monkeypatch.setattr(Composition, name, lambda *args: pytest.fail("composition rebuilt"))
+    assert hess.config_from_mu((2, 2)).mu is comp
+    assert hess.config_from_mu([2, 2]) is hess.config_from_mu(comp) is cfg
+    assert answers() == expect
 
 
 def test_config_from_mu_is_one_object_per_composition():

@@ -292,8 +292,7 @@ def test_cartan_datum_refuses_a_root_table_past_the_bound_before_building_it(mon
     """A125 has 7875 positive roots of 125 coefficients, just under 10**6
     entries; one rank more passes the bound, in D as in A."""
     assert cartan_datum("A", 125).rank == 125
-    for builder in ("_chain_matrix", "_tree_matrix"):
-        monkeypatch.setattr(roots, builder, lambda *args: pytest.fail("matrix built"))
+    monkeypatch.setattr(roots, "_tree_matrix", lambda *args: pytest.fail("matrix built"))
     for family, rank in (("A", 126), ("D", 101)):
         with pytest.raises(DomainError, match=f"^{family}{rank} root table: "):
             cartan_datum(family, rank)
