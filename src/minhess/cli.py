@@ -22,7 +22,7 @@ import sys
 import traceback
 from decimal import Decimal
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import classes, hess, oracle, singular, verification
 from .errors import DomainError
@@ -61,6 +61,7 @@ def _json_text(value: object, indent: str = "\n") -> str:
 
     With an indent the stdlib encodes in pure Python, token by token.  Here
     lists, tuples and dicts with ``str`` keys are joined in one recursion,
+    ``str`` and ``int`` items and ``str`` dict values are encoded in place,
     and every other value goes to ``json.dumps``, so the text and any error
     are the stdlib's.  Only the stack differs: a value that contains itself
     raises RecursionError (the stdlib: ValueError), and before Python 3.12
@@ -74,12 +75,20 @@ def _json_text(value: object, indent: str = "\n") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [repr(x) if type(x) is int else _json_text(x, inner) for x in value]
+        items = [
+            repr(x) if type(x) is int
+            else _str_text(x) if isinstance(x, str)
+            else _json_text(x, inner)
+            for x in value
+        ]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(value, dict) and all(isinstance(k, str) for k in value):
         if not value:
             return "{}"
-        items = [_str_text(k) + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
+        items = [
+            _str_text(k) + ": " + (_str_text(v) if isinstance(v, str) else _json_text(v, inner))
+            for k, v in sorted(value.items())
+        ]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     # JSON text holds no raw newline, so this re-indents exactly.
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
@@ -307,14 +316,20 @@ def _is_matrix(raw) -> bool:
     )
 
 
-def _u1_entry(text: str) -> Fraction:
-    """One --u1 entry; an exponent past 4300 (json.loads's digit limit on an
-    integer) is refused before Fraction builds 10**exponent."""
+def _u1_entry(raw: object) -> oracle.Entry:
+    """One --u1 entry, a JSON number or string: an int if it is integral
+    (2, "2.0", "4/2"), else a Fraction; an exponent past 4300 (json.loads's
+    digit limit on an integer) is refused before Fraction builds
+    10**exponent."""
+    if type(raw) is int:
+        return raw
+    text = str(raw)
     m = re.search(r"[eE][-+]?([\d_]+)", text)
     digits = m.group(1).replace("_", "").lstrip("0") if m else ""
     if len(digits) > 4 or int(digits or 0) > 4300:
         raise ValueError("--u1 has an entry with an exponent past 4300")
-    return Fraction(text)
+    q = Fraction(text)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _cmd_oracle(args) -> int:
@@ -330,7 +345,7 @@ def _cmd_oracle(args) -> int:
         if not _is_matrix(raw):
             raise ValueError("--u1 must be a JSON list of rows of numbers or strings")
         try:
-            u1 = [[_u1_entry(str(x)) for x in row] for row in raw]
+            u1 = [[_u1_entry(x) for x in row] for row in raw]
         except ZeroDivisionError:
             raise ValueError("--u1 has an entry with a zero denominator") from None
         res = oracle.jacobian_at_cell_point(w, mu, u1)
@@ -379,10 +394,15 @@ def _add_element_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--w", required=True, help="one-line notation (type A) or reflection word")
 
 
-@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process: building it costs
     far more than parsing one command line."""
+    return _parsers()[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The command line parser and each subcommand's own parser, by name."""
     parser = argparse.ArgumentParser(
         prog="minhess",
         description=(
@@ -444,12 +464,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rank", type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with the same namespace, exit
+    code and messages.  A command line that starts with a subcommand's name
+    goes straight to that subcommand's parser, as the top-level parser would
+    hand it over, without the top-level pass over every argument."""
+    parser, subcommands = _parsers()
+    sub = subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         code = args.func(args)
         sys.stdout.flush()  # so a closed pipe is met here, not at exit

@@ -29,7 +29,6 @@ from .weyl import (
     Composition,
     WeylElement,
     _in_parabolic,
-    descent_decomposition,
     enumerate_min_reps,
     from_one_line,
     is_min_rep,
@@ -154,17 +153,26 @@ class AdmissibleDecomposition:
 
 
 def _descent_levi(
-    w: WeylElement, cfg: HessConfig
-) -> Tuple[WeylElement, WeylElement, FrozenSet[int], FrozenSet[int]]:
-    """(tau, y_des, des(w), J_w) for admissible w: w = tau * y_des with tau
-    shortest modulo the descent parabolic, and J_w the simple roots of the
-    Levi of des(w) among tau^{-1}(J)."""
-    tau, y_des = descent_decomposition(w)
-    des = w.descents()
-    if not is_min_rep(tau, cfg.J):
+    w: WeylElement, winv: WeylElement, des: FrozenSet[int], cfg: HessConfig
+) -> Tuple[WeylElement, WeylElement, FrozenSet[int]]:
+    """(tau, y_des, J_w) for admissible w with inverse winv and descents des:
+    w = tau * y_des reduced with tau shortest modulo the descent parabolic,
+    and J_w the simple roots of the Levi of des among tau^{-1}(J)."""
+    rs = cfg.rs
+    N = rs.npos
+    y_des = longest_element(rs, des)
+    tau = w * y_des  # y_des is an involution
+    # y_des is interned, so its canonical word, and with it its length, is
+    # worked out once
+    if tau.length() + len(y_des.word()) != w.length():
+        raise RuntimeError("descent factorization is not reduced")
+    if any(tau.perm[i - 1] >= N for i in des):
+        raise RuntimeError("tau is not a shortest left coset representative")
+    tau_inv = tuple(map(y_des.perm.__getitem__, winv.perm))  # y_des * w^-1
+    # tau_inv[j - 1] is the index of tau^{-1}(alpha_j)
+    if any(tau_inv[j - 1] >= N for j in cfg.J):
         raise RuntimeError("tau is not a shortest right coset representative mod J")
-    tau_inv = tau.inverse().perm
-    return tau, y_des, des, _simple_among(cfg.rs, (tau_inv[j - 1] for j in cfg.J), des)
+    return tau, y_des, _simple_among(rs, (tau_inv[j - 1] for j in cfg.J), des)
 
 
 def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposition:
@@ -182,7 +190,8 @@ def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposi
     delta = _simple_among(rs, v.perm[: rs.rank], cfg.J)
     if not K <= delta:
         raise RuntimeError("K is not contained in Delta(v)")
-    tau, y_des, des, Jw = _descent_levi(w, cfg)
+    des = w.descents()
+    tau, y_des, Jw = _descent_levi(w, winv, des, cfg)
     # consistency of the two factorizations: y_des(alpha_k) for k in J_w
     # against v^{-1}(-alpha_k) for k in K
     vinv = winv * y
@@ -245,7 +254,8 @@ def closure_intersecting_cells(w: WeylElement, cfg: HessConfig) -> Tuple[Closure
     counts the cosets W_{J_w} \\ W_{des(w)}.
     """
     require_admissible(w, cfg)
-    tau, _, des, Jw = _descent_levi(w, cfg)
+    des = w.descents()
+    tau, _, Jw = _descent_levi(w, w.inverse(), des, cfg)
     known: Dict[int, Tuple[int, ...]] = {}
     cells = (
         ClosureCell(v=tau * x, x=x, dim=len(x.descents()))

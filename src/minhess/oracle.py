@@ -19,10 +19,10 @@ on them refuses a point outside the variety for both Jacobians and the
 closed form, and is the whole of the admissibility check.  Every entry point
 sets up its chart the same way, and no result from ``hess`` is consulted.
 
-Entries stay ``int`` wherever the inputs are integers, as they always are
-with the default eigenvalues, and are ``Fraction`` only where a rational
-eigenvalue or a translate u1 brings one in.  X is built once per composition
-and eigenvalues, as an immutable table.
+Entries stay ``int`` unless an eigenvalue or an entry of a translate u1 is
+non-integral, and only then are ``Fraction``: with the default eigenvalues
+and an integral u1 (the identity among them) every entry is an ``int``.  X is
+built once per composition and eigenvalues, as an immutable table.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def _unipotent_conjugate(U: Matrix, M: Matrix) -> Matrix:
     """U^-1 M U for unit upper triangular U, solving U R = M U from the last
     row up; the unit diagonal means no step divides."""
     n = len(U)
-    R = [[sum((M[i][k] * U[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+    R = [[sum(M[i][k] * U[k][j] for k in range(n)) for j in range(n)]
          for i in range(n)]
     for i in range(n - 2, -1, -1):
         for k in range(i + 1, n):
@@ -114,6 +114,8 @@ def require_size(n: int) -> None:
 
 def _exact(value) -> Entry:
     """value as an int if it is an integer, else as a Fraction."""
+    if type(value) is int:
+        return value
     q = Fraction(value)
     return q.numerator if q.denominator == 1 else q
 
@@ -313,10 +315,12 @@ def jacobian_at_cell_point(
     The chart is recentered by conjugating the regular element by u1 first,
     since (U P)^-1 X (U P) = P^-1 (U^-1 X U) P; the recentered chart's
     constant terms decide whether the translated point lies in the variety.
+    Entries stay ``int`` unless an eigenvalue or an entry of u1 is
+    non-integral, so an integral u1 gives the fixed point's entry types.
     """
     X, cfg, rows, cols = _chart(w, mu, s_values)
     n = len(X)
-    U = [[Fraction(x) for x in row] for row in u1]
+    U = [[_exact(x) for x in row] for row in u1]
     if len(U) != n or any(len(row) != n for row in U):
         raise DomainError("u1 has the wrong shape")
     for i in range(n):

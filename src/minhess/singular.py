@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import factorial
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, EnumerationBoundError
 from .hess import HessConfig, decompose_admissible, require_admissible, typeA_point
@@ -79,33 +79,47 @@ class SmoothnessVerdict:
 
 def _normalize(datum: CartanDatum, K: Iterable[int]) -> Tuple[str, int, FrozenSet[int]]:
     """Check K against the component and normalize degenerate ranks before
-    table lookup: C_2 is B_2 with the chain read from the long root.
-    Returns (family, rank, relabeled K)."""
+    table lookup.  Returns (family, rank, relabeled K)."""
     Kset = frozenset(K)
     if not Kset <= set(range(1, datum.rank + 1)):
         raise DomainError("K is not a subset of the component's simple roots")
+    family, rank, relabel = _table_labels(datum)
+    return family, rank, relabel(Kset)
+
+
+def _table_labels(
+    datum: CartanDatum,
+) -> Tuple[str, int, Callable[[Iterable[int]], FrozenSet[int]]]:
+    """The family and rank the tables know a canonically labeled component
+    by, and the map of a K into their labels: C_2 is B_2 with the chain
+    read from the long root."""
     if datum != cartan_datum(datum.family, datum.rank):
         raise DomainError(
             f"{datum.name} is not canonically labeled; classify it first"
         )
     if datum.name == "C2":
         # the long root moves from the alpha_2 end to the alpha_1 end
-        return "B", 2, frozenset(3 - k for k in Kset)
-    return datum.family, datum.rank, Kset
+        return "B", 2, lambda K: frozenset(3 - k for k in K)
+    return datum.family, datum.rank, frozenset
 
 
 def w_star_member(component: CartanDatum, K: Iterable[int]) -> bool:
     """Whether the fixed point indexed by K is singular in the component's
     Peterson variety.  K uses the component's canonical 1-based labels."""
     family, rank, Kset = _normalize(component, K)
+    return Kset not in _smooth_K(family, rank)
+
+
+def _smooth_K(family: str, rank: int) -> FrozenSet[FrozenSet[int]]:
+    """The K, in the tables' labels, whose fixed point is smooth: the whole
+    of Delta, and the walls Delta minus an end node in type A and Delta
+    minus alpha_1 in type B; every other K is singular."""
     full = frozenset(range(1, rank + 1))
-    if Kset == full:
-        return False
     if family == "A":
-        return Kset not in (full - {1}, full - {rank})
+        return frozenset((full, full - {1}, full - {rank}))
     if family == "B":
-        return Kset != full - {1}
-    return True
+        return frozenset((full, full - {1}))
+    return frozenset((full,))
 
 
 def w_star_star_member(component: CartanDatum, K: Iterable[int]) -> bool:
@@ -205,11 +219,12 @@ def contains_pattern(seq: Sequence[int], pattern: Sequence[int]) -> Optional[Tup
 
 def _block_windows(w_line: Sequence[int], mu: Composition) -> List[Tuple[int, Tuple[int, ...]]]:
     """Per block: (block number, positions of its values in the one-line)."""
-    pos = {v: i for i, v in enumerate(w_line)}
-    out = []
-    for p, (lo, hi) in enumerate(mu.blocks(), start=1):
-        out.append((p, tuple(sorted(pos[v] for v in range(lo, hi + 1)))))
-    return out
+    pos = [0] * (len(w_line) + 1)  # pos[v]: the position of the value v
+    for i, v in enumerate(w_line):
+        pos[v] = i
+    return [
+        (p, tuple(sorted(pos[lo : hi + 1]))) for p, (lo, hi) in enumerate(mu.blocks(), start=1)
+    ]
 
 
 def typeA_fixed_point_smooth(w, mu) -> SmoothnessVerdict:
@@ -314,13 +329,15 @@ def peterson_singular_locus(component: CartanDatum) -> Tuple[Tuple[int, ...], ..
         raise EnumerationBoundError(
             f"2^{component.rank} subsets exceed the bound {DEFAULT_PETERSON_BOUND}"
         )
-    out = []
-    universe = sorted(range(1, component.rank + 1))
-    for size in range(component.rank + 1):
-        for K in itertools.combinations(universe, size):
-            if w_star_member(component, K):
-                out.append(K)
-    return tuple(out)
+    family, rank, relabel = _table_labels(component)
+    smooth = _smooth_K(family, rank)
+    universe = range(1, rank + 1)
+    return tuple(
+        K
+        for size in range(rank + 1)
+        for K in itertools.combinations(universe, size)
+        if relabel(K) not in smooth
+    )
 
 
 # -- the shared-linear-term case table ----------------------------------------

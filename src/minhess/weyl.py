@@ -382,9 +382,15 @@ class Composition:
         return frozenset(i for i in range(1, self.n) if i not in cuts)
 
     def blocks(self) -> Tuple[Tuple[int, int], ...]:
-        """Value ranges (lo, hi), inclusive, of the blocks."""
-        ends = accumulate(self.parts)
-        return tuple((end - p + 1, end) for p, end in zip(self.parts, ends))
+        """Value ranges (lo, hi), inclusive, of the blocks, worked out on the
+        first call: a configuration keeps one composition, so every query on
+        it reads the same ranges."""
+        blocks = self.__dict__.get("_blocks")
+        if blocks is None:
+            ends = accumulate(self.parts)
+            blocks = tuple((end - p + 1, end) for p, end in zip(self.parts, ends))
+            object.__setattr__(self, "_blocks", blocks)
+        return blocks
 
     @staticmethod
     def from_J(n: int, J: Iterable[int]) -> "Composition":

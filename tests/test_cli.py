@@ -614,6 +614,12 @@ SYSTEMS = [("A", r) for r in range(1, 7)] + [(f, r) for f in "BC" for r in range
 ]
 
 
+SUBCOMMANDS = [
+    "admissible", "decompose", "closure", "fixed-point-smooth", "peterson-singular-locus",
+    "count-smooth", "class", "oracle", "verify",
+]
+
+
 def random_argv(rng):
     """One command line over all nine subcommands, with ranks up to 6 and a
     fair share of malformed values."""
@@ -642,10 +648,7 @@ def random_argv(rng):
             pick(ELEMENT_TEXTS), ",".join(map(str, word)), ",".join(f"s{i}" for i in word),
         ])]
 
-    command = pick([
-        "admissible", "decompose", "closure", "fixed-point-smooth", "peterson-singular-locus",
-        "count-smooth", "class", "oracle", "verify",
-    ])
+    command = pick(SUBCOMMANDS)
     if command == "admissible":
         return [command, *config] + (["--list"] if rng.random() < 0.5 else [])
     if command in ("decompose", "fixed-point-smooth"):
@@ -687,6 +690,34 @@ def test_random_command_lines_fail_cleanly(capsys):
             assert out == "", argv
             assert err.count("\n") == 1, argv
             assert json.loads(err)["error"]["kind"] in ("domain", "input"), argv
+
+
+def parse_outcome(capsys, parse, argv):
+    """The namespace ``parse`` gives, or the exit code and both streams of
+    the exit it ends in."""
+    try:
+        args = parse(list(argv))
+    except SystemExit as exc:
+        return ("exit", exc.code, *capsys.readouterr())
+    return ("parsed", vars(args), *capsys.readouterr())
+
+
+def test_subcommand_dispatch_matches_the_top_level_parse(capsys):
+    """A command line that starts with a subcommand goes straight to its
+    parser; every outcome is the top-level parse's, exit messages included."""
+    from minhess.cli import _parse_args, build_parser
+
+    rng = random.Random(0)
+    argvs = [random_argv(rng) for _ in range(1000)]
+    argvs += [[], ["-h"], ["nonsense"], *([command, "-h"] for command in SUBCOMMANDS)]
+    argvs += [
+        ["decompose", "--mu", "2,2"],
+        ["decompose", "--mu", "2,2", "--w", "1", "--bogus"],
+        ["admissible", "--fam", "A", "--rank", "3"],
+    ]
+    for argv in argvs:
+        expected = parse_outcome(capsys, build_parser().parse_args, argv)
+        assert parse_outcome(capsys, _parse_args, argv) == expected, argv
 
 
 def fresh_process(argv, **kwargs):

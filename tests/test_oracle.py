@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minhess import hess, oracle, singular
+from minhess.cli import _u1_entry, main
 from minhess.errors import DomainError
 from minhess.weyl import compositions, from_one_line, one_line
 
@@ -319,10 +320,15 @@ def test_default_eigenvalue_jacobians_hold_ints():
                     assert {type(x) for row in res.matrix for x in row} <= {Fraction}
 
 
+def typed_rows(res):
+    return [[(k, x, type(x)) for k, x in row] for row in res.sparse_rows]
+
+
 def test_rational_eigenvalues_and_cell_points_give_fractions():
-    """A rational eigenvalue gives the Fraction eigenvalue differences, a
-    translate u1 gives Fractions throughout, and either compares equal to
-    the int Jacobian wherever the values agree."""
+    """A rational eigenvalue gives the Fraction eigenvalue differences and a
+    non-integral translate u1 gives Fractions, either comparing equal to the
+    int Jacobian wherever the values agree; an integral translate keeps the
+    fixed point's int entries."""
     w, mu = (1, 3, 2, 4), (3, 1)
     res = oracle.jacobian_at_fixed_point(w, mu, s_values=[Fraction(1, 2), Fraction(-1, 3)])
     closed = oracle.linear_terms_closed_form(w, mu, s_values=["1/2", "-1/3"])
@@ -339,13 +345,30 @@ def test_rational_eigenvalues_and_cell_points_give_fractions():
     assert {type(x) for row in res.matrix for x in row} == {Fraction}
     at_fixed = oracle.jacobian_at_fixed_point(w, mu)
     assert oracle.jacobian_at_fixed_point(w, mu, s_values=[Fraction(1), Fraction(-1)]) == at_fixed
+    assert entry_types(at_fixed) == {int}
     eye = [[int(i == j) for j in range(4)] for i in range(4)]
-    at_cell = oracle.jacobian_at_cell_point(w, mu, eye)
-    assert entry_types(at_cell) == {Fraction} and entry_types(at_fixed) == {int}
-    assert dataclasses.replace(at_cell, note="") == at_fixed
-    assert at_cell.matrix == at_fixed.matrix
+    shifted = [row[:] for row in eye]
+    shifted[0][2] = 2  # a translate whose Jacobian is the fixed point's
+    for u1 in (eye, shifted):
+        for spelled in (u1, [[Fraction(x) for x in row] for row in u1]):
+            at_cell = oracle.jacobian_at_cell_point(w, mu, spelled)
+            assert dataclasses.replace(at_cell, note="") == at_fixed
+            assert typed_rows(at_cell) == typed_rows(at_fixed)
+            assert at_cell.matrix == at_fixed.matrix
     moved = oracle.jacobian_at_cell_point((3, 2, 1, 4), (2, 2), chart_translate(Fraction(1, 2), 1))
-    assert entry_types(moved) == {Fraction} and moved.is_smooth
+    # Fractions where the entry 1/2 reaches, ints elsewhere
+    assert entry_types(moved) == {int, Fraction} and moved.is_smooth
+
+
+def test_integral_u1_entries_print_the_same_bytes(capsys):
+    """An integral --u1 entry reads as the same int however it is written."""
+    assert {(x, type(x)) for x in map(_u1_entry, (2, 2.0, "2.0", "4/2"))} == {(2, int)}
+    outputs = set()
+    for entry in ("2", '"2.0"', '"4/2"', "2.0"):
+        u1 = f"[[1,{entry},0],[0,1,0],[0,0,1]]"
+        assert main(["oracle", "--mu", "2,1", "--w", "213", "--u1", u1]) == 0
+        outputs.add(capsys.readouterr().out)
+    assert len(outputs) == 1
 
 
 def test_jacobian_regression_s2():

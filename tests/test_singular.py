@@ -140,6 +140,34 @@ def test_peterson_singular_locus_examples():
         singular.peterson_singular_locus(cartan_datum("A", 21))
 
 
+def test_peterson_singular_locus_is_the_plain_scan():
+    """The locus validates its component once and applies the rule per K;
+    it agrees with asking w_star_member of every subset in order, for every
+    family up to rank 8 and for C2 passed in directly rather than through
+    ``parabolic`` (which hands a rank-2 double bond over as B2)."""
+    from minhess.roots import CartanDatum
+
+    data = []
+    for family in "ABCDEFG":
+        for rank in range(1, 9):
+            try:
+                data.append(cartan_datum(family, rank))
+            except DomainError:
+                pass
+    c2 = cartan_datum("C", 2)
+    data.append(CartanDatum(c2.family, c2.rank, c2.matrix))
+    for datum in data:
+        subsets = [
+            K for size in range(datum.rank + 1)
+            for K in itertools.combinations(range(1, datum.rank + 1), size)
+        ]
+        expected = tuple(K for K in subsets if singular.w_star_member(datum, K))
+        assert singular.peterson_singular_locus(datum) == expected, datum.name
+    backwards_b2 = CartanDatum("B", 2, ((2, -1), (-2, 2)))
+    with pytest.raises(DomainError):
+        singular.peterson_singular_locus(backwards_b2)
+
+
 def test_peterson_fixed_points_b4_example():
     b4 = build_root_system("B", 4)
     sub = parabolic(b4, [1, 2, 4])
