@@ -33,15 +33,58 @@ from .weyl import Composition, WeylElement, from_one_line, one_line_str
 # -- serialization helpers ---------------------------------------------------
 
 
-def _frac(q: Fraction) -> Dict[str, str]:
-    return {"num": str(q.numerator), "den": str(q.denominator)}
+_str_text = json.encoder.encode_basestring_ascii
 
 
-def _element(w: WeylElement) -> Dict[str, object]:
-    out: Dict[str, object] = {"word": list(w.word())}
-    if w.rs.cartan.family == "A":
-        out["one_line"] = one_line_str(w)
-    return out
+class _Rational:
+    """A rational in an answer, written as ``{"den": "...", "num": "..."}``."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: str, den: str):
+        self.num = num
+        self.den = den
+
+    def json_text(self, indent: str) -> str:
+        inner = indent + "  "
+        return f'{{{inner}"den": "{self.den}",{inner}"num": "{self.num}"{indent}}}'
+
+
+def _frac(q: oracle.Entry) -> _Rational:
+    """The leaf of an int or a Fraction."""
+    return _Rational(str(q.numerator), str(q.denominator))
+
+
+_ZERO = _frac(0)
+
+
+class _Element:
+    """A Weyl element in an answer, written as ``{"one_line": ..., "word":
+    [...]}``: its canonical word, and its one-line text in type A only."""
+
+    __slots__ = ("word", "one_line")
+
+    def __init__(self, word: Tuple[int, ...], one_line: Optional[str]):
+        self.word = word
+        self.one_line = one_line
+
+    def json_text(self, indent: str) -> str:
+        inner = indent + "  "
+        if self.word:
+            letters = inner + "  "
+            # the tuple's repr, "(1, 2, 3)" or "(1,)", spells every letter at C speed
+            spelled = repr(self.word)[1:-1].rstrip(",").replace(", ", "," + letters)
+            word = "[" + letters + spelled + inner + "]"
+        else:
+            word = "[]"
+        if self.one_line is None:
+            return f'{{{inner}"word": {word}{indent}}}'
+        one_line = _str_text(self.one_line)
+        return f'{{{inner}"one_line": {one_line},{inner}"word": {word}{indent}}}'
+
+
+def _element(w: WeylElement) -> _Element:
+    return _Element(w.word(), one_line_str(w) if w.rs.cartan.family == "A" else None)
 
 
 def _verdict(v: singular.SmoothnessVerdict) -> Dict[str, object]:
@@ -52,9 +95,6 @@ def _verdict(v: singular.SmoothnessVerdict) -> Dict[str, object]:
     }
 
 
-_str_text = json.encoder.encode_basestring_ascii
-
-
 def _json_text(value: object, indent: str = "\n") -> str:
     """The text of ``json.dumps(value, indent=2, sort_keys=True)``; ``indent``
     is the line break and indentation at which ``value`` sits.
@@ -62,15 +102,21 @@ def _json_text(value: object, indent: str = "\n") -> str:
     With an indent the stdlib encodes in pure Python, token by token.  Here
     lists, tuples and dicts with ``str`` keys are joined in one recursion,
     ``str`` and ``int`` items and ``str`` dict values are encoded in place,
-    and every other value goes to ``json.dumps``, so the text and any error
-    are the stdlib's.  Only the stack differs: a value that contains itself
-    raises RecursionError (the stdlib: ValueError), and before Python 3.12
-    the recursion stops near 500 levels of nesting (the stdlib: 1000).
+    and the two leaves of an answer write their own text: an ``_Element``
+    (a Weyl element) as the dict ``{"one_line": ..., "word": [...]}`` and
+    a ``_Rational`` as ``{"den": ..., "num": ...}``.  Every other value goes
+    to ``json.dumps``, so the text and any error are the stdlib's; there a
+    leaf, which subclasses no JSON type, is a TypeError.  Only the stack
+    differs: a value that contains itself raises RecursionError (the
+    stdlib: ValueError), and before Python 3.12 the recursion stops near 500
+    levels of nesting (the stdlib: 1000).
     """
     if isinstance(value, str):
         return _str_text(value)
     if type(value) is int:
         return repr(value)
+    if isinstance(value, (_Element, _Rational)):
+        return value.json_text(indent)
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
         if not value:
@@ -81,15 +127,21 @@ def _json_text(value: object, indent: str = "\n") -> str:
             else _json_text(x, inner)
             for x in value
         ]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
+        # brackets go onto the end items and keys beside their values, so
+        # that no level copies a whole child's text before its one join
+        items[0] = "[" + inner + items[0]
+        items[-1] += indent + "]"
+        return ("," + inner).join(items)
     if isinstance(value, dict) and all(isinstance(k, str) for k in value):
         if not value:
             return "{}"
-        items = [
-            _str_text(k) + ": " + (_str_text(v) if isinstance(v, str) else _json_text(v, inner))
-            for k, v in sorted(value.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
+        parts: List[str] = []
+        for k, v in sorted(value.items()):
+            text = _str_text(v) if isinstance(v, str) else _json_text(v, inner)
+            parts += ("," + inner, _str_text(k), ": ", text)
+        parts[0] = "{" + inner
+        parts.append(indent + "}")
+        return "".join(parts)
     # JSON text holds no raw newline, so this re-indents exactly.
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
 
@@ -332,6 +384,14 @@ def _u1_entry(raw: object) -> oracle.Entry:
     return q.numerator if q.denominator == 1 else q
 
 
+def _dense_row(entries: Sequence[Tuple[int, oracle.Entry]], width: int) -> List[_Rational]:
+    """A sparse Jacobian row as leaves, with one shared leaf for zero."""
+    row = [_ZERO] * width
+    for k, x in entries:
+        row[k] = _frac(x)
+    return row
+
+
 def _cmd_oracle(args) -> int:
     mu = Composition(tuple(_ints(args.mu)))
     cfg = hess.config_from_mu(mu)
@@ -354,7 +414,7 @@ def _cmd_oracle(args) -> int:
     payload = {
         "rows": res.rows,
         "cols": res.cols,
-        "matrix": [[_frac(x) for x in row] for row in res.matrix],
+        "matrix": [_dense_row(entries, len(res.cols)) for entries in res.sparse_rows],
         "rank": res.rank,
         "full_rank": res.rank == len(res.rows),
         "verdict": res.verdict,

@@ -108,17 +108,19 @@ def delta_v(v: WeylElement, cfg: HessConfig) -> FrozenSet[int]:
     _require_same_system(v, cfg)
     if not is_min_rep(v, cfg.J):
         raise DomainError("delta_v requires a shortest right coset representative")
-    return _simple_among(cfg.rs, v.perm[: cfg.rs.rank], cfg.J)
+    return _simple_among(cfg.rs, v.perm[: cfg.rs.rank], ~cfg.rs.simple_mask(cfg.J))
 
 
-def _simple_among(rs: RootSystem, ks: Iterable[int], K: FrozenSet[int]) -> FrozenSet[int]:
-    """The simple indices among the positive root indices ks supported on K,
-    where the theory makes every such root simple: v(Delta) meeting J for
+def _simple_among(rs: RootSystem, ks: Iterable[int], outside: int) -> FrozenSet[int]:
+    """The simple indices among the positive root indices ks supported on a
+    set K of simple roots, given the complement outside of K's mask, where
+    the theory makes every such root simple: v(Delta) meeting J for
     Delta(v), tau^{-1}(J) meeting the Levi of des(w) for J_w."""
-    outside = ~rs.simple_mask(K)
-    hits = [k for k in ks if k < rs.npos and not rs.support_mask[k] & outside]
+    N, support = rs.npos, rs.support_mask
+    hits = [k for k in ks if k < N and not support[k] & outside]
     if any(k >= rs.rank for k in hits):
-        raise RuntimeError(f"a root supported on {sorted(K)} is not simple")
+        K = [i + 1 for i in range(rs.rank) if not outside >> i & 1]
+        raise RuntimeError(f"a root supported on {K} is not simple")
     return frozenset(k + 1 for k in hits)
 
 
@@ -172,7 +174,7 @@ def _descent_levi(
     # tau_inv[j - 1] is the index of tau^{-1}(alpha_j)
     if any(tau_inv[j - 1] >= N for j in cfg.J):
         raise RuntimeError("tau is not a shortest right coset representative mod J")
-    return tau, y_des, _simple_among(rs, (tau_inv[j - 1] for j in cfg.J), des)
+    return tau, y_des, _simple_among(rs, (tau_inv[j - 1] for j in cfg.J), ~rs.simple_mask(des))
 
 
 def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposition:
@@ -187,7 +189,7 @@ def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposi
     v = y * w  # y is an involution
     if not is_min_rep(v, cfg.J):
         raise RuntimeError("coset factor is not the longest element of its support")
-    delta = _simple_among(rs, v.perm[: rs.rank], cfg.J)
+    delta = _simple_among(rs, v.perm[: rs.rank], ~rs.simple_mask(cfg.J))
     if not K <= delta:
         raise RuntimeError("K is not contained in Delta(v)")
     des = w.descents()
@@ -217,16 +219,21 @@ def _admissible(
 
     Every w carries its canonical word: v's comes from the enumeration, and
     the others share one table of stripped prefixes, which lives as long as
-    this generator."""
+    this generator, as does the table of the y_K by K."""
     gens = sorted(gens)
     idx = [i - 1 for i in gens]
+    outside = ~rs.simple_mask(J)
     known: Dict[int, Tuple[int, ...]] = {}
+    ys: Dict[Tuple[int, ...], WeylElement] = {}
     for v in enumerate_min_reps(rs, J, within=gens):
-        dv = sorted(_simple_among(rs, map(v.perm.__getitem__, idx), J))
+        dv = sorted(_simple_among(rs, map(v.perm.__getitem__, idx), outside))
         yield v, v, frozenset()
         for size in range(1, len(dv) + 1):
             for K in itertools.combinations(dv, size):
-                w = longest_element(rs, K) * v
+                y = ys.get(K)
+                if y is None:
+                    y = ys[K] = longest_element(rs, K)
+                w = y * v
                 w.word(known)
                 yield w, v, frozenset(K)
 
@@ -316,9 +323,10 @@ def poincare_polynomial(cfg: HessConfig) -> Tuple[int, ...]:
     without building them; the coefficients sum to the number of admissible
     elements.  DEFAULT_ENUMERATION_BOUND counts the cosets W_J \\ W."""
     rs = cfg.rs
+    outside = ~rs.simple_mask(cfg.J)
     coeffs: Counter = Counter()
     for v in enumerate_min_reps(rs, cfg.J):
-        m = len(_simple_among(rs, v.perm[: rs.rank], cfg.J))
+        m = len(_simple_among(rs, v.perm[: rs.rank], outside))
         d = len(v.descents())
         for s in range(m + 1):
             coeffs[d + s] += comb(m, s)

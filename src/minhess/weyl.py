@@ -127,7 +127,7 @@ class WeylElement:
             head: Tuple[int, ...] = ()
             while inv:
                 if known is not None:
-                    key = sum([1 << k for k in inv])
+                    key = sum(map((1).__lshift__, inv))
                     if key in known:
                         head = known[key]
                         break
@@ -262,7 +262,11 @@ def _level_order(
     simple root of J.
     """
     N = rs.npos
-    steps = [(i, rs.simple_perms[i - 1]) for i in sorted(frozenset(gens))]
+    # (i, s_i's permutation, its entries at the simple roots alpha_j, j < i)
+    steps = []
+    for i in sorted(frozenset(gens)):
+        refl = rs.simple_perms[i - 1]
+        steps.append((i, refl, refl[: i - 1]))
     blocked = frozenset(j - 1 for j in J)
     level = [WeylElement.identity(rs)]
     while level:
@@ -270,13 +274,13 @@ def _level_order(
         nxt = []
         for v in level:
             p, word = v.perm, v._word
-            for i, refl in steps:
+            for i, refl, lower in steps:
                 k = p[i - 1]
                 if k >= N or k in blocked:
                     continue
                 # (v s_i)(alpha_j) = v(s_i alpha_j): a descent j < i means
                 # v s_i is reached from its canonical parent instead
-                if max(map(p.__getitem__, refl[: i - 1]), default=-1) >= N:
+                if max(map(p.__getitem__, lower), default=-1) >= N:
                     continue
                 nxt.append(WeylElement(rs, tuple(map(p.__getitem__, refl)), word + (i,)))
         level = nxt

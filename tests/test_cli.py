@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -19,10 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minhess
-from minhess import hess
+from minhess import cli, hess, oracle
 from minhess.cli import _json_text, main
 from minhess.roots import build_root_system
-from minhess.weyl import one_line_str
+from minhess.weyl import WeylElement, one_line_str
 
 
 def run(capsys, *argv):
@@ -125,6 +126,108 @@ def test_json_text_is_the_stdlib_text(value):
         assert type(raised.value) is type(exc)
     else:
         assert _json_text(value) == expected
+
+
+def element_dict(w):
+    """An element as a plain dict: its canonical word and, in type A, its
+    one-line text; the CLI writes its element leaf as this dict's text."""
+    out = {"word": list(w.word())}
+    if w.rs.cartan.family == "A":
+        out["one_line"] = one_line_str(w)
+    return out
+
+
+def stdlib_text(value, indent):
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
+
+
+@pytest.mark.parametrize("family, rank, J, limit", [
+    ("G", 2, (), None),
+    ("A", 9, (1, 2, 5), 3000),
+    ("E", 6, (1, 3, 5), 1000),
+])
+def test_element_leaf_text_is_the_dict_text(family, rank, J, limit):
+    """G2 J=() holds the identity (the empty word), and every A9 element has
+    a bracketed one-line text (n = 10); A9 and E6 are checked on a prefix of
+    the enumeration."""
+    cfg = hess.hess_config(build_root_system(family, rank), J)
+    for w, _, _ in itertools.islice(hess.enumerate_admissible(cfg), limit):
+        for indent in ("\n", "\n      "):
+            assert _json_text(cli._element(w), indent) == stdlib_text(element_dict(w), indent)
+
+
+@pytest.mark.parametrize("q", [0, 1, -1, -7, 10**30, Fraction(1, 2), Fraction(-3, 4), Fraction(-10**20, 3)])
+def test_rational_leaf_text_is_the_dict_text(q):
+    as_dict = {"num": str(Fraction(q).numerator), "den": str(Fraction(q).denominator)}
+    for indent in ("\n", "\n      "):
+        assert _json_text(cli._frac(q), indent) == stdlib_text(as_dict, indent)
+
+
+def test_a_leaf_is_no_json_value_to_the_stdlib():
+    """Past the writer's own recursion a leaf is an unknown object, so it
+    fails as any non-JSON value does, never as a list or a number."""
+    with pytest.raises(Exception) as stdlib:
+        json.dumps({1: Fraction(1, 2)}, indent=2, sort_keys=True)
+    w = WeylElement.from_word(build_root_system("A", 2), [1, 2])
+    for leaf in (cli._element(w), cli._frac(Fraction(1, 2)), cli._frac(3)):
+        for value in ({1: leaf}, [{"a": {2: leaf}}]):
+            with pytest.raises(Exception) as raised:
+                _json_text(value)
+            assert type(raised.value) is type(stdlib.value)
+
+
+def admissible_list_reference(family, rank, J):
+    """The text of ``admissible --list``, rendered by json.dumps over plain
+    dicts built here."""
+    cfg = hess.hess_config(build_root_system(family, rank), J)
+    config = {"family": family, "rank": rank, "J": sorted(J)}
+    if cfg.mu is not None:
+        config["mu"] = list(cfg.mu.parts)
+    elements = [element_dict(w) for w, _, _ in hess.enumerate_admissible(cfg)]
+    doc = {
+        "command": "admissible",
+        "config": config,
+        "payload": {"count": len(elements), "elements": elements},
+        "citations": ["cell-nonemptiness-criterion"],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("family, rank, J", [
+    ("C", 5, (2, 4)), ("A", 7, (1, 2, 3, 5, 6)), ("B", 5, (1, 3, 5)),
+    ("D", 5, (1, 3, 5)), ("F", 4, (1, 3)), ("G", 2, (1,)),
+], ids=str)
+def test_admissible_list_is_the_dict_text(capsys, family, rank, J):
+    """The coset listings other than E6, whose digest is pinned with the heavy
+    outputs."""
+    J_text = ",".join(map(str, J))
+    code, out, _ = run(capsys, "admissible", "--family", family, "--rank", str(rank), "--J", J_text, "--list")
+    assert code == 0
+    # compared line by line: pytest's diff of two megabyte strings takes minutes
+    assert out.splitlines(keepends=True) == admissible_list_reference(family, rank, J).splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("mu, w, u1", [
+    ("3,1", "1324", None),
+    ("2,2", "3214", '[[1,0,"-1/2",0],[0,1,1,0],[0,0,1,0],[0,0,0,1]]'),
+    ("2,1,2", "31254", '[[1,"1/3",0,0,0],[0,1,0,0,0],[0,0,1,"-2",0],[0,0,0,1,0],[0,0,0,0,1]]'),
+])
+def test_oracle_matrix_is_the_dense_fraction_text(capsys, mu, w, u1):
+    """The printed Jacobian is the dense matrix of JacobianResult, each entry
+    a {"num", "den"} dict, in the stdlib's text."""
+    argv = ["oracle", "--mu", mu, "--w", w] + (["--u1", u1] if u1 else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    parts = tuple(map(int, mu.split(",")))
+    if u1:
+        u1_matrix = [[cli._u1_entry(x) for x in row] for row in json.loads(u1)]
+        res = oracle.jacobian_at_cell_point(tuple(map(int, w)), parts, u1_matrix)
+    else:
+        res = oracle.jacobian_at_fixed_point(tuple(map(int, w)), parts)
+    dense = [[{"num": str(x.numerator), "den": str(x.denominator)} for x in row] for row in res.matrix]
+    assert doc["payload"]["matrix"] == dense
 
 
 def test_count_smooth(capsys):
