@@ -29,7 +29,6 @@ from .weyl import (
 from .hess import (
     AdmissibleDecomposition,
     HessConfig,
-    cell_contained_in_closure,
     closure_covers,
     closure_intersecting_cells,
     config_from_mu,
@@ -65,7 +64,6 @@ from .singular import (
 )
 from .oracle import (
     JacobianResult,
-    admissibility_matrix_check,
     jacobian_at_cell_point,
     jacobian_at_fixed_point,
     linear_terms_closed_form,

@@ -11,8 +11,8 @@ serves the whole variety and every Levi: by the Levi correspondence, the
 closure of w's cell is tau_w times the variety of the Levi of des(w) with
 J_w in place of J.  The module is the only owner of the closure order (v's
 cell lies in the closure of w's when des(v) lies in des(w) and w^{-1} v in
-W_des(w)), both for single pairs and as the covering relations among a set
-of cells.
+W_des(w)), which ``closure_covers`` gives as the covering relations among a
+set of cells.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .weyl import (
     Composition,
     WeylElement,
     _in_parabolic,
+    descent_decomposition,
     enumerate_min_reps,
     from_one_line,
     is_min_rep,
@@ -158,18 +159,11 @@ def _descent_levi(
     w: WeylElement, winv: WeylElement, des: FrozenSet[int], cfg: HessConfig
 ) -> Tuple[WeylElement, WeylElement, FrozenSet[int]]:
     """(tau, y_des, J_w) for admissible w with inverse winv and descents des:
-    w = tau * y_des reduced with tau shortest modulo the descent parabolic,
-    and J_w the simple roots of the Levi of des among tau^{-1}(J)."""
+    w = tau * y_des is the descent factorization, and J_w the simple roots
+    of the Levi of des among tau^{-1}(J)."""
     rs = cfg.rs
     N = rs.npos
-    y_des = longest_element(rs, des)
-    tau = w * y_des  # y_des is an involution
-    # y_des is interned, so its canonical word, and with it its length, is
-    # worked out once
-    if tau.length() + len(y_des.word()) != w.length():
-        raise RuntimeError("descent factorization is not reduced")
-    if any(tau.perm[i - 1] >= N for i in des):
-        raise RuntimeError("tau is not a shortest left coset representative")
+    tau, y_des = descent_decomposition(w)
     tau_inv = tuple(map(y_des.perm.__getitem__, winv.perm))  # y_des * w^-1
     # tau_inv[j - 1] is the index of tau^{-1}(alpha_j)
     if any(tau_inv[j - 1] >= N for j in cfg.J):
@@ -284,14 +278,6 @@ def _cells_below(
         k for k, (a, des_a) in enumerate(zip(cells, descents))
         if des_a <= des_b and _in_parabolic(b_inv * a, outside)
     ]
-
-
-def cell_contained_in_closure(v: WeylElement, w: WeylElement, cfg: HessConfig) -> bool:
-    """Whether v's Hessenberg cell lies inside the closure of w's."""
-    require_admissible(w, cfg)
-    if not is_admissible(v, cfg):
-        return False
-    return bool(_cells_below(w, [v], [v.descents()]))
 
 
 def closure_covers(cells: Sequence[WeylElement]) -> List[Tuple[WeylElement, WeylElement]]:

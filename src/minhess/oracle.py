@@ -16,8 +16,8 @@ rows and ranked by exact integer elimination on them, the only elimination
 here.  The rows are the entries the point must leave zero to lie in the
 Hessenberg space, so the chart's constant terms decide membership: one test
 on them refuses a point outside the variety for both Jacobians and the
-closed form, and is the whole of the admissibility check.  Every entry point
-sets up its chart the same way, and no result from ``hess`` is consulted.
+closed form.  Every entry point sets up its chart the same way, and no
+result from ``hess`` is consulted.
 
 Entries stay ``int`` unless an eigenvalue or an entry of a translate u1 is
 non-integral, and only then are ``Fraction``: with the default eigenvalues
@@ -171,11 +171,13 @@ def _chart(
     return X, cfg, rows, cols
 
 
-def _in_variety(base: Matrix, cfg: HessConfig, rows: List[int]) -> bool:
-    """Whether every chart row eta = (i, j) has a zero constant term
-    base[i][j]: the rows eta = w(eps_a - eps_b), a > b + 1, are exactly the
-    entries P^-1 base P must leave zero to lie in the Hessenberg space."""
-    return not any(base[i - 1][j - 1] for i, j in map(cfg.rs.pairs.__getitem__, rows))
+def _require_in_variety(base: Matrix, cfg: HessConfig, rows: List[int], point: str) -> None:
+    """Refuse the point unless every chart row eta = (i, j) has a zero
+    constant term base[i][j]: the rows eta = w(eps_a - eps_b), a > b + 1, are
+    exactly the entries P^-1 base P must leave zero to lie in the Hessenberg
+    space.  The oracle's one membership test."""
+    if any(base[i - 1][j - 1] for i, j in map(cfg.rs.pairs.__getitem__, rows)):
+        raise DomainError(f"the {point} does not lie in the variety")
 
 
 @dataclass(frozen=True)
@@ -228,8 +230,7 @@ def _jacobian_from_conjugation(
     touches only the columns (a, j) with base[i][a] != 0 and (i, b) with
     base[b][j] != 0.  A nonzero constant term puts the point outside the
     variety."""
-    if not _in_variety(base, cfg, rows):
-        raise DomainError(f"the {point} does not lie in the variety")
+    _require_in_variety(base, cfg, rows, point)
     pairs = cfg.rs.pairs
     column = {(a - 1, b - 1): k for k, (a, b) in enumerate(map(pairs.__getitem__, cols))}
     in_row = [[(a, x) for a, x in enumerate(r) if x] for r in base]
@@ -271,8 +272,7 @@ def linear_terms_closed_form(w, mu, s_values: Optional[Sequence] = None) -> Jaco
     commutator of explicit matrices so the two can be compared entrywise.
     """
     X, cfg, rows, cols = _chart(w, mu, s_values)
-    if not _in_variety(X, cfg, rows):
-        raise DomainError("the fixed point does not lie in the variety")
+    _require_in_variety(X, cfg, rows, "fixed point")
     pairs = cfg.rs.pairs
     column = {pairs[gamma]: k for k, gamma in enumerate(cols)}
     block_simples = {(a, a + 1) for a in cfg.J}
@@ -296,15 +296,6 @@ def _structure_constant(
     roots given as pairs (i, j) for eps_i - eps_j."""
     (a, b), (c, d) = gamma, alpha
     return int(b == c and (a, d) == eta) - int(d == a and (c, b) == eta)
-
-
-def admissibility_matrix_check(w, mu) -> bool:
-    """Matrix form of the cell-nonemptiness test, the chart's constant terms
-    at the fixed point: whether X conjugated by the permutation lies in the
-    Hessenberg space.  Like the Jacobians, it refuses n above
-    DEFAULT_SIZE_BOUND."""
-    X, cfg, rows, _ = _chart(w, mu, None)
-    return _in_variety(X, cfg, rows)
 
 
 def jacobian_at_cell_point(

@@ -212,7 +212,7 @@ def _levi_compositions(line: Sequence[int], mu: Sequence[int]) -> List[Tuple[int
 def _oracle_fixed_points(comp: Tuple[int, ...]) -> List[Tuple[int, ...]]:
     """The one-lines, in lexicographic order, of the fixed points whose
     chart has zero constant terms at the regular element X of comp: the
-    points the oracle's admissibility check admits.  Positions are filled
+    points the oracle's membership test admits.  Positions are filled
     in order: placing w(a) finishes the chart rows w(eps_a - eps_b),
     b < a - 1, whose constant terms are X[w(a)][w(b)], and a prefix with a
     nonzero one is dropped with all its completions."""

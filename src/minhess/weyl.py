@@ -4,12 +4,12 @@ An element is stored as the permutation it induces on the 2N root indices of
 its root system (index k < N is the k-th positive root, k + N its negative),
 following W. Casselman, "Machine calculations in Weyl groups" (Invent. Math.
 116, 1994).  Products, inverses, root actions, descents, lengths and type A
-one-line notation are index arithmetic; coefficient tuples enter only through
-``act`` and ``root_pair`` and leave only through ``images``, ``inversions``
-and ``act``.  Words are never part of an element's identity: equality and
-hashing use the permutation only.  The canonical word (least-index greedy
-descent stripping) is computed on demand, or carried along by enumeration;
-a caller that words many elements in one call shares the prefixes it strips.
+one-line notation are index arithmetic; coefficient tuples appear only in
+``act`` and ``root_pair``.  Words are never part of an element's identity:
+equality and hashing use the permutation only.  The canonical word
+(least-index greedy descent stripping) is computed on demand, or carried
+along by enumeration; a caller that words many elements in one call shares
+the prefixes it strips.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class WeylElement:
         self, rs: RootSystem, perm: Tuple[int, ...], word: Optional[Tuple[int, ...]] = None
     ):
         """The element permuting the root indices of rs as perm does, with
-        its canonical word when the caller knows it; validate() checks perm."""
+        its canonical word when the caller knows it."""
         self.rs = rs
         self.perm = perm
         self._word = word
@@ -58,12 +58,6 @@ class WeylElement:
             p = tuple(map(p.__getitem__, _simple_perm(rs, i)))
         return WeylElement(rs, p)
 
-    @property
-    def images(self) -> Tuple[Coeffs, ...]:
-        """Images of the simple roots alpha_1 .. alpha_n."""
-        roots = self.rs.root_list
-        return tuple(roots[k] for k in self.perm[: self.rs.rank])
-
     # -- group structure -------------------------------------------------
 
     def act(self, root: Coeffs) -> Coeffs:
@@ -82,17 +76,7 @@ class WeylElement:
             inv[image] = k
         return WeylElement(self.rs, tuple(inv))
 
-    def validate(self) -> None:
-        """On-demand sanity check: the element permutes the root set."""
-        if sorted(self.perm) != list(range(2 * self.rs.npos)):
-            raise DomainError("perm is not a permutation of the root indices")
-
     # -- combinatorial statistics -----------------------------------------
-
-    def inversions(self) -> FrozenSet[Coeffs]:
-        N = self.rs.npos
-        roots = self.rs.positive_roots
-        return frozenset(roots[k] for k, image in enumerate(self.perm[:N]) if image >= N)
 
     def length(self) -> int:
         N = self.rs.npos
@@ -192,13 +176,6 @@ def is_min_rep(w: WeylElement, J: Iterable[int]) -> bool:
     return all(w.perm.index(j - 1) < w.rs.npos for j in J)
 
 
-def in_parabolic(w: WeylElement, K: Iterable[int]) -> bool:
-    """Whether w lies in the parabolic subgroup generated by K."""
-    Kset = frozenset(K)
-    w.rs.check_simple(Kset)
-    return _in_parabolic(w, ~w.rs.simple_mask(Kset))
-
-
 def _in_parabolic(w: WeylElement, outside: int) -> bool:
     """Whether w lies in W_K, given the complement outside of K's mask: no
     inversion of w has a simple root outside K in its support.  The one
@@ -233,12 +210,14 @@ def min_right_coset_rep(w: WeylElement, J: Iterable[int]) -> Tuple[WeylElement, 
 
 def descent_decomposition(w: WeylElement) -> Tuple[WeylElement, WeylElement]:
     """The reduced factorization w = tau * y_des with tau shortest in its
-    left coset modulo the descent parabolic."""
+    left coset modulo the descent parabolic; the one statement of it."""
     rs = w.rs
     des = w.descents()
     y = longest_element(rs, des)
     tau = w * y  # y is an involution
-    if tau.length() + y.length() != w.length():
+    # y is interned, so its canonical word, and with it its length, is
+    # worked out once
+    if tau.length() + len(y.word()) != w.length():
         raise RuntimeError("descent factorization is not reduced")
     if any(tau.perm[i - 1] >= rs.npos for i in des):
         raise RuntimeError("tau is not a shortest left coset representative")

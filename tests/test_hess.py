@@ -16,7 +16,6 @@ from minhess.weyl import (
     Composition,
     WeylElement,
     compositions,
-    descent_decomposition,
     enumerate_min_reps,
     from_one_line,
     longest_element,
@@ -152,8 +151,10 @@ def assert_carry_canonical_words(elements):
 
 def reference_closure(w, cfg):
     """The walk over the whole descent parabolic: tau_w x for every x in
-    W_{des(w)} with tau_w x admissible, as (v, x, dim, x's word)."""
-    tau, _ = descent_decomposition(w)
+    W_{des(w)} with tau_w x admissible, as (v, x, dim, x's word).  tau_w =
+    w y_des is formed here, not taken from descent_decomposition, which
+    closure_intersecting_cells runs through."""
+    tau = w * longest_element(cfg.rs, w.descents())
     cells = [
         (tau * x, x, len(x.descents()), x.word())
         for x in enumerate_min_reps(cfg.rs, (), within=w.descents())
@@ -266,22 +267,32 @@ def test_closure_of_identity():
     assert len(cells) == 1 and cells[0].v == WeylElement.identity(cfg.rs)
 
 
+def in_closure(v, w, cfg):
+    """Whether v's cell lies in the closure of w's, for admissible w: v is
+    admissible, des(v) lies in des(w), and w^{-1} v lies in W_des(w), which
+    holds when its canonical word uses only letters of des(w)."""
+    des = w.descents()
+    return (
+        hess.is_admissible(v, cfg)
+        and v.descents() <= des
+        and set((w.inverse() * v).word()) <= des
+    )
+
+
 def test_containment_examples():
     cfg = a3_22()
     rs = cfg.rs
     w = from_one_line(rs, (3, 4, 2, 1))
-    assert hess.cell_contained_in_closure(from_one_line(rs, (3, 4, 1, 2)), w, cfg)
-    assert hess.cell_contained_in_closure(w, w, cfg)
-    assert not hess.cell_contained_in_closure(from_one_line(rs, (3, 2, 1, 4)), w, cfg)
+    assert in_closure(from_one_line(rs, (3, 4, 1, 2)), w, cfg)
+    assert in_closure(w, w, cfg)
+    assert not in_closure(from_one_line(rs, (3, 2, 1, 4)), w, cfg)
     # a cell outside the variety lies in no closure
-    assert not hess.cell_contained_in_closure(from_one_line(rs, (3, 2, 4, 1)), w, cfg)
+    assert not in_closure(from_one_line(rs, (3, 2, 4, 1)), w, cfg)
     b4 = build_root_system("B", 4)
     cfgB = hess.hess_config(b4, [1, 2, 4])
     w = WeylElement.from_word(b4, [1, 3, 4])
-    assert not hess.cell_contained_in_closure(
-        WeylElement.from_word(b4, [3, 1]), w, cfgB
-    )
-    assert hess.cell_contained_in_closure(WeylElement.from_word(b4, [3, 4]), w, cfgB)
+    assert not in_closure(WeylElement.from_word(b4, [3, 1]), w, cfgB)
+    assert in_closure(WeylElement.from_word(b4, [3, 4]), w, cfgB)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
@@ -328,12 +339,10 @@ def test_closure_relations_consistency_a3():
     for w in admissible:
         cells = {c.v for c in hess.closure_intersecting_cells(w, cfg)}
         for v in admissible:
-            if hess.cell_contained_in_closure(v, w, cfg):
+            if in_closure(v, w, cfg):
                 assert v in cells
     for a, b in itertools.product(admissible, repeat=2):
-        if hess.cell_contained_in_closure(a, b, cfg) and hess.cell_contained_in_closure(
-            b, a, cfg
-        ):
+        if in_closure(a, b, cfg) and in_closure(b, a, cfg):
             assert a == b
 
 
@@ -432,7 +441,6 @@ B4_IN_C4 = (WeylElement.from_word(B4, [1, 3, 4]), hess.hess_config(C4, [1, 2, 4]
     [
         lambda: singular.typeA_fixed_point_smooth(from_one_line(A4, W_A4), (2, 2)),
         lambda: singular.typeA_hess_schubert_smooth(from_one_line(A4, W_A4), (2, 2)),
-        lambda: oracle.admissibility_matrix_check(from_one_line(A4, W_A4), (2, 2)),
         lambda: oracle.jacobian_at_fixed_point(from_one_line(A4, W_A4), (2, 2)),
         lambda: classes.hess_schubert_class(*B4_IN_C4),
         lambda: hess.decompose_admissible(*B4_IN_C4),
@@ -443,7 +451,6 @@ B4_IN_C4 = (WeylElement.from_word(B4, [1, 3, 4]), hess.hess_config(C4, [1, 2, 4]
     ids=[
         "typeA_fixed_point_smooth",
         "typeA_hess_schubert_smooth",
-        "admissibility_matrix_check",
         "jacobian_at_fixed_point",
         "hess_schubert_class",
         "decompose_admissible",

@@ -35,6 +35,17 @@ def matrix_unit(root):
     return (first, last) if root[first] > 0 else (last, first)
 
 
+def matrix_admissible(w, mu):
+    """Whether the fixed point of w lies in the variety: the chart at w, and
+    the oracle's own membership test on its constant terms at X."""
+    X, cfg, rows, _ = oracle._chart(w, mu, None)
+    try:
+        oracle._require_in_variety(X, cfg, rows, "fixed point")
+    except DomainError:
+        return False
+    return True
+
+
 def matmul(A, B):
     n = len(A)
     return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
@@ -292,7 +303,7 @@ def test_size_bound_is_checked_before_x_is_built(monkeypatch):
 
     monkeypatch.setattr(oracle, "_regular_table", refuse)
     with pytest.raises(DomainError, match="size bound"):
-        oracle.admissibility_matrix_check(range(1, 3001), (3000,))
+        matrix_admissible(range(1, 3001), (3000,))
     with pytest.raises(DomainError, match="size bound"):
         oracle.jacobian_at_fixed_point(range(1, 3001), [3000], s_values=[1])
     with pytest.raises(DomainError, match="size bound"):
@@ -448,7 +459,7 @@ def test_rejects_inadmissible_and_oversize():
     with pytest.raises(DomainError):
         oracle.jacobian_at_fixed_point(tuple(range(7, 0, -1)), (7,))
     with pytest.raises(DomainError, match="size bound"):
-        oracle.admissibility_matrix_check(tuple(range(1, 8)), (7,))
+        matrix_admissible(tuple(range(1, 8)), (7,))
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -487,9 +498,9 @@ def test_oracle_agrees_with_combinatorial_routes(n):
 
 
 def test_admissibility_matrix_examples():
-    assert oracle.admissibility_matrix_check((3, 4, 2, 1), (2, 2))
-    assert not oracle.admissibility_matrix_check((3, 2, 4, 1), (2, 2))
-    assert oracle.admissibility_matrix_check((1, 2, 3, 4), (2, 2))
+    assert matrix_admissible((3, 4, 2, 1), (2, 2))
+    assert not matrix_admissible((3, 2, 4, 1), (2, 2))
+    assert matrix_admissible((1, 2, 3, 4), (2, 2))
 
 
 @pytest.mark.parametrize("n", range(2, oracle.DEFAULT_SIZE_BOUND + 1))
@@ -498,14 +509,12 @@ def test_admissibility_matrix_matches_root_test(n):
         cfg = hess.config_from_mu(mu)
         for perm in itertools.permutations(range(1, n + 1)):
             w = from_one_line(cfg.rs, perm)
-            assert oracle.admissibility_matrix_check(perm, mu) == hess.is_admissible(
-                w, cfg
-            )
+            assert matrix_admissible(perm, mu) == hess.is_admissible(w, cfg)
 
 
 def test_oracle_decides_membership_without_hess(monkeypatch):
     """With hess.is_admissible made to fail in every module that holds it,
-    the Jacobians and the matrix admissibility check still answer inside
+    the Jacobians and the chart's membership test still answer inside
     the variety and refuse outside it: the oracle's membership tests are its
     own."""
     cases = []
@@ -524,7 +533,7 @@ def test_oracle_decides_membership_without_hess(monkeypatch):
     assert sorted(set(inside for _, _, inside in cases)) == [False, True]
     for perm, mu, inside in cases:
         eye = [[int(i == j) for j in range(len(perm))] for i in range(len(perm))]
-        assert oracle.admissibility_matrix_check(perm, mu) == inside
+        assert matrix_admissible(perm, mu) == inside
         for build in (
             oracle.jacobian_at_fixed_point,
             oracle.linear_terms_closed_form,

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from minhess import hess, oracle, singular, verification
+from minhess.errors import DomainError
 from minhess.weyl import Composition, compositions, one_line
 
 
@@ -32,15 +33,26 @@ def test_one_line_levi_compositions_match_the_decomposition(n, monkeypatch):
         assert verification._levi_compositions(line, mu) == expect
 
 
+def matrix_admissible(w, mu):
+    """Whether the fixed point of w lies in the variety: the chart at w, and
+    the oracle's own membership test on its constant terms at X."""
+    X, cfg, rows, _ = oracle._chart(w, mu, None)
+    try:
+        oracle._require_in_variety(X, cfg, rows, "fixed point")
+    except DomainError:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("n", range(2, oracle.DEFAULT_SIZE_BOUND + 1))
 def test_pruned_fixed_points_are_the_ones_the_oracle_admits(n):
     """Filling positions in order and dropping a prefix at its first nonzero
     constant term keeps exactly the permutations, in lexicographic order,
-    that the oracle's admissibility check admits."""
+    whose fixed points the oracle's membership test admits."""
     for mu in compositions(n):
         expect = [
             perm for perm in itertools.permutations(range(1, n + 1))
-            if oracle.admissibility_matrix_check(perm, mu)
+            if matrix_admissible(perm, mu)
         ]
         assert verification._oracle_fixed_points(mu) == expect
 
