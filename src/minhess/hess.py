@@ -155,22 +155,6 @@ class AdmissibleDecomposition:
         return len(self.des)
 
 
-def _descent_levi(
-    w: WeylElement, winv: WeylElement, des: FrozenSet[int], cfg: HessConfig
-) -> Tuple[WeylElement, WeylElement, FrozenSet[int]]:
-    """(tau, y_des, J_w) for admissible w with inverse winv and descents des:
-    w = tau * y_des is the descent factorization, and J_w the simple roots
-    of the Levi of des among tau^{-1}(J)."""
-    rs = cfg.rs
-    N = rs.npos
-    tau, y_des = descent_decomposition(w)
-    tau_inv = tuple(map(y_des.perm.__getitem__, winv.perm))  # y_des * w^-1
-    # tau_inv[j - 1] is the index of tau^{-1}(alpha_j)
-    if any(tau_inv[j - 1] >= N for j in cfg.J):
-        raise RuntimeError("tau is not a shortest right coset representative mod J")
-    return tau, y_des, _simple_among(rs, (tau_inv[j - 1] for j in cfg.J), ~rs.simple_mask(des))
-
-
 def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposition:
     """w = y_K v, where K, the left descents of w in J, are those of its W_J
     factor (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4): v = y_K w
@@ -187,7 +171,13 @@ def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposi
     if not K <= delta:
         raise RuntimeError("K is not contained in Delta(v)")
     des = w.descents()
-    tau, y_des, Jw = _descent_levi(w, winv, des, cfg)
+    tau, y_des = descent_decomposition(w)
+    tau_inv = tuple(map(y_des.perm.__getitem__, winv.perm))  # y_des * w^-1
+    # tau_inv[j - 1] is the index of tau^{-1}(alpha_j)
+    if any(tau_inv[j - 1] >= rs.npos for j in cfg.J):
+        raise RuntimeError("tau is not a shortest right coset representative mod J")
+    # J_w: the simple roots of the Levi of des among tau^{-1}(J)
+    Jw = _simple_among(rs, (tau_inv[j - 1] for j in cfg.J), ~rs.simple_mask(des))
     # consistency of the two factorizations: y_des(alpha_k) for k in J_w
     # against v^{-1}(-alpha_k) for k in K
     vinv = winv * y
@@ -198,7 +188,8 @@ def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposi
     vinv_K = frozenset(vinv.perm[k - 1] + 1 for k in K)
     if any(i > rs.rank for i in vinv_K):
         raise RuntimeError("v^{-1}(K) is not a set of simple roots")
-    if des != v.descents() | vinv_K or (v.descents() & vinv_K):
+    v_des = v.descents()
+    if des != v_des | vinv_K or v_des & vinv_K:
         raise RuntimeError("descent set does not split as des(v) u v^{-1}(K)")
     return AdmissibleDecomposition(w, K, v, tau, des, y_des, Jw, delta, vinv_K)
 
@@ -254,13 +245,11 @@ def closure_intersecting_cells(w: WeylElement, cfg: HessConfig) -> Tuple[Closure
     dimension equal to the descent count of x.  DEFAULT_ENUMERATION_BOUND
     counts the cosets W_{J_w} \\ W_{des(w)}.
     """
-    require_admissible(w, cfg)
-    des = w.descents()
-    tau, _, Jw = _descent_levi(w, w.inverse(), des, cfg)
+    dec = decompose_admissible(w, cfg)
     known: Dict[int, Tuple[int, ...]] = {}
     cells = (
-        ClosureCell(v=tau * x, x=x, dim=len(x.descents()))
-        for x, _, _ in _admissible(cfg.rs, des, Jw)
+        ClosureCell(v=dec.tau * x, x=x, dim=len(x.descents()))
+        for x, _, _ in _admissible(cfg.rs, dec.des, dec.Jw)
     )
     return tuple(sorted(cells, key=lambda c: (c.dim, c.v.word(known))))
 

@@ -19,10 +19,10 @@ on them refuses a point outside the variety for both Jacobians and the
 closed form.  Every entry point sets up its chart the same way, and no
 result from ``hess`` is consulted.
 
-Entries stay ``int`` unless an eigenvalue or an entry of a translate u1 is
-non-integral, and only then are ``Fraction``: with the default eigenvalues
-and an integral u1 (the identity among them) every entry is an ``int``.  X is
-built once per composition and eigenvalues, as an immutable table.
+X has the eigenvalues l-1, l-3, ..., 1-l and is built once per
+composition, as an immutable table of ints.  Entries stay ``int`` unless an
+entry of a translate u1 is non-integral, and only then are ``Fraction``: at
+a fixed point, and at an integral u1, every entry is an ``int``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .errors import DomainError
 from .hess import HessConfig, typeA_point
@@ -113,36 +113,30 @@ def require_size(n: int) -> None:
 
 
 def _exact(value) -> Entry:
-    """value as an int if it is an integer, else as a Fraction."""
+    """An entry of u1 as an int if it is an integer, else as a Fraction."""
     if type(value) is int:
         return value
     q = Fraction(value)
     return q.numerator if q.denominator == 1 else q
 
 
-def regular_matrix(mu, s_values: Optional[Sequence] = None) -> Matrix:
+def regular_matrix(mu) -> Matrix:
     """X = diag + N for a composition: the diagonal is constant exactly on
-    the blocks, N has a 1 in position (i, i+1) for every alpha_i inside a
-    block.  Default eigenvalues are the centered integers l-1, l-3, ..., 1-l,
-    so a two-block composition gets the classical (1, -1) pair.  X is a
-    tuple of rows, shared by every call with the same composition and
-    eigenvalues; its entries are ints except for rational eigenvalues.  An n
-    above DEFAULT_SIZE_BOUND is refused before anything is built."""
+    the blocks, with the centered integers l-1, l-3, ..., 1-l as its values,
+    so a two-block composition gets the classical (1, -1) pair; N has a 1 in
+    position (i, i+1) for every alpha_i inside a block.  X is a tuple of int
+    rows, shared by every call with the same composition.  An n above
+    DEFAULT_SIZE_BOUND is refused before anything is built."""
     comp = Composition.of(mu)
     require_size(comp.n)
+    return _regular_table(comp)
+
+
+# at most one table per composition with n <= DEFAULT_SIZE_BOUND
+@lru_cache(maxsize=None)
+def _regular_table(comp: Composition) -> Matrix:
     ell = comp.length
-    if s_values is None:
-        values = tuple(range(ell - 1, -ell, -2))
-    else:
-        values = tuple(map(_exact, s_values))
-        if len(values) != ell or len(set(values)) != ell:
-            raise DomainError("need one distinct eigenvalue per block")
-    return _regular_table(comp, values)
-
-
-@lru_cache(maxsize=256)
-def _regular_table(comp: Composition, values: Tuple[Entry, ...]) -> Matrix:
-    diag = [s for s, part in zip(values, comp.parts) for _ in range(part)]
+    diag = [s for s, part in zip(range(ell - 1, -ell, -2), comp.parts) for _ in range(part)]
     X = [[0] * comp.n for _ in range(comp.n)]
     for i, s in enumerate(diag):
         X[i][i] = s
@@ -154,16 +148,14 @@ def _regular_table(comp: Composition, values: Tuple[Entry, ...]) -> Matrix:
 # -- charts and Jacobians ----------------------------------------------------
 
 
-def _chart(
-    w, mu, s_values: Optional[Sequence]
-) -> Tuple[Matrix, HessConfig, List[int], List[int]]:
+def _chart(w, mu) -> Tuple[Matrix, HessConfig, List[int], List[int]]:
     """The regular element X of mu, its configuration, and the chart at w:
     the indices of the row roots w(Phi^- minus the negative simples) and of
     the column roots w(Phi^-), both in the package's deterministic root
     order.  An n above the size bound is refused before X or its root system
     is built."""
     comp = Composition.of(mu)
-    X = regular_matrix(comp, s_values)
+    X = regular_matrix(comp)
     element, cfg = typeA_point(w, comp)
     rs = cfg.rs
     rows = sorted(element.perm[rs.npos + rs.rank :], key=rs.index_key)
@@ -252,18 +244,18 @@ def _jacobian_from_conjugation(
     return _ranked(cfg.rs, rows, cols, sparse, note)
 
 
-def jacobian_at_fixed_point(w, mu, s_values: Optional[Sequence] = None) -> JacobianResult:
+def jacobian_at_fixed_point(w, mu) -> JacobianResult:
     """Jacobian of the chart equations at the torus-fixed point of w.
 
     Rows are indexed by the non-simple negative roots moved by w, columns by
     the chart variables; the point is smooth exactly when the matrix has
     full row rank.
     """
-    X, cfg, rows, cols = _chart(w, mu, s_values)
+    X, cfg, rows, cols = _chart(w, mu)
     return _jacobian_from_conjugation(cfg, rows, cols, X, "fixed point")
 
 
-def linear_terms_closed_form(w, mu, s_values: Optional[Sequence] = None) -> JacobianResult:
+def linear_terms_closed_form(w, mu) -> JacobianResult:
     """The same Jacobian assembled entry by entry, with no conjugation.
 
     The (eta, gamma) entry is the eigenvalue difference eta(diag) on the
@@ -271,7 +263,7 @@ def linear_terms_closed_form(w, mu, s_values: Optional[Sequence] = None) -> Jaco
     differs from gamma by a block simple root.  Kept independent of the
     commutator of explicit matrices so the two can be compared entrywise.
     """
-    X, cfg, rows, cols = _chart(w, mu, s_values)
+    X, cfg, rows, cols = _chart(w, mu)
     _require_in_variety(X, cfg, rows, "fixed point")
     pairs = cfg.rs.pairs
     column = {pairs[gamma]: k for k, gamma in enumerate(cols)}
@@ -298,18 +290,16 @@ def _structure_constant(
     return int(b == c and (a, d) == eta) - int(d == a and (c, b) == eta)
 
 
-def jacobian_at_cell_point(
-    w, mu, u1: Sequence[Sequence], s_values: Optional[Sequence] = None
-) -> JacobianResult:
+def jacobian_at_cell_point(w, mu, u1: Sequence[Sequence]) -> JacobianResult:
     """Jacobian at the translated point u1.wB of w's cell.
 
     The chart is recentered by conjugating the regular element by u1 first,
     since (U P)^-1 X (U P) = P^-1 (U^-1 X U) P; the recentered chart's
     constant terms decide whether the translated point lies in the variety.
-    Entries stay ``int`` unless an eigenvalue or an entry of u1 is
-    non-integral, so an integral u1 gives the fixed point's entry types.
+    Entries stay ``int`` unless an entry of u1 is non-integral, so an
+    integral u1 gives the fixed point's entry types.
     """
-    X, cfg, rows, cols = _chart(w, mu, s_values)
+    X, cfg, rows, cols = _chart(w, mu)
     n = len(X)
     U = [[_exact(x) for x in row] for row in u1]
     if len(U) != n or any(len(row) != n for row in U):

@@ -1,0 +1,35 @@
+"""Reference predicates that several test modules check the package
+against, stated once here."""
+
+from __future__ import annotations
+
+from minhess import hess, oracle
+from minhess.errors import DomainError
+
+
+def support(root):
+    """1-based simple indices with a nonzero coefficient in the root."""
+    return frozenset(i + 1 for i, c in enumerate(root) if c)
+
+
+def in_closure(v, w, cfg):
+    """Whether v's cell lies in the closure of w's, for admissible w: v is
+    admissible, des(v) lies in des(w), and w^{-1} v lies in W_des(w), which
+    holds when its canonical word uses only letters of des(w)."""
+    des = w.descents()
+    return (
+        hess.is_admissible(v, cfg)
+        and v.descents() <= des
+        and set((w.inverse() * v).word()) <= des
+    )
+
+
+def matrix_admissible(w, mu):
+    """Whether the fixed point of w lies in the variety: the chart at w, and
+    the oracle's own membership test on its constant terms at X."""
+    X, cfg, rows, _ = oracle._chart(w, mu)
+    try:
+        oracle._require_in_variety(X, cfg, rows, "fixed point")
+    except DomainError:
+        return False
+    return True

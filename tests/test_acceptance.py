@@ -26,11 +26,7 @@ from minhess.weyl import (
     one_line,
     one_line_str,
 )
-
-
-def support(root):
-    """1-based simple indices with a nonzero coefficient in the root."""
-    return frozenset(i + 1 for i, c in enumerate(root) if c)
+from references import support
 
 
 def report(number: int, name: str, ok: bool) -> None:

@@ -15,11 +15,7 @@ from minhess import classes, hess
 from minhess.errors import DomainError
 from minhess.roots import build_root_system, negate, root_key
 from minhess.weyl import WeylElement, compositions, from_one_line, longest_element
-
-
-def support(root):
-    """1-based simple indices with a nonzero coefficient in the root."""
-    return frozenset(i + 1 for i, c in enumerate(root) if c)
+from references import support
 
 
 def test_class_3421_factors_and_scalar():

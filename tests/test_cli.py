@@ -24,6 +24,7 @@ from minhess import cli, hess, oracle
 from minhess.cli import _json_text, main
 from minhess.roots import build_root_system
 from minhess.weyl import WeylElement, one_line_str
+from references import in_closure
 
 
 def run(capsys, *argv):
@@ -313,18 +314,6 @@ def test_closure_json_and_dot(capsys):
     assert code == 0
     assert out.startswith("digraph closure {")
     assert '"3412" -> "3421"' in out
-
-
-def in_closure(v, w, cfg):
-    """Whether v's cell lies in the closure of w's, for admissible w: v is
-    admissible, des(v) lies in des(w), and w^{-1} v lies in W_des(w), which
-    holds when its canonical word uses only letters of des(w)."""
-    des = w.descents()
-    return (
-        hess.is_admissible(v, cfg)
-        and v.descents() <= des
-        and set((w.inverse() * v).word()) <= des
-    )
 
 
 @pytest.mark.parametrize("config", [

@@ -23,6 +23,7 @@ from minhess.weyl import (
     one_line,
     one_line_str,
 )
+from references import in_closure
 
 
 def a3_22():
@@ -265,18 +266,6 @@ def test_closure_of_identity():
     cfg = a3_22()
     cells = hess.closure_intersecting_cells(WeylElement.identity(cfg.rs), cfg)
     assert len(cells) == 1 and cells[0].v == WeylElement.identity(cfg.rs)
-
-
-def in_closure(v, w, cfg):
-    """Whether v's cell lies in the closure of w's, for admissible w: v is
-    admissible, des(v) lies in des(w), and w^{-1} v lies in W_des(w), which
-    holds when its canonical word uses only letters of des(w)."""
-    des = w.descents()
-    return (
-        hess.is_admissible(v, cfg)
-        and v.descents() <= des
-        and set((w.inverse() * v).word()) <= des
-    )
 
 
 def test_containment_examples():

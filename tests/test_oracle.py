@@ -22,6 +22,7 @@ from minhess import hess, oracle, singular
 from minhess.cli import _u1_entry, main
 from minhess.errors import DomainError
 from minhess.weyl import compositions, from_one_line, one_line
+from references import matrix_admissible
 
 
 SAMPLE_MUS = [(2, 2), (3, 1), (1, 2, 1), (2, 1, 2)]
@@ -35,15 +36,21 @@ def matrix_unit(root):
     return (first, last) if root[first] > 0 else (last, first)
 
 
-def matrix_admissible(w, mu):
-    """Whether the fixed point of w lies in the variety: the chart at w, and
-    the oracle's own membership test on its constant terms at X."""
-    X, cfg, rows, _ = oracle._chart(w, mu, None)
-    try:
-        oracle._require_in_variety(X, cfg, rows, "fixed point")
-    except DomainError:
-        return False
-    return True
+def regular_at(mu, values):
+    """The oracle's X for mu with the given eigenvalues on its blocks in
+    place of l-1, l-3, ..., 1-l."""
+    diag = [s for s, part in zip(values, mu) for _ in range(part)]
+    return [
+        [diag[i] if i == j else x for j, x in enumerate(row)]
+        for i, row in enumerate(oracle.regular_matrix(mu))
+    ]
+
+
+def jacobian_at(w, mu, X):
+    """The fixed-point Jacobian of w with X as the regular element, through
+    the oracle's chart and commutator."""
+    _, cfg, rows, cols = oracle._chart(w, mu)
+    return oracle._jacobian_from_conjugation(cfg, rows, cols, X, "fixed point")
 
 
 def matmul(A, B):
@@ -91,10 +98,9 @@ def assert_columns_are_linear_terms(res, base):
 def test_columns_are_linear_terms_of_exact_conjugation():
     """Column k is the t-linear coefficient of (I - tE_k) X (I + tE_k)."""
     for mu in SAMPLE_MUS:
-        s_values = FRACTIONAL[: len(mu)]
-        X = oracle.regular_matrix(mu, s_values)
+        X = regular_at(mu, FRACTIONAL[: len(mu)])
         for w, _, _ in hess.enumerate_admissible(hess.config_from_mu(mu)):
-            assert_columns_are_linear_terms(oracle.jacobian_at_fixed_point(w, mu, s_values), X)
+            assert_columns_are_linear_terms(jacobian_at(w, mu, X), X)
 
 
 def dual_matmul(A, B):
@@ -231,12 +237,13 @@ def test_rank_of_every_jacobian_matches_gauss_jordan():
     results = []
     for n in range(2, 6):
         for mu in compositions(n):
+            X = regular_at(mu, FRACTIONAL[: len(mu)])
             for w, _, _ in hess.enumerate_admissible(hess.config_from_mu(mu)):
                 results.append(oracle.jacobian_at_fixed_point(w, mu))
-                results.append(oracle.jacobian_at_fixed_point(w, mu, FRACTIONAL[: len(mu)]))
-    for w, mu, s_values, _, U, inside in seeded_cell_points():
+                results.append(jacobian_at(w, mu, X))
+    for w, mu, _, U, inside in seeded_cell_points():
         if inside:
-            results.append(oracle.jacobian_at_cell_point(w, mu, U, s_values))
+            results.append(oracle.jacobian_at_cell_point(w, mu, U))
     for res in results:
         assert res.rank == gauss_jordan_rank(res.matrix)
         assert list(res.sparse_rows) == sparse(res.matrix)
@@ -277,22 +284,15 @@ def test_regular_matrix_shape():
         J = hess.config_from_mu(mu).J
         for i in range(1, len(X)):
             assert (X[i - 1][i - 1] == X[i][i]) == (i in J)
-    with pytest.raises(DomainError):
-        oracle.regular_matrix((2, 2), s_values=[1, 1])
 
 
 def test_regular_matrix_is_one_table_of_ints_per_composition():
-    """Default eigenvalues give int entries, integer eigenvalues given as
-    Fractions give the same table, and only a rational eigenvalue brings a
-    Fraction in."""
+    """X holds int entries, and every spelling of a composition shares its
+    one table."""
     X = oracle.regular_matrix((2, 1))
     assert X == ((1, 1, 0), (0, 1, 0), (0, 0, -1))
     assert all(type(x) is int for row in X for x in row)
     assert oracle.regular_matrix([2, 1]) is X
-    assert oracle.regular_matrix((2, 1), [Fraction(1), -1]) is X
-    Y = oracle.regular_matrix((2, 1), [Fraction(1, 2), 3])
-    assert Y[0][0] == Y[1][1] == Fraction(1, 2) and type(Y[0][0]) is Fraction
-    assert Y[2][2] == 3 and type(Y[2][2]) is int and type(Y[0][1]) is int
 
 
 def test_size_bound_is_checked_before_x_is_built(monkeypatch):
@@ -305,7 +305,7 @@ def test_size_bound_is_checked_before_x_is_built(monkeypatch):
     with pytest.raises(DomainError, match="size bound"):
         matrix_admissible(range(1, 3001), (3000,))
     with pytest.raises(DomainError, match="size bound"):
-        oracle.jacobian_at_fixed_point(range(1, 3001), [3000], s_values=[1])
+        oracle.jacobian_at_fixed_point(range(1, 3001), [3000])
     with pytest.raises(DomainError, match="size bound"):
         oracle.regular_matrix((3000,))
 
@@ -341,9 +341,8 @@ def test_rational_eigenvalues_and_cell_points_give_fractions():
     int Jacobian wherever the values agree; an integral translate keeps the
     fixed point's int entries."""
     w, mu = (1, 3, 2, 4), (3, 1)
-    res = oracle.jacobian_at_fixed_point(w, mu, s_values=[Fraction(1, 2), Fraction(-1, 3)])
-    closed = oracle.linear_terms_closed_form(w, mu, s_values=["1/2", "-1/3"])
-    assert res == closed and entry_types(res) == {int, Fraction}
+    res = jacobian_at(w, mu, regular_at(mu, [Fraction(1, 2), Fraction(-1, 3)]))
+    assert entry_types(res) == {int, Fraction}
     entries = {
         (res.rows[r], res.cols[k]): x for r, row in enumerate(res.sparse_rows) for k, x in row
     }
@@ -355,7 +354,7 @@ def test_rational_eigenvalues_and_cell_points_give_fractions():
     }
     assert {type(x) for row in res.matrix for x in row} == {Fraction}
     at_fixed = oracle.jacobian_at_fixed_point(w, mu)
-    assert oracle.jacobian_at_fixed_point(w, mu, s_values=[Fraction(1), Fraction(-1)]) == at_fixed
+    assert jacobian_at(w, mu, regular_at(mu, [Fraction(1), Fraction(-1)])) == at_fixed
     assert entry_types(at_fixed) == {int}
     eye = [[int(i == j) for j in range(4)] for i in range(4)]
     shifted = [row[:] for row in eye]
@@ -418,7 +417,7 @@ def test_closed_form_regression_rows():
 def test_lowest_root_row_vanishes_for_peterson():
     """When the lowest root indexes a generator and the semisimple part is
     absent, that row of the Jacobian is zero."""
-    res = oracle.jacobian_at_fixed_point((1, 2, 3, 4), (4,), s_values=[0])
+    res = oracle.jacobian_at_fixed_point((1, 2, 3, 4), (4,))
     theta_row = res.matrix[res.rows.index((-1, -1, -1))]
     assert all(v == 0 for v in theta_row)
     assert not res.is_smooth  # the identity flag of the Peterson variety
@@ -477,10 +476,10 @@ def test_dual_path_identity(n):
 def test_s_assignment_independence():
     for mu in [(2, 2), (3, 1), (2, 1, 1)]:
         cfg = hess.config_from_mu(mu)
-        alt = list(range(10, 10 + len(mu)))
+        alt = regular_at(mu, range(10, 10 + len(mu)))
         for w, _, _ in hess.enumerate_admissible(cfg):
             a = oracle.jacobian_at_fixed_point(w, mu)
-            b = oracle.jacobian_at_fixed_point(w, mu, s_values=alt)
+            b = jacobian_at(w, mu, alt)
             assert a.verdict == b.verdict and a.rank == b.rank
 
 
@@ -544,12 +543,12 @@ def test_oracle_decides_membership_without_hess(monkeypatch):
             else:
                 with pytest.raises(DomainError, match="does not lie in the variety"):
                     build(perm, mu)
-    for w, mu, s_values, _, U, inside in points:
+    for w, mu, _, U, inside in points:
         if inside:
-            oracle.jacobian_at_cell_point(w, mu, U, s_values)
+            oracle.jacobian_at_cell_point(w, mu, U)
         else:
             with pytest.raises(DomainError, match="translated point does not lie"):
-                oracle.jacobian_at_cell_point(w, mu, U, s_values)
+                oracle.jacobian_at_cell_point(w, mu, U)
 
 
 # -- cell points -----------------------------------------------------------------
@@ -617,13 +616,12 @@ def inverse(A):
 
 def seeded_cell_points():
     """Four seeded random translates U for every admissible (w, mu) with
-    n <= 4, at fractional eigenvalues, with X and whether the point lies in
-    the variety: (U P)^-1 X (U P) stays in the Hessenberg space."""
+    n <= 4, with X and whether the point lies in the variety: (U P)^-1 X
+    (U P) stays in the Hessenberg space."""
     rng = random.Random(5)
     for n in range(2, 5):
         for mu in compositions(n):
-            s_values = FRACTIONAL[: len(mu)]
-            X = oracle.regular_matrix(mu, s_values)
+            X = oracle.regular_matrix(mu)
             for w, _, _ in hess.enumerate_admissible(hess.config_from_mu(mu)):
                 line = one_line(w)
                 P = [[Fraction(int(r == line[c] - 1)) for c in range(n)] for r in range(n)]
@@ -635,7 +633,7 @@ def seeded_cell_points():
                     g = matmul(U, P)
                     moved = matmul(matmul(inverse(g), X), g)
                     inside = all(moved[i][j] == 0 for i in range(n) for j in range(i - 1))
-                    yield w, mu, s_values, X, U, inside
+                    yield w, mu, X, U, inside
 
 
 def test_cell_points_agree_with_exact_conjugation():
@@ -643,13 +641,13 @@ def test_cell_points_agree_with_exact_conjugation():
     the variety, and otherwise each column of the Jacobian is a linear term
     of conjugating U^-1 X U."""
     seen = {True: 0, False: 0}
-    for w, mu, s_values, X, U, inside in seeded_cell_points():
+    for w, mu, X, U, inside in seeded_cell_points():
         seen[inside] += 1
         if not inside:
             with pytest.raises(DomainError, match="does not lie in the variety"):
-                oracle.jacobian_at_cell_point(w, mu, U, s_values)
+                oracle.jacobian_at_cell_point(w, mu, U)
             continue
-        res = oracle.jacobian_at_cell_point(w, mu, U, s_values)
+        res = oracle.jacobian_at_cell_point(w, mu, U)
         assert res.note == oracle.CELL_POINT_NOTE
         assert_columns_are_linear_terms(res, matmul(matmul(inverse(U), X), U))
     assert min(seen.values()) >= 100, seen

@@ -8,8 +8,8 @@ import sys
 import pytest
 
 from minhess import hess, oracle, singular, verification
-from minhess.errors import DomainError
 from minhess.weyl import Composition, compositions, one_line
+from references import matrix_admissible
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -31,17 +31,6 @@ def test_one_line_levi_compositions_match_the_decomposition(n, monkeypatch):
         monkeypatch.setattr(Composition, name, lambda *args: pytest.fail("Composition built"))
     for line, mu, expect in cases:
         assert verification._levi_compositions(line, mu) == expect
-
-
-def matrix_admissible(w, mu):
-    """Whether the fixed point of w lies in the variety: the chart at w, and
-    the oracle's own membership test on its constant terms at X."""
-    X, cfg, rows, _ = oracle._chart(w, mu, None)
-    try:
-        oracle._require_in_variety(X, cfg, rows, "fixed point")
-    except DomainError:
-        return False
-    return True
 
 
 @pytest.mark.parametrize("n", range(2, oracle.DEFAULT_SIZE_BOUND + 1))
