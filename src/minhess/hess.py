@@ -6,7 +6,10 @@ composition of n).  The module decides which Schubert cells meet the variety,
 computes closure relations and Poincare polynomials, and decomposes an
 admissible w = y_K v once: ``decompose_admissible`` gives K, v, Delta(v),
 v^{-1}(K), the descent factorization and the cell dimension, and the
-smoothness routes read them from it.  One enumeration of admissible cells
+smoothness routes read them from it.  A configuration keeps its last
+decomposition, so the routes run on one element in turn decompose it once;
+it keeps only that one, so its memory stays one decomposition and nothing
+outlives the next element.  One enumeration of admissible cells
 serves the whole variety and every Levi: by the Levi correspondence, the
 closure of w's cell is tau_w times the variety of the Levi of des(w) with
 J_w in place of J.  The module is the only owner of the closure order (v's
@@ -39,11 +42,16 @@ from .weyl import (
 
 @dataclass(frozen=True)
 class HessConfig:
-    """Root system, J naming the regular element, and mu: J's composition in type A, else None."""
+    """Root system, J naming the regular element, and mu: J's composition in
+    type A, else None.  _last is the latest result of decompose_admissible
+    on this configuration, kept outside comparison and hashing."""
 
     rs: RootSystem
     J: FrozenSet[int]
     mu: Optional[Composition] = field(init=False, compare=False)
+    _last: Optional["AdmissibleDecomposition"] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         self.rs.check_simple(self.J)
@@ -158,7 +166,17 @@ class AdmissibleDecomposition:
 def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposition:
     """w = y_K v, where K, the left descents of w in J, are those of its W_J
     factor (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4): v = y_K w
-    is shortest in its coset exactly when y_K is that factor."""
+    is shortest in its coset exactly when y_K is that factor.
+
+    The configuration keeps the result, and a call with an equal w (same
+    root system and permutation) returns it unchanged: the smoothness
+    routes on one element share one decomposition.  Only the last is kept,
+    since the routes visit one element at a time; a longer memory would
+    only grow, and a slot on w would tie w and its decomposition in a
+    cycle."""
+    last = cfg._last
+    if last is not None and last.w == w:
+        return last
     require_admissible(w, cfg)
     rs = cfg.rs
     winv = w.inverse()
@@ -191,7 +209,9 @@ def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposi
     v_des = v.descents()
     if des != v_des | vinv_K or v_des & vinv_K:
         raise RuntimeError("descent set does not split as des(v) u v^{-1}(K)")
-    return AdmissibleDecomposition(w, K, v, tau, des, y_des, Jw, delta, vinv_K)
+    dec = AdmissibleDecomposition(w, K, v, tau, des, y_des, Jw, delta, vinv_K)
+    object.__setattr__(cfg, "_last", dec)
+    return dec
 
 
 def _admissible(

@@ -19,10 +19,14 @@ on them refuses a point outside the variety for both Jacobians and the
 closed form.  Every entry point sets up its chart the same way, and no
 result from ``hess`` is consulted.
 
-X has the eigenvalues l-1, l-3, ..., 1-l and is built once per
-composition, as an immutable table of ints.  Entries stay ``int`` unless an
-entry of a translate u1 is non-integral, and only then are ``Fraction``: at
-a fixed point, and at an integral u1, every entry is an ``int``.
+X has the eigenvalues l-1, l-3, ..., 1-l.  X, its nonzero pattern (the
+nonzeros of each row and of each column, from which the commutator rows
+are filled) and the configuration are built once per composition: X as an
+immutable table of ints, the configuration through ``hess.config_from_mu``.
+At a cell point, the same helper reads the pattern off the recentered
+matrix on every call.  Entries stay ``int`` unless an entry of a translate
+u1 is non-integral, and only then are ``Fraction``: at a fixed point, and
+at an integral u1, every entry is an ``int``.
 """
 
 from __future__ import annotations
@@ -52,6 +56,10 @@ CELL_POINT_NOTE = (
 # an int wherever the inputs allow it, else a Fraction
 Entry = Union[int, Fraction]
 Matrix = Sequence[Sequence[Entry]]
+# the (position, value) pairs of a row's or column's nonzeros, in order
+Nonzeros = Tuple[Tuple[int, Entry], ...]
+# a matrix's nonzeros per row, then per column
+Pattern = Tuple[Tuple[Nonzeros, ...], Tuple[Nonzeros, ...]]
 
 
 def rank(sparse_rows: Iterable[Iterable[Tuple[int, Entry]]]) -> int:
@@ -145,6 +153,21 @@ def _regular_table(comp: Composition) -> Matrix:
     return tuple(map(tuple, X))
 
 
+# the nonzeros of each table, read once
+@lru_cache(maxsize=None)
+def _regular_pattern(comp: Composition) -> Pattern:
+    return _nonzeros(_regular_table(comp))
+
+
+def _nonzeros(base: Matrix) -> Pattern:
+    """The nonzeros of each row and of each column of base."""
+    in_row = tuple(tuple((a, x) for a, x in enumerate(r) if x) for r in base)
+    in_col = tuple(
+        tuple((b, r[j]) for b, r in enumerate(base) if r[j]) for j in range(len(base))
+    )
+    return in_row, in_col
+
+
 # -- charts and Jacobians ----------------------------------------------------
 
 
@@ -158,8 +181,9 @@ def _chart(w, mu) -> Tuple[Matrix, HessConfig, List[int], List[int]]:
     X = regular_matrix(comp)
     element, cfg = typeA_point(w, comp)
     rs = cfg.rs
-    rows = sorted(element.perm[rs.npos + rs.rank :], key=rs.index_key)
-    cols = sorted(element.perm[rs.npos :], key=rs.index_key)
+    key = rs.index_keys.__getitem__
+    rows = sorted(element.perm[rs.npos + rs.rank :], key=key)
+    cols = sorted(element.perm[rs.npos :], key=key)
     return X, cfg, rows, cols
 
 
@@ -213,20 +237,19 @@ def _ranked(
 
 
 def _jacobian_from_conjugation(
-    cfg: HessConfig, rows: List[int], cols: List[int], base: Matrix, point: str,
-    note: str = "",
+    cfg: HessConfig, rows: List[int], cols: List[int], base: Matrix, pattern: Pattern,
+    point: str, note: str = "",
 ) -> JacobianResult:
     """Linear parts of the defining equations of the chart, read off the
     commutator [base, Z]: the coefficient of z_gamma, gamma = (a, b), in the
     entry eta = (i, j) is base[i][a] [b = j] - [i = a] base[b][j], so row eta
     touches only the columns (a, j) with base[i][a] != 0 and (i, b) with
-    base[b][j] != 0.  A nonzero constant term puts the point outside the
-    variety."""
+    base[b][j] != 0; pattern is base's ``_nonzeros``.  A nonzero constant
+    term puts the point outside the variety."""
     _require_in_variety(base, cfg, rows, point)
     pairs = cfg.rs.pairs
     column = {(a - 1, b - 1): k for k, (a, b) in enumerate(map(pairs.__getitem__, cols))}
-    in_row = [[(a, x) for a, x in enumerate(r) if x] for r in base]
-    in_col = [[(b, r[j]) for b, r in enumerate(base) if r[j]] for j in range(len(base))]
+    in_row, in_col = pattern
     sparse: List[Dict[int, Entry]] = []
     for eta in rows:
         i, j = pairs[eta]
@@ -252,7 +275,9 @@ def jacobian_at_fixed_point(w, mu) -> JacobianResult:
     full row rank.
     """
     X, cfg, rows, cols = _chart(w, mu)
-    return _jacobian_from_conjugation(cfg, rows, cols, X, "fixed point")
+    return _jacobian_from_conjugation(
+        cfg, rows, cols, X, _regular_pattern(cfg.mu), "fixed point"
+    )
 
 
 def linear_terms_closed_form(w, mu) -> JacobianResult:
@@ -309,5 +334,6 @@ def jacobian_at_cell_point(w, mu, u1: Sequence[Sequence]) -> JacobianResult:
             raise DomainError("u1 must be unipotent upper triangular")
     recentered = _unipotent_conjugate(U, X)
     return _jacobian_from_conjugation(
-        cfg, rows, cols, recentered, "translated point", CELL_POINT_NOTE
+        cfg, rows, cols, recentered, _nonzeros(recentered), "translated point",
+        CELL_POINT_NOTE,
     )

@@ -5,12 +5,13 @@ roots ``alpha_1 .. alpha_n`` (a plain tuple of ints), so all arithmetic is
 exact.  Inside the package a root is its index: k < N names the k-th
 positive root in (height, reverse-lex) order and k + N its negative, and
 each ``RootSystem`` tabulates what the rest of the package asks of an index
-(its support, in type A its pair (i, j)) once, at construction.  Simple
-indices are 1-based throughout the public API, matching the standard
-numbering of the Dynkin diagrams (for type B the short simple root is
-``alpha_n``, for type C it is the long one, G_2 has ``alpha_1`` short).
-``parabolic`` labels each component of a sub-diagram by one rule per type
-and checks the relabeling against the reference Cartan matrix.
+(its support, its sort key, in type A its pair (i, j)) once, at
+construction.  Simple indices are 1-based throughout the public API,
+matching the standard numbering of the Dynkin diagrams (for type B the
+short simple root is ``alpha_n``, for type C it is the long one, G_2 has
+``alpha_1`` short).  ``parabolic`` labels each component of a sub-diagram
+by one rule per type, checks the relabeling against the reference Cartan
+matrix, and keeps the result per root system and set of simple roots.
 """
 
 from __future__ import annotations
@@ -230,6 +231,8 @@ class RootSystem:
             supports = [[i + 1 for i, c in enumerate(r) if c] for r in self.positive_roots]
             pos = [(support[0], support[-1] + 1) for support in supports]
             self.pairs = tuple(pos) + tuple((j, i) for i, j in pos)
+        # index_keys[k] is index_key(k), for sorting many indices at once
+        self.index_keys: Tuple[int, ...] = tuple(map(self.index_key, range(2 * N)))
         self.highest_root: Coeffs = self.positive_roots[-1]
         expected = POSITIVE_COUNT[cartan.family](n)
         if len(self.positive_roots) != expected:
@@ -372,14 +375,18 @@ class ParabolicSubsystem:
 
 def parabolic(rs: RootSystem, J: Iterable[int]) -> ParabolicSubsystem:
     """The subsystem spanned by a subset of simple roots, with its
-    connected components classified into canonically labeled simple types."""
-    Jset = frozenset(J)
-    rs.check_simple(Jset)
-    comps = []
-    for nodes in _connected_components(rs, Jset):
-        comps.append(_classify_component(rs, nodes))
+    connected components classified into canonically labeled simple types.
+    Cached per root system and set J, so every spelling of J shares one
+    immutable result; an index out of range is refused on every call."""
+    return _parabolic(rs, frozenset(J))
+
+
+@lru_cache(maxsize=None)
+def _parabolic(rs: RootSystem, J: FrozenSet[int]) -> ParabolicSubsystem:
+    rs.check_simple(J)
+    comps = [_classify_component(rs, nodes) for nodes in _connected_components(rs, J)]
     comps.sort(key=lambda c: min(c.indices))
-    return ParabolicSubsystem(rs, Jset, tuple(comps))
+    return ParabolicSubsystem(rs, J, tuple(comps))
 
 
 def _connected_components(rs: RootSystem, J: FrozenSet[int]) -> List[List[int]]:

@@ -451,3 +451,65 @@ B4_IN_C4 = (WeylElement.from_word(B4, [1, 3, 4]), hess.hess_config(C4, [1, 2, 4]
 def test_element_of_another_root_system_is_domain_error(query):
     with pytest.raises(DomainError, match="lies in"):
         query()
+
+
+# -- the configuration's last decomposition ----------------------------------
+
+
+def test_equal_element_reuses_the_last_decomposition():
+    """A distinct but equal w is answered with the decomposition already
+    made, whose fields are those a configuration with no memory gives; a
+    different w gets its own."""
+    cfg = hess.config_from_mu((2, 2))
+    d = hess.decompose_admissible(from_one_line(cfg.rs, (3, 4, 2, 1)), cfg)
+    again = from_one_line(cfg.rs, (3, 4, 2, 1))
+    assert again is not d.w and again == d.w
+    assert hess.decompose_admissible(again, cfg) is d
+    fresh = hess.hess_config(cfg.rs, cfg.J)
+    assert fresh == cfg and fresh is not cfg
+    assert hess.decompose_admissible(again, fresh) == d
+    other = hess.decompose_admissible(from_one_line(cfg.rs, (3, 4, 1, 2)), cfg)
+    assert other is not d and other.w == from_one_line(cfg.rs, (3, 4, 1, 2))
+    assert other == hess.decompose_admissible(other.w, fresh)
+
+
+def test_each_configuration_keeps_its_own_decomposition():
+    """The same w on another J is decomposed for that J, and neither
+    configuration's answer replaces the other's."""
+    cfg_22, cfg_31 = hess.config_from_mu((2, 2)), hess.config_from_mu((3, 1))
+    e = WeylElement.identity(cfg_22.rs)
+    d_22 = hess.decompose_admissible(e, cfg_22)
+    d_31 = hess.decompose_admissible(e, cfg_31)
+    assert d_22 is not d_31
+    assert d_22.delta_v == frozenset({1, 3}) and d_31.delta_v == frozenset({1, 2})
+    assert hess.decompose_admissible(e, cfg_22) is d_22
+
+
+def test_element_of_another_system_is_refused_after_a_cached_one():
+    """C4's identity and B4's have one permutation tuple; with the C4 one
+    decomposed last, the B4 one is still refused, as is B4_IN_C4 after its
+    C4 namesake."""
+    w, cfg = B4_IN_C4
+    e_c4, e_b4 = WeylElement.identity(C4), WeylElement.identity(B4)
+    assert e_c4.perm == e_b4.perm
+    hess.decompose_admissible(e_c4, cfg)
+    with pytest.raises(DomainError, match="lies in"):
+        hess.decompose_admissible(e_b4, cfg)
+    hess.decompose_admissible(WeylElement.from_word(C4, w.word()), cfg)
+    with pytest.raises(DomainError, match="lies in"):
+        hess.decompose_admissible(w, cfg)
+
+
+def test_inadmissible_element_after_a_cached_one_is_refused():
+    """Right after an admissible w, an inadmissible one raises the error a
+    configuration with no memory raises, on every call."""
+    cfg = a3_22()
+    bad = from_one_line(cfg.rs, (3, 2, 4, 1))
+    with pytest.raises(DomainError) as fresh:
+        hess.decompose_admissible(bad, hess.hess_config(cfg.rs, cfg.J))
+    assert str(fresh.value) == "s1*s2*s3*s1 is not admissible for J=[1, 3]"
+    hess.decompose_admissible(from_one_line(cfg.rs, (3, 4, 2, 1)), cfg)
+    for _ in range(2):
+        with pytest.raises(DomainError) as cached:
+            hess.decompose_admissible(bad, cfg)
+        assert str(cached.value) == str(fresh.value)

@@ -50,7 +50,9 @@ def jacobian_at(w, mu, X):
     """The fixed-point Jacobian of w with X as the regular element, through
     the oracle's chart and commutator."""
     _, cfg, rows, cols = oracle._chart(w, mu)
-    return oracle._jacobian_from_conjugation(cfg, rows, cols, X, "fixed point")
+    return oracle._jacobian_from_conjugation(
+        cfg, rows, cols, X, oracle._nonzeros(X), "fixed point"
+    )
 
 
 def matmul(A, B):

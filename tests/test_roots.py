@@ -220,6 +220,30 @@ def test_component_classification_idempotent_and_complete(family, rank):
             assert sub2.components == sub.components
 
 
+def test_parabolic_is_one_object_per_system_and_set():
+    """Every spelling of J gives the same cached subsystem, and an index
+    out of range is refused on every call: a failed call caches nothing."""
+    rs = build_root_system("B", 4)
+    sub = parabolic(rs, frozenset({1, 2, 4}))
+    for J in ([4, 2, 1], (1, 2, 4), {2, 4, 1}, frozenset({4, 1, 2}), iter([1, 4, 2])):
+        assert parabolic(rs, J) is sub
+    assert parabolic(build_root_system("C", 4), [1, 2, 4]) is not sub
+    for _ in range(2):
+        with pytest.raises(DomainError, match="^simple index 5 out of range for B4$"):
+            parabolic(rs, [1, 5])
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("A", 4), ("B", 4), ("C", 3), ("D", 5), ("E", 6), ("F", 4), ("G", 2)]
+)
+def test_cached_parabolic_matches_a_fresh_classification(family, rank):
+    rs = build_root_system(family, rank)
+    for size in range(rank + 1):
+        for J in itertools.combinations(range(1, rank + 1), size):
+            J = frozenset(J)
+            assert parabolic(rs, J) == roots._parabolic.__wrapped__(rs, J)
+
+
 def all_parabolic_components():
     """Every component of every parabolic, in every type up to rank 8."""
     for family, rank in sorted(POSITIVE_COUNTS):

@@ -70,3 +70,26 @@ def test_levi_check_reads_nothing_from_hess(monkeypatch):
     verdicts = {}
     for line, mu, smooth in cases:
         assert verification._levi_oracle_smooth(line, mu, verdicts) == smooth
+
+
+def test_cross_validation_decomposes_each_pair_once(monkeypatch):
+    """The smoothness routes on one admissible pair share one decomposition:
+    the descent factorization runs once per pair of the n <= 4 sweep.  The
+    configurations start with no decomposition kept, so an earlier test's
+    last element cannot answer the first pair."""
+    pairs = 0
+    for n in range(2, 5):
+        for mu in compositions(n):
+            cfg = hess.config_from_mu(mu)
+            object.__setattr__(cfg, "_last", None)
+            pairs += sum(1 for _ in hess.enumerate_admissible(cfg))
+    calls = []
+    factorization = hess.descent_decomposition
+
+    def counted(w):
+        calls.append(w)
+        return factorization(w)
+
+    monkeypatch.setattr(hess, "descent_decomposition", counted)
+    assert all(check.ok for check in verification.suite_cross_validate(3))
+    assert len(calls) == pairs
