@@ -2,21 +2,22 @@
 Hessenberg-Schubert varieties, across all simple types.
 
 The fixed-point question reduces to the Peterson variety of the Levi named
-by J, where the singular cells are indexed by an explicit family of subsets
-(``w_star_member``).  ``roots.parabolic`` hands every component over in its
-reference labels, with a rank-2 double bond as B2, so the tables relabel
-only a C2 datum passed in directly.  Type A admits an equivalent one-line
-criterion via block structure and avoidance of the patterns 123 and 2143,
-and the variety-level question is decided by a bracket condition on simple
-roots.
+by J, whose smooth fixed points come from root data (``_smooth_K``): Delta,
+and the cominuscule walls with no shared-linear witness, the witness that
+the fig1 case table states.  Only ``w_star_star_member`` reads a table, so
+it needs the canonical labels, which ``roots.parabolic`` hands every
+component over in.  Type A admits an equivalent one-line criterion via
+block structure and avoidance of the patterns 123 and 2143, and the
+variety-level question is decided by a bracket condition on simple roots.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, EnumerationBoundError
 from .hess import HessConfig, decompose_admissible, require_admissible, typeA_point
@@ -77,55 +78,57 @@ class SmoothnessVerdict:
 # -- the singular fixed-point index sets ------------------------------------
 
 
-def _normalize(datum: CartanDatum, K: Iterable[int]) -> Tuple[str, int, FrozenSet[int]]:
-    """Check K against the component and normalize degenerate ranks before
-    table lookup.  Returns (family, rank, relabeled K)."""
+def _normalize(datum: CartanDatum, K: Iterable[int]) -> FrozenSet[int]:
+    """K as a set, checked against the component, which must carry the
+    canonical labels that ``w_star_star_member``'s table reads."""
     Kset = frozenset(K)
     if not Kset <= set(range(1, datum.rank + 1)):
         raise DomainError("K is not a subset of the component's simple roots")
-    family, rank, relabel = _table_labels(datum)
-    return family, rank, relabel(Kset)
-
-
-def _table_labels(
-    datum: CartanDatum,
-) -> Tuple[str, int, Callable[[Iterable[int]], FrozenSet[int]]]:
-    """The family and rank the tables know a canonically labeled component
-    by, and the map of a K into their labels: C_2 is B_2 with the chain
-    read from the long root."""
     if datum != cartan_datum(datum.family, datum.rank):
-        raise DomainError(
-            f"{datum.name} is not canonically labeled; classify it first"
-        )
-    if datum.name == "C2":
-        # the long root moves from the alpha_2 end to the alpha_1 end
-        return "B", 2, lambda K: frozenset(3 - k for k in K)
-    return datum.family, datum.rank, frozenset
+        raise DomainError(f"{datum.name} is not canonically labeled; classify it first")
+    return Kset
 
 
 def w_star_member(component: CartanDatum, K: Iterable[int]) -> bool:
-    """Whether the fixed point indexed by K is singular in the component's
-    Peterson variety.  K uses the component's canonical 1-based labels."""
-    family, rank, Kset = _normalize(component, K)
-    return Kset not in _smooth_K(family, rank)
+    """Whether K, in the component's canonical 1-based labels, indexes a
+    singular fixed point of its Peterson variety: K not in ``_smooth_K``."""
+    return _normalize(component, K) not in _smooth_K(component)
 
 
-def _smooth_K(family: str, rank: int) -> FrozenSet[FrozenSet[int]]:
-    """The K, in the tables' labels, whose fixed point is smooth: the whole
-    of Delta, and the walls Delta minus an end node in type A and Delta
-    minus alpha_1 in type B; every other K is singular."""
-    full = frozenset(range(1, rank + 1))
-    if family == "A":
-        return frozenset((full, full - {1}, full - {rank}))
-    if family == "B":
-        return frozenset((full, full - {1}))
-    return frozenset((full,))
+@lru_cache(maxsize=None)
+def _smooth_K(component: CartanDatum) -> FrozenSet[FrozenSet[int]]:
+    """The K whose fixed point is smooth, from root data: Delta, and each
+    wall Delta minus beta with theta_beta = 1 that has no shared-linear
+    witness, two negative roots eta with eta_beta != 0 whose only simple
+    root alpha_a with eta - alpha_a a root gives one gamma = eta - alpha_a
+    for both.  Every other K is singular."""
+    rs = from_cartan(component)
+    above: Dict[Coeffs, List[Tuple[int, Coeffs]]] = {}  # rho: [(a, rho + alpha_a) a root]
+    for sigma in rs.positive_roots:
+        for a, c in enumerate(sigma, start=1):
+            rho = sigma[: a - 1] + (c - 1,) + sigma[a:]
+            if c and rho in rs.roots:
+                above.setdefault(rho, []).append((a, sigma))
+    # eta = -rho with its one a; gamma = -sigma (the lowest root has no a)
+    sole = [(rho, up[0]) for rho, up in above.items() if len(up) == 1]
+    full = frozenset(range(1, rs.rank + 1))
+    smooth = {full}
+    for beta in (b for b, c in enumerate(rs.highest_root, start=1) if c == 1):
+        seen: Dict[Coeffs, int] = {}
+        for rho, (a, sigma) in sole:
+            if rho[beta - 1] and seen.setdefault(sigma, a) != a:
+                if not _shared_linear_row(rs, beta, negate(sigma), seen[sigma], a).ok:
+                    raise RuntimeError(f"{component.name}: the witness for beta={beta} fails")
+                break
+        else:
+            smooth.add(full - {beta})
+    return frozenset(smooth)
 
 
 def w_star_star_member(component: CartanDatum, K: Iterable[int]) -> bool:
     """Whether K indexes a cell that is singular for the stronger reason
     that its distinguished patch generator has no linear term."""
-    family, rank, Kset = _normalize(component, K)
+    family, rank, Kset = component.family, component.rank, _normalize(component, K)
     full = frozenset(range(1, rank + 1))
     if Kset == full:
         return False
@@ -329,14 +332,14 @@ def peterson_singular_locus(component: CartanDatum) -> Tuple[Tuple[int, ...], ..
         raise EnumerationBoundError(
             f"2^{component.rank} subsets exceed the bound {DEFAULT_PETERSON_BOUND}"
         )
-    family, rank, relabel = _table_labels(component)
-    smooth = _smooth_K(family, rank)
-    universe = range(1, rank + 1)
+    _normalize(component, ())  # refuses a datum that is not canonically labeled
+    smooth = _smooth_K(component)
+    universe = range(1, component.rank + 1)
     return tuple(
         K
-        for size in range(rank + 1)
+        for size in range(component.rank + 1)
         for K in itertools.combinations(universe, size)
-        if relabel(K) not in smooth
+        if frozenset(K) not in smooth
     )
 
 

@@ -5,7 +5,7 @@ turns any unexpected failure into a nonzero exit.  The table suite pins the
 regression data for the worked examples, the cross-validate suite replays
 the triple smoothness comparison at desk scale and judges closures by the
 oracle on the Levi of des(w), the cominuscule suite checks the
-root-arithmetic characterization against the index-set tables in every
+root-arithmetic characterization against the no-linear-term table in every
 type, and the fig1 suite instantiates the shared-linear case table.  Only
 cross-validate and cominuscule take a max_rank.  The closure check, being a
 reference, reads the Levi of des(w) from the one-line of w, not from ``hess``.

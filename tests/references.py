@@ -33,3 +33,18 @@ def matrix_admissible(w, mu):
     except DomainError:
         return False
     return True
+
+
+def paper_smooth_K(family, rank):
+    """The paper's table of the K whose Peterson fixed point is smooth: the
+    whole of Delta, and the walls Delta minus an end node in type A and
+    Delta minus alpha_1 in type B; every other K is singular.  C2 is B2
+    with the chain read from the long root, k -> 3 - k."""
+    if (family, rank) == ("C", 2):
+        return frozenset(frozenset(3 - k for k in K) for K in paper_smooth_K("B", 2))
+    full = frozenset(range(1, rank + 1))
+    if family == "A":
+        return frozenset((full, full - {1}, full - {rank}))
+    if family == "B":
+        return frozenset((full, full - {1}))
+    return frozenset((full,))

@@ -3,6 +3,7 @@ pattern route, counting, and the shared-linear case table."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -19,8 +20,20 @@ from minhess.weyl import (
     from_one_line,
     longest_element,
 )
+from references import paper_smooth_K
 
 FULL = lambda n: frozenset(range(1, n + 1))
+
+# every canonical datum of rank at most 12
+RANKS_TO_12 = [
+    ("A", range(1, 13)),
+    ("B", range(2, 13)),
+    ("C", range(2, 13)),
+    ("D", range(4, 13)),
+    ("E", (6, 7, 8)),
+    ("F", (4,)),
+    ("G", (2,)),
+]
 
 
 def test_w_star_membership_cases():
@@ -45,7 +58,7 @@ def test_w_star_membership_cases():
 def test_w_star_c2_matches_b2_through_relabeling():
     b2 = cartan_datum("B", 2)
     c2 = cartan_datum("C", 2)
-    # the relabeling swaps the two nodes
+    # C2 is B2 read from the long root, which swaps the two nodes
     assert singular.w_star_member(c2, []) == singular.w_star_member(b2, [])
     assert singular.w_star_member(c2, [1]) == singular.w_star_member(b2, [2])
     assert singular.w_star_member(c2, [2]) == singular.w_star_member(b2, [1])
@@ -57,6 +70,51 @@ def test_w_star_rejects_noncanonical_labels():
     backwards_b2 = CartanDatum("B", 2, ((2, -1), (-2, 2)))  # mislabeled chain
     with pytest.raises(DomainError):
         singular.w_star_member(backwards_b2, [1])
+
+
+@pytest.mark.parametrize("family,ranks", RANKS_TO_12)
+def test_w_star_member_is_the_paper_table(family, ranks):
+    """The root-data rule answers as the paper's table on every K of every
+    canonical datum up to rank 12."""
+    for rank in ranks:
+        datum = cartan_datum(family, rank)
+        table = paper_smooth_K(family, rank)
+        for size in range(rank + 1):
+            for K in itertools.combinations(range(1, rank + 1), size):
+                assert singular.w_star_member(datum, K) == (frozenset(K) not in table), (
+                    datum.name, K,
+                )
+
+
+@pytest.mark.parametrize("family,rank", [("A", 30), ("B", 20), ("C", 20), ("D", 20)])
+def test_w_star_member_is_the_paper_table_on_walls_at_large_rank(family, rank):
+    """Past rank 12, Delta and every wall Delta minus beta, the only K the
+    table can call smooth."""
+    datum = cartan_datum(family, rank)
+    table = paper_smooth_K(family, rank)
+    for K in [FULL(rank)] + [FULL(rank) - {beta} for beta in FULL(rank)]:
+        assert singular.w_star_member(datum, K) == (K not in table), (datum.name, sorted(K))
+
+
+@pytest.mark.parametrize("family,ranks", RANKS_TO_12)
+def test_shared_linear_rows_are_the_singular_cominuscule_walls(family, ranks):
+    """The case table has a row (D4's defective beta = 3 row among them)
+    for exactly the cominuscule beta whose wall the rule calls singular,
+    and where it has no rows no cominuscule wall is singular."""
+    for rank in ranks:
+        datum = cartan_datum(family, rank)
+        theta = build_root_system(family, rank).highest_root
+        walls = {
+            beta
+            for beta in FULL(rank)
+            if theta[beta - 1] == 1 and singular.w_star_member(datum, FULL(rank) - {beta})
+        }
+        try:
+            rows = singular._shared_linear_cases(family, rank)
+        except DomainError:
+            assert walls == set(), datum.name
+        else:
+            assert {beta for beta, _, _, _ in rows} == walls, datum.name
 
 
 def test_w_star_star_cases():
@@ -195,6 +253,27 @@ def test_hess_fixed_point_examples():
         assert singular.hess_fixed_point_smooth(w0, cfg_mu).is_smooth
     with pytest.raises(DomainError):
         singular.hess_fixed_point_smooth(from_one_line(cfg.rs, (3, 2, 4, 1)), hess.config_from_mu((2, 2)))
+
+
+def test_levi_route_verdicts_outside_type_a_are_pinned():
+    """Every verdict of the Levi route on every admissible w of every J of
+    B2-B4, C3, C4, D4, D5, F4 and G2, hashed with its reason, detail and
+    citations: 32224 pairs whose answers stay as they are."""
+    h = hashlib.sha256()
+    pairs = 0
+    for family, rank in [("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4),
+                         ("D", 4), ("D", 5), ("F", 4), ("G", 2)]:
+        rs = build_root_system(family, rank)
+        for size in range(rank + 1):
+            for J in itertools.combinations(range(1, rank + 1), size):
+                cfg = hess.hess_config(rs, J)
+                for w, _, _ in hess.enumerate_admissible(cfg):
+                    v = singular.hess_fixed_point_smooth(w, cfg)
+                    row = (family, rank, J, w.word(), v.verdict, v.reason, v.detail, v.citations)
+                    h.update(repr(row).encode())
+                    pairs += 1
+    assert pairs == 32224
+    assert h.hexdigest() == "9dfb2a04be4d7b2b4c60e197c3da5212e9d84a67f9ee90e08232c1e29d6ebddb"
 
 
 def test_hess_fixed_point_b4_delta_v_route():
