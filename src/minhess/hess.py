@@ -27,10 +27,11 @@ from math import comb
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .roots import ParabolicSubsystem, RootSystem, build_root_system, parabolic
+from .roots import ParabolicSubsystem, Perm, RootSystem, build_root_system, parabolic
 from .weyl import (
     Composition,
     WeylElement,
+    _compose,
     _in_parabolic,
     descent_decomposition,
     enumerate_min_reps,
@@ -190,7 +191,7 @@ def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposi
         raise RuntimeError("K is not contained in Delta(v)")
     des = w.descents()
     tau, y_des = descent_decomposition(w)
-    tau_inv = tuple(map(y_des.perm.__getitem__, winv.perm))  # y_des * w^-1
+    tau_inv = _compose(rs, y_des.perm, winv.perm)  # y_des * w^-1
     # tau_inv[j - 1] is the index of tau^{-1}(alpha_j)
     if any(tau_inv[j - 1] >= rs.npos for j in cfg.J):
         raise RuntimeError("tau is not a shortest right coset representative mod J")
@@ -228,7 +229,7 @@ def _admissible(
     gens = sorted(gens)
     idx = [i - 1 for i in gens]
     outside = ~rs.simple_mask(J)
-    known: Dict[int, Tuple[int, ...]] = {}
+    known: Dict[Perm, Tuple[int, ...]] = {}
     ys: Dict[Tuple[int, ...], WeylElement] = {}
     for v in enumerate_min_reps(rs, J, within=gens):
         dv = sorted(_simple_among(rs, map(v.perm.__getitem__, idx), outside))
@@ -266,7 +267,7 @@ def closure_intersecting_cells(w: WeylElement, cfg: HessConfig) -> Tuple[Closure
     counts the cosets W_{J_w} \\ W_{des(w)}.
     """
     dec = decompose_admissible(w, cfg)
-    known: Dict[int, Tuple[int, ...]] = {}
+    known: Dict[Perm, Tuple[int, ...]] = {}
     cells = (
         ClosureCell(v=dec.tau * x, x=x, dim=len(x.descents()))
         for x, _, _ in _admissible(cfg.rs, dec.des, dec.Jw)

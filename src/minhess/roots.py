@@ -20,11 +20,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import mul
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple, Union
 
 from .errors import DomainError, EnumerationBoundError
 
 Coeffs = Tuple[int, ...]
+# a permutation of the 2N root indices: bytes when 2N <= 256, else a tuple
+Perm = Union[bytes, Tuple[int, ...]]
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 DEFAULT_ENUMERATION_BOUND = 10**6  # cosets per enumeration, and A-D root table entries
@@ -217,8 +219,14 @@ class RootSystem:
             [self.root_index[reflections[r][i]] for r in self.positive_roots]
             for i in range(n)
         ]
-        self.simple_perms: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(half + [(k + N) % (2 * N) for k in half]) for half in halves
+        # the one storage of this system's permutations: bytes when every
+        # index fits in a byte, so that weyl composes by bytes.translate
+        # through perm_pad (256 - 2N zero bytes), else a tuple
+        self.perm_type = bytes if 2 * N <= 256 else tuple
+        self.perm_pad = bytes(256 - 2 * N) if self.perm_type is bytes else None
+        self.identity_perm: Perm = self.perm_type(range(2 * N))
+        self.simple_perms: Tuple[Perm, ...] = tuple(
+            self.perm_type(half + [(k + N) % (2 * N) for k in half]) for half in halves
         )
         # bit i - 1 of support_mask[k] is set when alpha_i occurs in root k
         self.support_mask: Tuple[int, ...] = tuple(

@@ -3,13 +3,15 @@
 An element is stored as the permutation it induces on the 2N root indices of
 its root system (index k < N is the k-th positive root, k + N its negative),
 following W. Casselman, "Machine calculations in Weyl groups" (Invent. Math.
-116, 1994).  Products, inverses, root actions, descents, lengths and type A
-one-line notation are index arithmetic; coefficient tuples appear only in
-``act`` and ``root_pair``.  Words are never part of an element's identity:
-equality and hashing use the permutation only.  The canonical word
-(least-index greedy descent stripping) is computed on demand, or carried
-along by enumeration; a caller that words many elements in one call shares
-the prefixes it strips.
+116, 1994).  The permutation is ``bytes`` when 2N <= 256, so that a product
+is one ``bytes.translate`` in C, and a tuple otherwise; the root system
+chooses once, and only ``_compose`` tells the two apart.  Products, inverses,
+root actions, descents, lengths and type A one-line notation are index
+arithmetic; coefficient tuples appear only in ``act`` and ``root_pair``.
+Words are never part of an element's identity: equality and hashing use the
+permutation only.  The canonical word (least-index greedy descent stripping)
+is computed on demand, or carried along by enumeration; a caller that words
+many elements in one call shares the prefixes it strips.
 """
 
 from __future__ import annotations
@@ -20,22 +22,33 @@ from itertools import accumulate
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, EnumerationBoundError
-from .roots import DEFAULT_ENUMERATION_BOUND, Coeffs, RootSystem, parabolic
+from .roots import DEFAULT_ENUMERATION_BOUND, Coeffs, Perm, RootSystem, parabolic
 
 
-def _simple_perm(rs: RootSystem, i: int) -> Tuple[int, ...]:
+def _simple_perm(rs: RootSystem, i: int) -> Perm:
     rs.check_simple((i,))
     return rs.simple_perms[i - 1]
+
+
+def _compose(rs: RootSystem, p: Perm, q: Perm) -> Perm:
+    """The indices p[q[0]], p[q[1]], ... in rs's storage; for permutations,
+    the product p q.  The one statement of a product: on bytes it runs in C,
+    translating q through p padded to 256 entries."""
+    pad = rs.perm_pad
+    if pad is None:
+        return tuple(map(p.__getitem__, q))
+    return q.translate(p + pad)
 
 
 class WeylElement:
     __slots__ = ("rs", "perm", "_word", "_hash")
 
     def __init__(
-        self, rs: RootSystem, perm: Tuple[int, ...], word: Optional[Tuple[int, ...]] = None
+        self, rs: RootSystem, perm: Perm, word: Optional[Tuple[int, ...]] = None
     ):
-        """The element permuting the root indices of rs as perm does, with
-        its canonical word when the caller knows it."""
+        """The element permuting the root indices of rs as perm does (bytes
+        when 2N <= 256, else a tuple), with its canonical word when the
+        caller knows it."""
         self.rs = rs
         self.perm = perm
         self._word = word
@@ -45,7 +58,7 @@ class WeylElement:
 
     @staticmethod
     def identity(rs: RootSystem) -> "WeylElement":
-        return WeylElement(rs, tuple(range(2 * rs.npos)), ())
+        return WeylElement(rs, rs.identity_perm, ())
 
     @staticmethod
     def simple(rs: RootSystem, i: int) -> "WeylElement":
@@ -53,9 +66,9 @@ class WeylElement:
 
     @staticmethod
     def from_word(rs: RootSystem, word: Iterable[int]) -> "WeylElement":
-        p = tuple(range(2 * rs.npos))
+        p = rs.identity_perm
         for i in word:
-            p = tuple(map(p.__getitem__, _simple_perm(rs, i)))
+            p = _compose(rs, p, _simple_perm(rs, i))
         return WeylElement(rs, p)
 
     # -- group structure -------------------------------------------------
@@ -68,13 +81,13 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.rs is not other.rs:
             raise DomainError("elements live in different root systems")
-        return WeylElement(self.rs, tuple(map(self.perm.__getitem__, other.perm)))
+        return WeylElement(self.rs, _compose(self.rs, self.perm, other.perm))
 
     def inverse(self) -> "WeylElement":
         inv = [0] * len(self.perm)
         for k, image in enumerate(self.perm):
             inv[image] = k
-        return WeylElement(self.rs, tuple(inv))
+        return WeylElement(self.rs, self.rs.perm_type(inv))
 
     # -- combinatorial statistics -----------------------------------------
 
@@ -89,37 +102,41 @@ class WeylElement:
             i + 1 for i, image in enumerate(self.perm[: self.rs.rank]) if image >= N
         )
 
-    def word(self, known: Optional[Dict[int, Tuple[int, ...]]] = None) -> Tuple[int, ...]:
+    def word(self, known: Optional[Dict[Perm, Tuple[int, ...]]] = None) -> Tuple[int, ...]:
         """Canonical reduced word via least-index greedy descent stripping.
 
-        Works on the inversion set: inv(w s_i) = s_i(inv(w) - {alpha_i}) for
-        a descent i, and since the simple roots carry the lowest indices, the
-        least descent is the least index in the set.
+        Works on the permutation: the descents of w are the simple roots it
+        sends to negatives, and stripping the least one, alpha_i, composes w
+        with s_i.
 
         Each stripped element's canonical word is a prefix of w's, so a caller
         that words many related elements of one root system may share
-        ``known``, a table from inversion sets (as bitmasks of root indices)
-        to canonical words: stripping stops at the first prefix in it, and
-        every prefix stripped on the way is recorded.
+        ``known``, a table from elements (keyed by the images of the simple
+        roots, ``perm[:rank]``, which determine them) to canonical words:
+        stripping stops at the first prefix in it, and every prefix stripped
+        on the way is recorded.
         """
         if self._word is None:
             rs = self.rs
-            N = rs.npos
-            inv = [k for k in range(N) if self.perm[k] >= N]
+            N, n = rs.npos, rs.rank
+            p = self.perm
             rev = []
             keys = []
             head: Tuple[int, ...] = ()
-            while inv:
+            while True:
+                for i in range(n):
+                    if p[i] >= N:
+                        break  # i is the least descent
+                else:
+                    break  # no descent: p is the identity
                 if known is not None:
-                    key = sum(map((1).__lshift__, inv))
+                    key = p[:n]
                     if key in known:
                         head = known[key]
                         break
                     keys.append(key)
-                i = min(inv)
                 rev.append(i + 1)
-                image = rs.simple_perms[i].__getitem__
-                inv = [image(k) for k in inv if k != i]
+                p = _compose(rs, p, rs.simple_perms[i])
             word = head + tuple(reversed(rev))
             for stripped, key in enumerate(keys):
                 known[key] = word[: len(word) - stripped]
@@ -261,7 +278,7 @@ def _level_order(
                 # v s_i is reached from its canonical parent instead
                 if max(map(p.__getitem__, lower), default=-1) >= N:
                     continue
-                nxt.append(WeylElement(rs, tuple(map(p.__getitem__, refl)), word + (i,)))
+                nxt.append(WeylElement(rs, _compose(rs, p, refl), word + (i,)))
         level = nxt
 
 
@@ -323,7 +340,7 @@ def from_one_line(rs: RootSystem, perm: Sequence[int]) -> WeylElement:
     if sorted(perm) != list(range(1, n + 1)):
         raise DomainError(f"{perm} is not a permutation of 1..{n}")
     index = {pair: k for k, pair in enumerate(rs.pairs)}
-    return WeylElement(rs, tuple(index[perm[a - 1], perm[b - 1]] for a, b in rs.pairs))
+    return WeylElement(rs, rs.perm_type(index[perm[a - 1], perm[b - 1]] for a, b in rs.pairs))
 
 
 def one_line_str(w: WeylElement) -> str:

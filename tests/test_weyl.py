@@ -4,6 +4,7 @@ exhaustive search in small groups."""
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -49,17 +50,15 @@ def in_parabolic(w, K):
 def from_images(rs, images):
     """The element sending alpha_{i+1} to images[i], built by summing
     coefficient vectors over every root: independent of the root index
-    tables.  A root carried to a non-root gets index -1."""
+    tables.  Every root must be carried to a root, and the element is
+    built in the root system's storage of permutations."""
     n = rs.rank
-    return WeylElement(
-        rs,
-        tuple(
-            rs.root_index.get(
-                tuple(sum(c * im[k] for c, im in zip(r, images) if c) for k in range(n)), -1
-            )
-            for r in rs.root_list
-        ),
-    )
+    carried = [
+        tuple(sum(c * im[k] for c, im in zip(r, images) if c) for k in range(n))
+        for r in rs.root_list
+    ]
+    assert all(image in rs.roots for image in carried)
+    return WeylElement(rs, rs.perm_type(rs.root_index[image] for image in carried))
 
 
 def test_act_identity_and_simple():
@@ -404,3 +403,97 @@ def test_act_matches_reflecting_letter_by_letter(drawn):
         for i in reversed(word):
             image = rs.reflect_simple(image, i)
         assert w.act(root) == image
+
+
+# -- the two storages of a permutation, at their boundary --------------------
+
+# each pair straddles 2N = 256: the first stores permutations as bytes, the
+# second as tuples
+BOUNDARY = [
+    ("A", 15), ("A", 16), ("B", 11), ("B", 12),
+    ("C", 11), ("C", 12), ("D", 11), ("D", 12),
+]
+
+
+def reference_simples(rs):
+    """Each s_i's permutation of root indices as a tuple, from reflecting
+    every coefficient vector: independent of rs.simple_perms."""
+    return {
+        i: tuple(rs.root_index[rs.reflect_simple(r, i)] for r in rs.root_list)
+        for i in range(1, rs.rank + 1)
+    }
+
+
+def compose(p, q):
+    """The tuple permutation k -> p[q[k]]."""
+    return tuple(p[k] for k in q)
+
+
+@pytest.mark.parametrize("family,rank", BOUNDARY)
+def test_both_storages_against_a_tuple_reference(family, rank):
+    rs = build_root_system(family, rank)
+    N = rs.npos
+    assert rs.perm_type is (bytes if 2 * N <= 256 else tuple)
+    simples = reference_simples(rs)
+
+    def reference(word):
+        p = tuple(range(2 * N))
+        for i in word:
+            p = compose(p, simples[i])
+        return p
+
+    def canonical_word(p):
+        """Least-index greedy descent stripping on the tuple."""
+        rev = []
+        while True:
+            i = next((i for i in range(1, rank + 1) if p[i - 1] >= N), None)
+            if i is None:
+                return tuple(reversed(rev))
+            rev.append(i)
+            p = compose(p, simples[i])
+
+    rng = random.Random(f"{family}{rank}")
+    known = {}
+    for _ in range(12):
+        u_word, v_word = (
+            [rng.randint(1, rank) for _ in range(rng.randint(0, 40))] for _ in range(2)
+        )
+        u, v = WeylElement.from_word(rs, u_word), WeylElement.from_word(rs, v_word)
+        ru, rv = reference(u_word), reference(v_word)
+        assert tuple(u.perm) == ru and tuple(v.perm) == rv
+        assert tuple((u * v).perm) == compose(ru, rv)
+        inverse = [0] * (2 * N)
+        for k, image in enumerate(ru):
+            inverse[image] = k
+        assert tuple(u.inverse().perm) == tuple(inverse)
+        assert u.length() == sum(image >= N for image in ru[:N])
+        assert u.descents() == {i for i in range(1, rank + 1) if ru[i - 1] >= N}
+        word = u.word()
+        assert word == canonical_word(ru) and len(word) == u.length()
+        assert WeylElement.from_word(rs, word) == u
+        assert WeylElement(rs, u.perm).word(known) == word
+        rebuilt = WeylElement(rs, rs.perm_type(ru))
+        assert rebuilt == u and hash(rebuilt) == hash(u) == hash(rs.perm_type(ru))
+        assert {u: word}[rebuilt] == word
+        assert (u == v) == (ru == rv)
+
+
+@pytest.mark.parametrize("family,rank", BOUNDARY + [("E", 8), ("G", 2)])
+def test_every_constructor_returns_the_systems_storage(family, rank):
+    rs = build_root_system(family, rank)
+    u = WeylElement.from_word(rs, [1, 2, rank, 1, rank - 1])
+    built = [
+        WeylElement.identity(rs),
+        WeylElement.simple(rs, rank),
+        u,
+        u * u,
+        u.inverse(),
+        longest_element(rs, range(1, rank + 1)),
+        longest_element(rs, [1, 2]),
+        *min_right_coset_rep(u, [1]),
+        *descent_decomposition(u),
+        *itertools.islice(enumerate_min_reps(rs, range(2, rank + 1)), 40),
+    ]
+    if family == "A":
+        built.append(from_one_line(rs, range(rank + 1, 0, -1)))
+    assert {type(w.perm) for w in built} == {rs.perm_type}
