@@ -4,11 +4,11 @@ Hessenberg-Schubert varieties, across all simple types.
 The fixed-point question reduces to the Peterson variety of the Levi named
 by J, whose smooth fixed points come from root data (``_smooth_K``): Delta,
 and the cominuscule walls with no shared-linear witness, the witness that
-the fig1 case table states.  Only ``w_star_star_member`` reads a table, so
-it needs the canonical labels, which ``roots.parabolic`` hands every
-component over in.  Type A admits an equivalent one-line criterion via
-block structure and avoidance of the patterns 123 and 2143, and the
-variety-level question is decided by a bracket condition on simple roots.
+the fig1 case table states.  The no-linear-term set is read off the highest
+root, so both sets answer any correctly built ``CartanDatum`` in its own
+labels.  Type A admits an equivalent one-line criterion via block structure
+and avoidance of the patterns 123 and 2143, and the variety-level question
+is decided by a bracket condition on simple roots.
 """
 
 from __future__ import annotations
@@ -79,29 +79,26 @@ class SmoothnessVerdict:
 
 
 def _normalize(datum: CartanDatum, K: Iterable[int]) -> FrozenSet[int]:
-    """K as a set, checked against the component, which must carry the
-    canonical labels that ``w_star_star_member``'s table reads."""
+    """K as a set, checked to lie in the component's simple roots."""
     Kset = frozenset(K)
     if not Kset <= set(range(1, datum.rank + 1)):
         raise DomainError("K is not a subset of the component's simple roots")
-    if datum != cartan_datum(datum.family, datum.rank):
-        raise DomainError(f"{datum.name} is not canonically labeled; classify it first")
     return Kset
 
 
 def w_star_member(component: CartanDatum, K: Iterable[int]) -> bool:
-    """Whether K, in the component's canonical 1-based labels, indexes a
+    """Whether K, in the component's own 1-based labels, indexes a
     singular fixed point of its Peterson variety: K not in ``_smooth_K``."""
     return _normalize(component, K) not in _smooth_K(component)
 
 
 @lru_cache(maxsize=None)
-def _smooth_K(component: CartanDatum) -> FrozenSet[FrozenSet[int]]:
-    """The K whose fixed point is smooth, from root data: Delta, and each
-    wall Delta minus beta with theta_beta = 1 that has no shared-linear
-    witness, two negative roots eta with eta_beta != 0 whose only simple
-    root alpha_a with eta - alpha_a a root gives one gamma = eta - alpha_a
-    for both.  Every other K is singular."""
+def _cominuscule_walls(component: CartanDatum) -> Dict[int, Optional[Tuple[Coeffs, int, int]]]:
+    """Each beta with theta_beta = 1, with the first shared-linear witness
+    (gamma, a1, a2) of its wall Delta minus beta, or None when it has none.
+    A witness is two negative roots eta = gamma + alpha_a with eta_beta != 0
+    whose only simple root alpha_a with eta - alpha_a a root gives the one
+    gamma for both; each one found must pass ``_shared_linear_row``."""
     rs = from_cartan(component)
     above: Dict[Coeffs, List[Tuple[int, Coeffs]]] = {}  # rho: [(a, rho + alpha_a) a root]
     for sigma in rs.positive_roots:
@@ -111,44 +108,37 @@ def _smooth_K(component: CartanDatum) -> FrozenSet[FrozenSet[int]]:
                 above.setdefault(rho, []).append((a, sigma))
     # eta = -rho with its one a; gamma = -sigma (the lowest root has no a)
     sole = [(rho, up[0]) for rho, up in above.items() if len(up) == 1]
-    full = frozenset(range(1, rs.rank + 1))
-    smooth = {full}
+    walls: Dict[int, Optional[Tuple[Coeffs, int, int]]] = {}
     for beta in (b for b, c in enumerate(rs.highest_root, start=1) if c == 1):
+        walls[beta] = None
         seen: Dict[Coeffs, int] = {}
         for rho, (a, sigma) in sole:
             if rho[beta - 1] and seen.setdefault(sigma, a) != a:
-                if not _shared_linear_row(rs, beta, negate(sigma), seen[sigma], a).ok:
+                walls[beta] = (negate(sigma), seen[sigma], a)
+                if not _shared_linear_row(rs, beta, *walls[beta]).ok:
                     raise RuntimeError(f"{component.name}: the witness for beta={beta} fails")
                 break
-        else:
-            smooth.add(full - {beta})
-    return frozenset(smooth)
+    return walls
+
+
+@lru_cache(maxsize=None)
+def _smooth_K(component: CartanDatum) -> FrozenSet[FrozenSet[int]]:
+    """The K whose fixed point is smooth: Delta, and each cominuscule wall
+    with no shared-linear witness.  Every other K is singular."""
+    full = frozenset(range(1, component.rank + 1))
+    walls = _cominuscule_walls(component)
+    return frozenset([full, *(full - {b} for b, witness in walls.items() if witness is None)])
 
 
 def w_star_star_member(component: CartanDatum, K: Iterable[int]) -> bool:
     """Whether K indexes a cell that is singular for the stronger reason
-    that its distinguished patch generator has no linear term."""
-    family, rank, Kset = component.family, component.rank, _normalize(component, K)
-    full = frozenset(range(1, rank + 1))
-    if Kset == full:
-        return False
-    missing = full - Kset
+    that its distinguished patch generator has no linear term: every K but
+    Delta and the walls Delta minus beta with theta_beta = 1."""
+    missing = frozenset(range(1, component.rank + 1)) - _normalize(component, K)
     if len(missing) != 1:
-        return True
+        return bool(missing)
     (beta,) = missing
-    if family == "A":
-        return False
-    if family == "B":
-        return beta != 1
-    if family == "C":
-        return beta != rank
-    if family == "D":
-        return beta not in (1, rank - 1, rank)
-    if family == "E" and rank == 6:
-        return beta not in (1, 6)
-    if family == "E" and rank == 7:
-        return beta != 7
-    return True  # E_8, F_4, G_2
+    return from_cartan(component).highest_root[beta - 1] != 1
 
 
 def cominuscule_check(component: CartanDatum, K: Iterable[int]) -> bool:
@@ -326,13 +316,12 @@ def typeA_hess_schubert_smooth(w, mu) -> SmoothnessVerdict:
 
 
 def peterson_singular_locus(component: CartanDatum) -> Tuple[Tuple[int, ...], ...]:
-    """All K whose cell lies in the singular locus, for one simple component;
-    more than DEFAULT_PETERSON_BOUND subsets K are refused."""
+    """All K, in the component's own labels, whose cell lies in the singular
+    locus; more than DEFAULT_PETERSON_BOUND subsets K are refused."""
     if 2**component.rank > DEFAULT_PETERSON_BOUND:
         raise EnumerationBoundError(
             f"2^{component.rank} subsets exceed the bound {DEFAULT_PETERSON_BOUND}"
         )
-    _normalize(component, ())  # refuses a datum that is not canonically labeled
     smooth = _smooth_K(component)
     universe = range(1, component.rank + 1)
     return tuple(

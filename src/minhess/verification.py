@@ -4,10 +4,10 @@ Each suite returns a list of named checks with pass/fail flags; the CLI
 turns any unexpected failure into a nonzero exit.  The table suite pins the
 regression data for the worked examples, the cross-validate suite replays
 the triple smoothness comparison at desk scale and judges closures by the
-oracle on the Levi of des(w), the cominuscule suite checks the
-root-arithmetic characterization against the no-linear-term table in every
-type, and the fig1 suite instantiates the shared-linear case table.  Only
-cross-validate and cominuscule take a max_rank.  The closure check, being a
+oracle on the Levi of des(w), the cominuscule suite checks the Weyl action
+and the highest-root no-linear-term rule against the paper's list of nodes
+in every type, and the fig1 suite instantiates the shared-linear case table.
+Only cross-validate and cominuscule take a max_rank.  The closure check, a
 reference, reads the Levi of des(w) from the one-line of w, not from ``hess``.
 """
 
@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import classes, hess, oracle, singular
 from .errors import DomainError, EnumerationBoundError
-from .roots import build_root_system, cartan_datum, from_cartan
+from .roots import build_root_system, cartan_datum
 from .weyl import (
     WeylElement,
     compositions,
@@ -304,6 +304,17 @@ _FAMILY_RANKS = {
     "G": lambda top: [2] if top >= 2 else [],
 }
 
+# the paper's cominuscule nodes (highest-root coefficient 1) at rank n
+_PAPER_NODES = {
+    "A": lambda n: set(range(1, n + 1)),
+    "B": lambda n: {1},
+    "C": lambda n: {n},
+    "D": lambda n: {1, n - 1, n},
+    "E": lambda n: {6: {1, 6}, 7: {7}}.get(n, set()),
+    "F": lambda n: set(),
+    "G": lambda n: set(),
+}
+
 
 def suite_cominuscule(max_rank: Optional[int] = None) -> List[Check]:
     """Every proper subset K in every type up to max_rank (default 8).  A
@@ -319,15 +330,14 @@ def suite_cominuscule(max_rank: Optional[int] = None) -> List[Check]:
     for family, ranks in _FAMILY_RANKS.items():
         for rank in ranks(max_rank):
             datum = cartan_datum(family, rank)
-            rs = from_cartan(datum)
-            theta = rs.highest_root
+            nodes = _PAPER_NODES[family](rank)
             universe = range(1, rank + 1)
             for size in range(rank):
                 for K in itertools.combinations(universe, size):
                     scanned += 1
                     lands_simple = singular.cominuscule_check(datum, K)
                     missing = set(universe) - set(K)
-                    node = len(missing) == 1 and theta[next(iter(missing)) - 1] == 1
+                    node = len(missing) == 1 and missing <= nodes
                     star2 = singular.w_star_star_member(datum, K)
                     if lands_simple != node or lands_simple == star2:
                         bad += 1
@@ -368,11 +378,10 @@ def suite_fig1() -> List[Check]:
                 )
             else:
                 checks.append(Check(name, row.ok))
-    # corrected witness for the defective instance: swap the two short-arm
-    # nodes, which is a diagram symmetry at rank 4
-    rs = build_root_system("D", 4)
-    gamma = tuple(s - t for t, s in zip(rs.highest_root, rs.simple_root(2)))
-    row = singular._shared_linear_row(rs, 3, gamma, 1, 4)
+    # corrected witness for the defective instance: the root-data rule's,
+    # which swaps the two short-arm nodes, a diagram symmetry at rank 4
+    witness = singular._cominuscule_walls(cartan_datum("D", 4))[3]
+    row = singular._shared_linear_row(build_root_system("D", 4), 3, *witness)
     checks.append(Check("shared-linear-D4-beta3-corrected-witness", row.ok))
     return checks
 

@@ -48,3 +48,30 @@ def paper_smooth_K(family, rank):
     if family == "B":
         return frozenset((full, full - {1}))
     return frozenset((full,))
+
+
+def paper_no_linear_term(family, rank, K):
+    """The paper's table of the K whose distinguished patch generator has no
+    linear term: every K but Delta and the walls Delta minus a cominuscule
+    node, listed per family."""
+    full = frozenset(range(1, rank + 1))
+    Kset = frozenset(K)
+    if Kset == full:
+        return False
+    missing = full - Kset
+    if len(missing) != 1:
+        return True
+    (beta,) = missing
+    if family == "A":
+        return False
+    if family == "B":
+        return beta != 1
+    if family == "C":
+        return beta != rank
+    if family == "D":
+        return beta not in (1, rank - 1, rank)
+    if family == "E" and rank == 6:
+        return beta not in (1, 6)
+    if family == "E" and rank == 7:
+        return beta != 7
+    return True  # E_8, F_4, G_2

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from minhess import hess, singular
 from minhess.errors import DomainError, EnumerationBoundError
-from minhess.roots import build_root_system, cartan_datum, parabolic
+from minhess.roots import CartanDatum, build_root_system, cartan_datum, parabolic
 from minhess.weyl import (
     Composition,
     WeylElement,
@@ -20,9 +20,15 @@ from minhess.weyl import (
     from_one_line,
     longest_element,
 )
-from references import paper_smooth_K
+from references import paper_no_linear_term, paper_smooth_K
 
 FULL = lambda n: frozenset(range(1, n + 1))
+
+
+def subsets(rank):
+    """Every K in 1..rank, by size and then lexicographically."""
+    return [K for size in range(rank + 1) for K in itertools.combinations(range(1, rank + 1), size)]
+
 
 # every canonical datum of rank at most 12
 RANKS_TO_12 = [
@@ -64,12 +70,44 @@ def test_w_star_c2_matches_b2_through_relabeling():
     assert singular.w_star_member(c2, [2]) == singular.w_star_member(b2, [1])
 
 
-def test_w_star_rejects_noncanonical_labels():
-    from minhess.roots import CartanDatum
+def test_w_star_answers_a_b_labelled_c2_as_c2():
+    """The rules read the datum's roots, not its family letter: C2's matrix
+    labelled B answers every K, and its locus, as C2 does."""
+    c2 = cartan_datum("C", 2)
+    b_labelled = CartanDatum("B", 2, c2.matrix)
+    for K in subsets(2):
+        assert singular.w_star_member(b_labelled, K) == singular.w_star_member(c2, K), K
+        assert singular.w_star_star_member(b_labelled, K) == singular.w_star_star_member(c2, K), K
+    assert singular.peterson_singular_locus(b_labelled) == singular.peterson_singular_locus(c2)
 
-    backwards_b2 = CartanDatum("B", 2, ((2, -1), (-2, 2)))  # mislabeled chain
-    with pytest.raises(DomainError):
-        singular.w_star_member(backwards_b2, [1])
+
+def test_w_star_answers_a_relabelled_d5_in_its_own_labels():
+    """D5 with node i renamed pi(i), which moves the branch node and every
+    cominuscule node, answers pi(K) as D5 answers K, and its locus is D5's
+    carried over by pi."""
+    pi = {1: 3, 2: 5, 3: 1, 4: 2, 5: 4}
+    d5 = cartan_datum("D", 5)
+    matrix = [[0] * 5 for _ in range(5)]
+    for i, j in itertools.product(range(1, 6), repeat=2):
+        matrix[pi[i] - 1][pi[j] - 1] = d5.matrix[i - 1][j - 1]
+    relabelled = CartanDatum("D", 5, tuple(map(tuple, matrix)))
+    assert relabelled != d5
+    for K in subsets(5):
+        piK = [pi[k] for k in K]
+        for rule in (singular.w_star_member, singular.w_star_star_member,
+                     singular.cominuscule_check):
+            assert rule(relabelled, piK) == rule(d5, K), (rule.__name__, K)
+    carried = {frozenset(pi[k] for k in K) for K in singular.peterson_singular_locus(d5)}
+    assert set(map(frozenset, singular.peterson_singular_locus(relabelled))) == carried
+
+
+def test_w_star_refuses_k_outside_the_simple_roots():
+    d5 = cartan_datum("D", 5)
+    message = "^K is not a subset of the component's simple roots$"
+    for rule in (singular.w_star_member, singular.w_star_star_member):
+        for K in ([6], [0, 1]):
+            with pytest.raises(DomainError, match=message):
+                rule(d5, K)
 
 
 @pytest.mark.parametrize("family,ranks", RANKS_TO_12)
@@ -94,6 +132,29 @@ def test_w_star_member_is_the_paper_table_on_walls_at_large_rank(family, rank):
     table = paper_smooth_K(family, rank)
     for K in [FULL(rank)] + [FULL(rank) - {beta} for beta in FULL(rank)]:
         assert singular.w_star_member(datum, K) == (K not in table), (datum.name, sorted(K))
+
+
+@pytest.mark.parametrize("family,ranks", RANKS_TO_12)
+def test_w_star_star_member_is_the_paper_table(family, ranks):
+    """The highest-root rule for the no-linear-term set answers as the
+    paper's per-family table on every K of every canonical datum up to
+    rank 12."""
+    for rank in ranks:
+        datum = cartan_datum(family, rank)
+        for K in subsets(rank):
+            assert singular.w_star_star_member(datum, K) == paper_no_linear_term(
+                family, rank, K
+            ), (datum.name, K)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 30), ("B", 20), ("C", 20), ("D", 20)])
+def test_w_star_star_member_is_the_paper_table_on_walls_at_large_rank(family, rank):
+    """Past rank 12, Delta, the empty K and every wall Delta minus beta."""
+    datum = cartan_datum(family, rank)
+    for K in [FULL(rank), frozenset()] + [FULL(rank) - {beta} for beta in FULL(rank)]:
+        assert singular.w_star_star_member(datum, K) == paper_no_linear_term(
+            family, rank, K
+        ), (datum.name, sorted(K))
 
 
 @pytest.mark.parametrize("family,ranks", RANKS_TO_12)
@@ -190,12 +251,10 @@ def test_peterson_singular_locus_examples():
 
 
 def test_peterson_singular_locus_is_the_plain_scan():
-    """The locus validates its component once and applies the rule per K;
-    it agrees with asking w_star_member of every subset in order, for every
-    family up to rank 8 and for C2 passed in directly rather than through
-    ``parabolic`` (which hands a rank-2 double bond over as B2)."""
-    from minhess.roots import CartanDatum
-
+    """The locus applies the rule per K: it agrees with asking w_star_member
+    of every subset in order, for every family up to rank 8 and for C2
+    passed in directly rather than through ``parabolic`` (which hands a
+    rank-2 double bond over as B2)."""
     data = []
     for family in "ABCDEFG":
         for rank in range(1, 9):
@@ -212,9 +271,6 @@ def test_peterson_singular_locus_is_the_plain_scan():
         ]
         expected = tuple(K for K in subsets if singular.w_star_member(datum, K))
         assert singular.peterson_singular_locus(datum) == expected, datum.name
-    backwards_b2 = CartanDatum("B", 2, ((2, -1), (-2, 2)))
-    with pytest.raises(DomainError):
-        singular.peterson_singular_locus(backwards_b2)
 
 
 def test_peterson_fixed_points_b4_example():

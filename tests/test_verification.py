@@ -9,7 +9,7 @@ import pytest
 
 from minhess import hess, oracle, singular, verification
 from minhess.weyl import Composition, compositions, one_line
-from references import matrix_admissible
+from references import matrix_admissible, paper_no_linear_term
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -93,3 +93,34 @@ def test_cross_validation_decomposes_each_pair_once(monkeypatch):
     monkeypatch.setattr(hess, "descent_decomposition", counted)
     assert all(check.ok for check in verification.suite_cross_validate(3))
     assert len(calls) == pairs
+
+
+def test_paper_node_table_is_the_no_linear_term_table():
+    """The cominuscule suite's node list names, at every rank up to 12, the
+    walls the paper's no-linear-term table leaves out."""
+    for family, ranks in verification._FAMILY_RANKS.items():
+        for rank in ranks(12):
+            full = set(range(1, rank + 1))
+            walls = {b for b in full if not paper_no_linear_term(family, rank, full - {b})}
+            assert verification._PAPER_NODES[family](rank) == walls, (family, rank)
+
+
+def test_cominuscule_suite_fails_on_a_flipped_rule(monkeypatch):
+    """Calling E7's beta = 7 wall a no-linear-term set is one bad subset."""
+    rule = singular.w_star_star_member
+
+    def flipped(datum, K):
+        return rule(datum, K) != (datum.name == "E7" and set(K) == set(range(1, 7)))
+
+    monkeypatch.setattr(singular, "w_star_star_member", flipped)
+    check = verification.suite_cominuscule(7)[0]
+    assert (check.name, check.ok, check.detail) == (
+        "cominuscule-characterization", False, "1183 subsets, 1 bad"
+    )
+
+
+def test_cominuscule_suite_fails_on_a_flipped_node_table(monkeypatch):
+    """Dropping E7's node 7 from the paper's list fails the suite."""
+    monkeypatch.setitem(verification._PAPER_NODES, "E", lambda n: {6: {1, 6}}.get(n, set()))
+    check = verification.suite_cominuscule(7)[0]
+    assert check.name == "cominuscule-characterization" and not check.ok
