@@ -454,15 +454,11 @@ def _add_element_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--w", required=True, help="one-line notation (type A) or reflection word")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built once per process: building it costs
-    far more than parsing one command line."""
-    return _parsers()[0]
-
-
 @functools.lru_cache(maxsize=None)
 def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
-    """The command line parser and each subcommand's own parser, by name."""
+    """The command line parser and each subcommand's own parser, by name,
+    built once per process: building them costs far more than parsing one
+    command line."""
     parser = argparse.ArgumentParser(
         prog="minhess",
         description=(
@@ -528,10 +524,10 @@ def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentPars
 
 
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, with the same namespace, exit
-    code and messages.  A command line that starts with a subcommand's name
-    goes straight to that subcommand's parser, as the top-level parser would
-    hand it over, without the top-level pass over every argument."""
+    """The top-level parser's ``parse_args(argv)``, with the same namespace,
+    exit code and messages.  A command line that starts with a subcommand's
+    name goes straight to that subcommand's parser, as the top-level parser
+    would hand it over, without the top-level pass over every argument."""
     parser, subcommands = _parsers()
     sub = subcommands.get(argv[0]) if argv else None
     if sub is None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -32,7 +33,6 @@ from .weyl import (
     Composition,
     WeylElement,
     _compose,
-    _in_parabolic,
     descent_decomposition,
     enumerate_min_reps,
     from_one_line,
@@ -64,22 +64,20 @@ def hess_config(rs: RootSystem, J: Iterable[int]) -> HessConfig:
     return HessConfig(rs, frozenset(J))
 
 
-_TYPE_A_CONFIGS: Dict[Tuple[int, ...], HessConfig] = {}
-
-
 def config_from_mu(mu: Sequence[int]) -> HessConfig:
     """The type A configuration of a composition, given as a Composition or
-    as its parts.  Configurations are interned by parts, as root systems are
-    per Cartan datum, so a known composition builds nothing; an invalid
-    composition is refused on every call."""
-    parts = mu.parts if isinstance(mu, Composition) else tuple(mu)
-    cfg = _TYPE_A_CONFIGS.get(parts)
-    if cfg is None:
-        comp = Composition(parts)
-        if comp.n < 2:
-            raise DomainError(f"composition {comp.parts} sums to {comp.n}; a type A root system needs n >= 2")
-        cfg = _TYPE_A_CONFIGS[parts] = HessConfig(build_root_system("A", comp.n - 1), comp.to_J())
-    return cfg
+    as its parts.  Configurations are built once per parts, as root systems
+    are per Cartan datum, so a known composition builds nothing; an invalid
+    composition is refused on every call, since a refusal is never cached."""
+    return _type_a_config(mu.parts if isinstance(mu, Composition) else tuple(mu))
+
+
+@lru_cache(maxsize=None)
+def _type_a_config(parts: Tuple[int, ...]) -> HessConfig:
+    comp = Composition(parts)
+    if comp.n < 2:
+        raise DomainError(f"composition {comp.parts} sums to {comp.n}; a type A root system needs n >= 2")
+    return HessConfig(build_root_system("A", comp.n - 1), comp.to_J())
 
 
 def typeA_point(w, mu) -> Tuple[WeylElement, HessConfig]:
@@ -280,14 +278,20 @@ def _cells_below(
 ) -> List[int]:
     """The k with cells[k] in the closure of b's cell, for admissible cells
     with descent sets descents: des(a) lies in des(b) and b^{-1} a in
-    W_des(b).  This is the one statement of the closure order."""
+    W_des(b), that is, no inversion of b^{-1} a has a simple root outside
+    des(b) in its support.  This is the one statement of the closure order."""
+    rs = b.rs
+    N, support = rs.npos, rs.support_mask
     des_b = b.descents()
-    outside = ~b.rs.simple_mask(des_b)
+    outside = ~rs.simple_mask(des_b)
     b_inv = b.inverse()
-    return [
-        k for k, (a, des_a) in enumerate(zip(cells, descents))
-        if des_a <= des_b and _in_parabolic(b_inv * a, outside)
-    ]
+    below = []
+    for k, (a, des_a) in enumerate(zip(cells, descents)):
+        if des_a <= des_b:
+            p = (b_inv * a).perm
+            if not any(support[r] & outside for r in range(N) if p[r] >= N):
+                below.append(k)
+    return below
 
 
 def closure_covers(cells: Sequence[WeylElement]) -> List[Tuple[WeylElement, WeylElement]]:

@@ -137,12 +137,13 @@ def regular_matrix(mu) -> Matrix:
     DEFAULT_SIZE_BOUND is refused before anything is built."""
     comp = Composition.of(mu)
     require_size(comp.n)
-    return _regular_table(comp)
+    return _regular_table(comp)[0]
 
 
 # at most one table per composition with n <= DEFAULT_SIZE_BOUND
 @lru_cache(maxsize=None)
-def _regular_table(comp: Composition) -> Matrix:
+def _regular_table(comp: Composition) -> Tuple[Matrix, Pattern]:
+    """X for comp, and its nonzeros, both built once."""
     ell = comp.length
     diag = [s for s, part in zip(range(ell - 1, -ell, -2), comp.parts) for _ in range(part)]
     X = [[0] * comp.n for _ in range(comp.n)]
@@ -150,13 +151,8 @@ def _regular_table(comp: Composition) -> Matrix:
         X[i][i] = s
     for i in comp.to_J():
         X[i - 1][i] = 1
-    return tuple(map(tuple, X))
-
-
-# the nonzeros of each table, read once
-@lru_cache(maxsize=None)
-def _regular_pattern(comp: Composition) -> Pattern:
-    return _nonzeros(_regular_table(comp))
+    X = tuple(map(tuple, X))
+    return X, _nonzeros(X)
 
 
 def _nonzeros(base: Matrix) -> Pattern:
@@ -209,8 +205,9 @@ class JacobianResult:
 
     @property
     def matrix(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        """The dense view of the sparse rows as Fractions, the form the CLI
-        prints."""
+        """The dense view of the sparse rows as Fractions, for library
+        callers, the tests and the benchmark; the CLI prints its own dense
+        rows, built from ``sparse_rows``."""
         dense = []
         for entries in self.sparse_rows:
             row = [Fraction(0)] * len(self.cols)
@@ -276,7 +273,7 @@ def jacobian_at_fixed_point(w, mu) -> JacobianResult:
     """
     X, cfg, rows, cols = _chart(w, mu)
     return _jacobian_from_conjugation(
-        cfg, rows, cols, X, _regular_pattern(cfg.mu), "fixed point"
+        cfg, rows, cols, X, _regular_table(cfg.mu)[1], "fixed point"
     )
 
 

@@ -315,25 +315,17 @@ class RootSystem:
         return f"RootSystem({self.cartan.name})"
 
 
-_SYSTEM_REGISTRY: Dict[CartanDatum, RootSystem] = {}
-
-
 def build_root_system(family: str, rank: int) -> RootSystem:
-    """Construct the root system of a simple type, Bourbaki numbering.
-
-    Systems are interned per Cartan datum, so repeated construction returns
-    the same (immutable) instance and elements built through independent
-    configurations interoperate.
-    """
+    """Construct the root system of a simple type, Bourbaki numbering."""
     return from_cartan(cartan_datum(family, rank))
 
 
+@lru_cache(maxsize=None)
 def from_cartan(datum: CartanDatum) -> RootSystem:
-    cached = _SYSTEM_REGISTRY.get(datum)
-    if cached is None:
-        cached = RootSystem(datum)
-        _SYSTEM_REGISTRY[datum] = cached
-    return cached
+    """The root system of a Cartan datum, built once per datum: repeated
+    construction returns the same (immutable) instance, so elements built
+    through independent configurations interoperate."""
+    return RootSystem(datum)
 
 
 def bracket_set(rs: RootSystem, left: Iterable[Coeffs], right: Iterable[Coeffs]) -> Tuple[Coeffs, ...]:

@@ -27,7 +27,7 @@ from .roots import (
     ParabolicSubsystem,
     RootSystem,
     bracket_set,
-    cartan_datum,
+    build_root_system,
     from_cartan,
     is_positive,
     negate,
@@ -358,7 +358,7 @@ def _shared_linear_cases(family: str, rank: int) -> List[Tuple[int, Coeffs, int,
     def vec(entries: Dict[int, int]) -> Coeffs:
         return tuple(entries.get(i, 0) for i in range(1, n + 1))
 
-    rs = from_cartan(cartan_datum(family, rank))
+    rs = build_root_system(family, rank)
     theta = rs.highest_root
     minus_theta = negate(theta)
 
@@ -434,7 +434,7 @@ def _shared_linear_row(
 
 def verify_shared_linear_table(family: str, rank: int) -> Tuple[SharedLinearRow, ...]:
     """Instantiate and check every case-table row for one (family, rank)."""
-    rs = from_cartan(cartan_datum(family, rank))
+    rs = build_root_system(family, rank)
     return tuple(
         _shared_linear_row(rs, *case) for case in _shared_linear_cases(family, rank)
     )

@@ -193,15 +193,6 @@ def is_min_rep(w: WeylElement, J: Iterable[int]) -> bool:
     return all(w.perm.index(j - 1) < w.rs.npos for j in J)
 
 
-def _in_parabolic(w: WeylElement, outside: int) -> bool:
-    """Whether w lies in W_K, given the complement outside of K's mask: no
-    inversion of w has a simple root outside K in its support.  The one
-    statement of the test, for callers that check many elements against one K."""
-    rs = w.rs
-    N = rs.npos
-    return not any(rs.support_mask[k] & outside for k in range(N) if w.perm[k] >= N)
-
-
 def min_right_coset_rep(w: WeylElement, J: Iterable[int]) -> Tuple[WeylElement, WeylElement]:
     """The unique reduced factorization w = y * v with y in W_J, v in ^J W.
 
@@ -244,11 +235,20 @@ def descent_decomposition(w: WeylElement) -> Tuple[WeylElement, WeylElement]:
 # -- enumeration ----------------------------------------------------------
 
 
-def _level_order(
-    rs: RootSystem, gens: Iterable[int], J: Iterable[int] = ()
+def enumerate_min_reps(
+    rs: RootSystem,
+    J: Iterable[int],
+    within: Optional[Iterable[int]] = None,
 ) -> Iterator[WeylElement]:
-    """Elements generated by the simple reflections ``gens`` that are
-    shortest in their right W_J coset, ordered by (length, canonical word).
+    """The shortest representatives of the right cosets W_J \\ W_within,
+    ordered by (length, canonical word); ``within`` None means the whole group,
+    and J empty enumerates every element of W_within.
+
+    This is the parabolic factorization W_within = W_J * ^J(W_within)
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4): every shortest
+    representative has a reduced word all of whose prefixes are again
+    shortest representatives, so a right-multiplication search finds each
+    exactly once.  DEFAULT_ENUMERATION_BOUND caps the coset count.
 
     Each element w other than e is reached once, from its canonical parent
     w * s_m with m = min des(w), so its word is the parent's plus (m).
@@ -257,13 +257,23 @@ def _level_order(
     from a shortest representative leaves ^J W exactly when v(alpha_i) is a
     simple root of J.
     """
+    gens = frozenset(range(1, rs.rank + 1) if within is None else within)
+    Jset = frozenset(J)
+    order = rs.weyl_order() if within is None else parabolic(rs, gens).weyl_order()
+    count = order // parabolic(rs, Jset).weyl_order()
+    if not Jset <= gens:
+        raise DomainError(f"J={sorted(Jset)} is not contained in {sorted(gens)}")
+    if count > DEFAULT_ENUMERATION_BOUND:
+        raise EnumerationBoundError(
+            f"coset count {count} exceeds enumeration bound {DEFAULT_ENUMERATION_BOUND}"
+        )
     N = rs.npos
     # (i, s_i's permutation, its entries at the simple roots alpha_j, j < i)
     steps = []
-    for i in sorted(frozenset(gens)):
+    for i in sorted(gens):
         refl = rs.simple_perms[i - 1]
         steps.append((i, refl, refl[: i - 1]))
-    blocked = frozenset(j - 1 for j in J)
+    blocked = frozenset(j - 1 for j in Jset)
     level = [WeylElement.identity(rs)]
     while level:
         yield from level
@@ -280,34 +290,6 @@ def _level_order(
                     continue
                 nxt.append(WeylElement(rs, _compose(rs, p, refl), word + (i,)))
         level = nxt
-
-
-def enumerate_min_reps(
-    rs: RootSystem,
-    J: Iterable[int],
-    within: Optional[Iterable[int]] = None,
-) -> Iterator[WeylElement]:
-    """The shortest representatives of the right cosets W_J \\ W_within,
-    ordered by (length, canonical word); ``within`` None means the whole group,
-    and J empty enumerates every element of W_within.
-
-    This is the parabolic factorization W_within = W_J * ^J(W_within)
-    (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4): every shortest
-    representative has a reduced word all of whose prefixes are again
-    shortest representatives, so a right-multiplication search finds each
-    exactly once.  DEFAULT_ENUMERATION_BOUND caps the coset count.
-    """
-    gens = frozenset(range(1, rs.rank + 1) if within is None else within)
-    Jset = frozenset(J)
-    order = rs.weyl_order() if within is None else parabolic(rs, gens).weyl_order()
-    count = order // parabolic(rs, Jset).weyl_order()
-    if not Jset <= gens:
-        raise DomainError(f"J={sorted(Jset)} is not contained in {sorted(gens)}")
-    if count > DEFAULT_ENUMERATION_BOUND:
-        raise EnumerationBoundError(
-            f"coset count {count} exceeds enumeration bound {DEFAULT_ENUMERATION_BOUND}"
-        )
-    yield from _level_order(rs, gens, Jset)
 
 
 # -- type A one-line notation ----------------------------------------------
@@ -382,15 +364,9 @@ class Composition:
         return frozenset(i for i in range(1, self.n) if i not in cuts)
 
     def blocks(self) -> Tuple[Tuple[int, int], ...]:
-        """Value ranges (lo, hi), inclusive, of the blocks, worked out on the
-        first call: a configuration keeps one composition, so every query on
-        it reads the same ranges."""
-        blocks = self.__dict__.get("_blocks")
-        if blocks is None:
-            ends = accumulate(self.parts)
-            blocks = tuple((end - p + 1, end) for p, end in zip(self.parts, ends))
-            object.__setattr__(self, "_blocks", blocks)
-        return blocks
+        """Value ranges (lo, hi), inclusive, of the blocks."""
+        ends = accumulate(self.parts)
+        return tuple((end - p + 1, end) for p, end in zip(self.parts, ends))
 
     @staticmethod
     def from_J(n: int, J: Iterable[int]) -> "Composition":

@@ -809,7 +809,7 @@ def parse_outcome(capsys, parse, argv):
 def test_subcommand_dispatch_matches_the_top_level_parse(capsys):
     """A command line that starts with a subcommand goes straight to its
     parser; every outcome is the top-level parse's, exit messages included."""
-    from minhess.cli import _parse_args, build_parser
+    from minhess.cli import _parse_args, _parsers
 
     rng = random.Random(0)
     argvs = [random_argv(rng) for _ in range(1000)]
@@ -820,7 +820,7 @@ def test_subcommand_dispatch_matches_the_top_level_parse(capsys):
         ["admissible", "--fam", "A", "--rank", "3"],
     ]
     for argv in argvs:
-        expected = parse_outcome(capsys, build_parser().parse_args, argv)
+        expected = parse_outcome(capsys, _parsers()[0].parse_args, argv)
         assert parse_outcome(capsys, _parse_args, argv) == expected, argv
 
 
@@ -836,9 +836,9 @@ def fresh_process(argv, **kwargs):
 def test_reused_parser_matches_fresh_processes(capsys):
     """The parser is built once per process; successive commands through it
     print what each prints in a process of its own."""
-    from minhess.cli import build_parser
+    from minhess.cli import _parsers
 
-    assert build_parser() is build_parser()
+    assert _parsers()[0] is _parsers()[0]
     commands = [
         ["oracle", "--mu", "3,1", "--w", "s2"],
         ["decompose", "--family", "B", "--rank", "4", "--J", "1,2,4", "--w", "1,3,4"],

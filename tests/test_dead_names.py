@@ -15,7 +15,6 @@ SRC = Path(minhess.__file__).parent
 
 # public names with no src caller, each kept for a stated reason
 ALLOWED = {
-    "build_parser": "the parser for callers, and the reference for the dispatch test",
     "min_right_coset_rep": "the benchmark's draw and tracer look it up",
     "levi_flag_class": "the reference for hess_schubert_class in test_classes and test_acceptance",
     "peterson_dual_class": "a formula of the paper, which a planned Schubert-basis check covers",

@@ -16,6 +16,7 @@ import pytest
 from minhess import classes, hess, roots
 from minhess.errors import DomainError
 from minhess.roots import (
+    CartanDatum,
     bracket_set,
     build_root_system,
     cartan_datum,
@@ -310,6 +311,25 @@ def test_cartan_datum_is_built_once_and_invalid_pairs_always_raise():
     for _ in range(2):
         with pytest.raises(DomainError):
             cartan_datum("D", 2)
+
+
+def test_from_cartan_builds_one_system_per_datum(monkeypatch):
+    """Equal data share one system, however the datum was made; a relabelled
+    datum (C2's matrix labelled B) is a datum of its own, whose system is
+    built on its first call and never again."""
+    a3 = cartan_datum("A", 3)
+    by_hand = CartanDatum("A", 3, a3.matrix)
+    assert by_hand is not a3
+    assert roots.from_cartan(by_hand) is build_root_system("A", 3)
+    c2 = cartan_datum("C", 2)
+    b_labelled = roots.from_cartan(CartanDatum("B", 2, c2.matrix))
+    assert b_labelled is not build_root_system("C", 2)
+    assert b_labelled is not build_root_system("B", 2)
+    assert b_labelled.cartan.family == "B"
+    assert b_labelled.root_list == build_root_system("C", 2).root_list
+    monkeypatch.setattr(roots, "RootSystem", lambda datum: pytest.fail("system rebuilt"))
+    assert roots.from_cartan(CartanDatum("B", 2, c2.matrix)) is b_labelled
+    assert roots.from_cartan(by_hand) is build_root_system("A", 3)
 
 
 def test_cartan_datum_refuses_a_root_table_past_the_bound_before_building_it(monkeypatch):
