@@ -33,11 +33,13 @@ class ClassExpression:
             raise DomainError(f"unknown form {self.form!r}")
 
 
-def _class(rs: RootSystem, S: FrozenSet[int], negatives: Iterable[int], form: str) -> ClassExpression:
+def _class(
+    rs: RootSystem, S: FrozenSet[int], negatives: Iterable[int], form: str
+) -> ClassExpression:
     """Scalar |W_S|/|W| times the negative roots with the given indices, in
     root order."""
     scalar = Fraction(parabolic(rs, S).weyl_order(), rs.weyl_order())
-    factors = tuple(rs.root_list[k] for k in sorted(negatives, key=rs.index_key))
+    factors = tuple(rs.root_list[k] for k in sorted(negatives, key=rs.index_keys.__getitem__))
     return ClassExpression(scalar, factors, form)
 
 

@@ -6,9 +6,8 @@ composition of n).  The module decides which Schubert cells meet the variety,
 computes closure relations and Poincare polynomials, and decomposes an
 admissible w = y_K v once: ``decompose_admissible`` gives K, v, Delta(v),
 v^{-1}(K), the descent factorization and the cell dimension, and the
-smoothness routes read them from it.  A configuration keeps its last
-decomposition, so the routes run on one element in turn decompose it once;
-it keeps only that one, so its memory stays one decomposition and nothing
+smoothness routes read them from it.  Only the last decomposition is kept,
+so the routes run on one element in turn decompose it once, and nothing
 outlives the next element.  One enumeration of admissible cells
 serves the whole variety and every Levi: by the Levi correspondence, the
 closure of w's cell is tau_w times the variety of the Levi of des(w) with
@@ -44,15 +43,11 @@ from .weyl import (
 @dataclass(frozen=True)
 class HessConfig:
     """Root system, J naming the regular element, and mu: J's composition in
-    type A, else None.  _last is the latest result of decompose_admissible
-    on this configuration, kept outside comparison and hashing."""
+    type A, else None."""
 
     rs: RootSystem
     J: FrozenSet[int]
     mu: Optional[Composition] = field(init=False, compare=False)
-    _last: Optional["AdmissibleDecomposition"] = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         self.rs.check_simple(self.J)
@@ -76,7 +71,9 @@ def config_from_mu(mu: Sequence[int]) -> HessConfig:
 def _type_a_config(parts: Tuple[int, ...]) -> HessConfig:
     comp = Composition(parts)
     if comp.n < 2:
-        raise DomainError(f"composition {comp.parts} sums to {comp.n}; a type A root system needs n >= 2")
+        raise DomainError(
+            f"composition {comp.parts} sums to {comp.n}; a type A root system needs n >= 2"
+        )
     return HessConfig(build_root_system("A", comp.n - 1), comp.to_J())
 
 
@@ -162,20 +159,17 @@ class AdmissibleDecomposition:
         return len(self.des)
 
 
+@lru_cache(maxsize=1)
 def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposition:
     """w = y_K v, where K, the left descents of w in J, are those of its W_J
     factor (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4): v = y_K w
     is shortest in its coset exactly when y_K is that factor.
 
-    The configuration keeps the result, and a call with an equal w (same
-    root system and permutation) returns it unchanged: the smoothness
-    routes on one element share one decomposition.  Only the last is kept,
-    since the routes visit one element at a time; a longer memory would
-    only grow, and a slot on w would tie w and its decomposition in a
-    cycle."""
-    last = cfg._last
-    if last is not None and last.w == w:
-        return last
+    The last result is kept, and a call with an equal w (same root system
+    and permutation) and an equal configuration returns it unchanged: the
+    smoothness routes on one element share one decomposition.  Only the
+    last is kept, since the routes visit one element at a time; a refusal
+    is never kept, so it is raised on every call."""
     require_admissible(w, cfg)
     rs = cfg.rs
     winv = w.inverse()
@@ -208,9 +202,7 @@ def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposi
     v_des = v.descents()
     if des != v_des | vinv_K or v_des & vinv_K:
         raise RuntimeError("descent set does not split as des(v) u v^{-1}(K)")
-    dec = AdmissibleDecomposition(w, K, v, tau, des, y_des, Jw, delta, vinv_K)
-    object.__setattr__(cfg, "_last", dec)
-    return dec
+    return AdmissibleDecomposition(w, K, v, tau, des, y_des, Jw, delta, vinv_K)
 
 
 def _admissible(
@@ -242,7 +234,9 @@ def _admissible(
                 yield w, v, frozenset(K)
 
 
-def enumerate_admissible(cfg: HessConfig) -> Iterator[Tuple[WeylElement, WeylElement, FrozenSet[int]]]:
+def enumerate_admissible(
+    cfg: HessConfig,
+) -> Iterator[Tuple[WeylElement, WeylElement, FrozenSet[int]]]:
     """All admissible elements as triples (w, v, K), w = y_K v reduced, in the
     order of the coset enumeration; DEFAULT_ENUMERATION_BOUND counts W_J \\ W."""
     yield from _admissible(cfg.rs, range(1, cfg.rs.rank + 1), cfg.J)

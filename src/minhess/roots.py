@@ -239,8 +239,9 @@ class RootSystem:
             supports = [[i + 1 for i, c in enumerate(r) if c] for r in self.positive_roots]
             pos = [(support[0], support[-1] + 1) for support in supports]
             self.pairs = tuple(pos) + tuple((j, i) for i, j in pos)
-        # index_keys[k] is index_key(k), for sorting many indices at once
-        self.index_keys: Tuple[int, ...] = tuple(map(self.index_key, range(2 * N)))
+        # index_keys[k] sorts root index k in root_key order: the negatives
+        # from index 2N - 1 down to N, then the positives from 0 up
+        self.index_keys: Tuple[int, ...] = tuple(range(N)) + tuple(range(-1, -N - 1, -1))
         self.highest_root: Coeffs = self.positive_roots[-1]
         expected = POSITIVE_COUNT[cartan.family](n)
         if len(self.positive_roots) != expected:
@@ -303,11 +304,6 @@ class RootSystem:
         """The simple indices as a mask in the bits of ``support_mask``."""
         return sum(1 << (i - 1) for i in frozenset(indices))
 
-    def index_key(self, k: int) -> int:
-        """Sort key of root index k in ``root_key`` order: the negatives from
-        index 2N - 1 down to N, then the positives from 0 up."""
-        return k if k < self.npos else self.npos - 1 - k
-
     def weyl_order(self) -> int:
         return weyl_order(self.cartan.family, self.rank)
 
@@ -328,7 +324,9 @@ def from_cartan(datum: CartanDatum) -> RootSystem:
     return RootSystem(datum)
 
 
-def bracket_set(rs: RootSystem, left: Iterable[Coeffs], right: Iterable[Coeffs]) -> Tuple[Coeffs, ...]:
+def bracket_set(
+    rs: RootSystem, left: Iterable[Coeffs], right: Iterable[Coeffs]
+) -> Tuple[Coeffs, ...]:
     """All roots expressible as a sum of one root from each input set."""
     left = [rs.check_root(r) for r in left]
     right = [rs.check_root(r) for r in right]
@@ -362,7 +360,6 @@ class Component:
 
 @dataclass(frozen=True)
 class ParabolicSubsystem:
-    ambient: RootSystem
     J: FrozenSet[int]
     components: Tuple[Component, ...]
 
@@ -386,7 +383,7 @@ def _parabolic(rs: RootSystem, J: FrozenSet[int]) -> ParabolicSubsystem:
     rs.check_simple(J)
     comps = [_classify_component(rs, nodes) for nodes in _connected_components(rs, J)]
     comps.sort(key=lambda c: min(c.indices))
-    return ParabolicSubsystem(rs, J, tuple(comps))
+    return ParabolicSubsystem(J, tuple(comps))
 
 
 def _connected_components(rs: RootSystem, J: FrozenSet[int]) -> List[List[int]]:

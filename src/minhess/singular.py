@@ -338,11 +338,6 @@ def peterson_singular_locus(component: CartanDatum) -> Tuple[Tuple[int, ...], ..
 @dataclass(frozen=True)
 class SharedLinearRow:
     beta: int
-    gamma: Coeffs
-    eta1: Coeffs
-    alpha1: int
-    eta2: Coeffs
-    alpha2: int
     checks: Tuple[Tuple[str, bool], ...]
 
     @property
@@ -429,7 +424,7 @@ def _shared_linear_row(
         )
         checks.append((f"{name}_unique_linear", sole))
     checks.append(("beta_cominuscule", theta[beta - 1] == 1))
-    return SharedLinearRow(beta, gamma, eta1, a1, eta2, a2, tuple(checks))
+    return SharedLinearRow(beta, tuple(checks))
 
 
 def verify_shared_linear_table(family: str, rank: int) -> Tuple[SharedLinearRow, ...]:

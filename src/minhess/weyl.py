@@ -41,7 +41,7 @@ def _compose(rs: RootSystem, p: Perm, q: Perm) -> Perm:
 
 
 class WeylElement:
-    __slots__ = ("rs", "perm", "_word", "_hash")
+    __slots__ = ("rs", "perm", "_word")
 
     def __init__(
         self, rs: RootSystem, perm: Perm, word: Optional[Tuple[int, ...]] = None
@@ -52,7 +52,6 @@ class WeylElement:
         self.rs = rs
         self.perm = perm
         self._word = word
-        self._hash: Optional[int] = None
 
     # -- construction ----------------------------------------------------
 
@@ -153,9 +152,7 @@ class WeylElement:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.perm)
-        return self._hash
+        return hash(self.perm)
 
     def __repr__(self) -> str:
         word = self.word()

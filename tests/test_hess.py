@@ -453,13 +453,13 @@ def test_element_of_another_root_system_is_domain_error(query):
         query()
 
 
-# -- the configuration's last decomposition ----------------------------------
+# -- the last decomposition ---------------------------------------------------
 
 
 def test_equal_element_reuses_the_last_decomposition():
-    """A distinct but equal w is answered with the decomposition already
-    made, whose fields are those a configuration with no memory gives; a
-    different w gets its own."""
+    """A distinct but equal w, on the same or an equal configuration, is
+    answered with the decomposition already made, whose fields are those
+    made with nothing kept; a different w gets its own."""
     cfg = hess.config_from_mu((2, 2))
     d = hess.decompose_admissible(from_one_line(cfg.rs, (3, 4, 2, 1)), cfg)
     again = from_one_line(cfg.rs, (3, 4, 2, 1))
@@ -467,22 +467,29 @@ def test_equal_element_reuses_the_last_decomposition():
     assert hess.decompose_admissible(again, cfg) is d
     fresh = hess.hess_config(cfg.rs, cfg.J)
     assert fresh == cfg and fresh is not cfg
+    assert hess.decompose_admissible(again, fresh) is d
+    hess.decompose_admissible.cache_clear()
     assert hess.decompose_admissible(again, fresh) == d
     other = hess.decompose_admissible(from_one_line(cfg.rs, (3, 4, 1, 2)), cfg)
     assert other is not d and other.w == from_one_line(cfg.rs, (3, 4, 1, 2))
+    hess.decompose_admissible.cache_clear()
     assert other == hess.decompose_admissible(other.w, fresh)
 
 
-def test_each_configuration_keeps_its_own_decomposition():
-    """The same w on another J is decomposed for that J, and neither
-    configuration's answer replaces the other's."""
+def test_only_the_last_decomposition_is_kept():
+    """The same w on another J is decomposed for that J, as it is with
+    nothing kept; repeating the last (w, cfg) returns the kept object, and
+    the memory holds that one decomposition only."""
     cfg_22, cfg_31 = hess.config_from_mu((2, 2)), hess.config_from_mu((3, 1))
     e = WeylElement.identity(cfg_22.rs)
-    d_22 = hess.decompose_admissible(e, cfg_22)
+    hess.decompose_admissible.cache_clear()
+    fresh = hess.decompose_admissible(e, cfg_31)
+    hess.decompose_admissible(e, cfg_22)
     d_31 = hess.decompose_admissible(e, cfg_31)
-    assert d_22 is not d_31
-    assert d_22.delta_v == frozenset({1, 3}) and d_31.delta_v == frozenset({1, 2})
-    assert hess.decompose_admissible(e, cfg_22) is d_22
+    assert d_31 == fresh and d_31 is not fresh
+    assert d_31.delta_v == frozenset({1, 2})
+    assert hess.decompose_admissible(e, cfg_31) is d_31
+    assert hess.decompose_admissible.cache_info().maxsize == 1
 
 
 def test_element_of_another_system_is_refused_after_a_cached_one():

@@ -75,14 +75,13 @@ def test_levi_check_reads_nothing_from_hess(monkeypatch):
 def test_cross_validation_decomposes_each_pair_once(monkeypatch):
     """The smoothness routes on one admissible pair share one decomposition:
     the descent factorization runs once per pair of the n <= 4 sweep.  The
-    configurations start with no decomposition kept, so an earlier test's
-    last element cannot answer the first pair."""
+    sweep starts with no decomposition kept, so an earlier test's last
+    element cannot answer the first pair."""
     pairs = 0
     for n in range(2, 5):
         for mu in compositions(n):
-            cfg = hess.config_from_mu(mu)
-            object.__setattr__(cfg, "_last", None)
-            pairs += sum(1 for _ in hess.enumerate_admissible(cfg))
+            pairs += sum(1 for _ in hess.enumerate_admissible(hess.config_from_mu(mu)))
+    hess.decompose_admissible.cache_clear()
     calls = []
     factorization = hess.descent_decomposition
 

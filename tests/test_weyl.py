@@ -322,7 +322,7 @@ def test_root_index_tables(family, rank):
             eps = [c[p] - c[p - 1] for p in range(1, rank + 2)]
             i, j = rs.pairs[k]
             assert eps == [(p == i) - (p == j) for p in range(1, rank + 2)]
-    in_order = [rs.root_list[k] for k in sorted(range(2 * N), key=rs.index_key)]
+    in_order = [rs.root_list[k] for k in sorted(range(2 * N), key=rs.index_keys.__getitem__)]
     assert in_order == sorted(rs.root_list, key=root_key)
 
 
