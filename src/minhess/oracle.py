@@ -11,13 +11,16 @@ combinatorial routes.
 To first order (I + Z)^-1 X (I + Z) = X + [X, Z], so the linear parts of the
 defining equations, which are all the Jacobian needs, are the entries of the
 commutator [X, Z].  A row of [X, Z] has at most three nonzero entries at a
-fixed point, so the rows are filled from the nonzeros of X, stored as sparse
-rows and ranked by exact integer elimination on them, the only elimination
-here.  The rows are the entries the point must leave zero to lie in the
-Hessenberg space, so the chart's constant terms decide membership: one test
-on them refuses a point outside the variety for both Jacobians and the
-closed form.  Every entry point sets up its chart the same way, and no
-result from ``hess`` is consulted.
+fixed point, so the rows are filled from the nonzeros of X, kept free of
+zeros as they are built, stored as sparse rows and ranked by exact integer
+elimination on them, the only elimination here.  The rank of the last
+matrix is kept in a one-entry memo keyed by its rows, so the closed form,
+whose rows equal the conjugation's, takes the rank already found.  The rows
+are the entries the point must leave zero to lie in the Hessenberg space,
+so the chart's constant terms decide membership: one test on them refuses
+a point outside the variety for both Jacobians and the closed form.  Every
+entry point sets up its chart the same way, and no result from ``hess`` is
+consulted.
 
 X has the eigenvalues l-1, l-3, ..., 1-l.  X, its nonzero pattern (the
 nonzeros of each row and of each column, from which the commutator rows
@@ -65,19 +68,16 @@ Pattern = Tuple[Tuple[Nonzeros, ...], Tuple[Nonzeros, ...]]
 def rank(sparse_rows: Iterable[Iterable[Tuple[int, Entry]]]) -> int:
     """Rank by exact integer elimination on sparse rows of (column, value)
     pairs, the oracle's only elimination.  Each row with a nonzero value
-    becomes a {column: int} row: as it is when every value is an int, else
-    scaled by the lowest common denominator of its entries.  A pivot row is
-    set aside, and only the rows nonzero in the column of its first entry
-    are combined with it, each result divided by the gcd of its entries."""
-    rows = []
-    for row in sparse_rows:
-        nz = {c: x for c, x in row if x}
-        if not nz:
-            continue
-        if not all(type(x) is int for x in nz.values()):
+    becomes a {column: int} row: as it is when every value in the matrix is
+    an int, else scaled by the lowest common denominator of its entries.  A
+    pivot row is set aside, and only the rows nonzero in the column of its
+    first entry are combined with it, each result divided by the gcd of its
+    entries."""
+    rows = [nz for nz in ({c: x for c, x in row if x} for row in sparse_rows) if nz]
+    if not all(type(x) is int for row in rows for x in row.values()):
+        for k, nz in enumerate(rows):
             lcd = lcm(*(x.denominator for x in nz.values()))
-            nz = {c: x.numerator * (lcd // x.denominator) for c, x in nz.items()}
-        rows.append(nz)
+            rows[k] = {c: x.numerator * (lcd // x.denominator) for c, x in nz.items()}
     r = 0
     while rows:
         top = rows.pop()
@@ -96,6 +96,14 @@ def rank(sparse_rows: Iterable[Iterable[Tuple[int, Entry]]]) -> int:
             rows[k] = {c: x // g for c, x in new.items() if x}
         rows = [row for row in rows if row]
     return r
+
+
+# the closed form's rows equal the conjugation's ranked just before it, so
+# the last matrix's rank is kept, keyed by its stored rows' values
+@lru_cache(maxsize=1)
+def _stored_rank(stored: Tuple[Nonzeros, ...]) -> int:
+    """The rank of a Jacobian's stored rows, remembered for one matrix."""
+    return rank(stored)
 
 
 def _unipotent_conjugate(U: Matrix, M: Matrix) -> Matrix:
@@ -225,11 +233,12 @@ def _ranked(
     rs: RootSystem, rows: List[int], cols: List[int], sparse: List[Dict[int, Entry]],
     note: str,
 ) -> JacobianResult:
-    """The Jacobian with its rank and verdict, rows and columns as roots."""
-    stored = tuple(tuple(sorted((k, x) for k, x in row.items() if x)) for row in sparse)
-    rk = rank(stored)
+    """The Jacobian with its rank and verdict, rows and columns as roots;
+    each row of sparse holds only nonzero values."""
+    stored = tuple(tuple(sorted(row.items())) for row in sparse)
+    rk = _stored_rank(stored)
     verdict = SMOOTH if rk == len(rows) else SINGULAR
-    roots = [tuple(rs.root_list[k] for k in ks) for ks in (rows, cols)]
+    roots = [tuple(map(rs.root_list.__getitem__, ks)) for ks in (rows, cols)]
     return JacobianResult(*roots, stored, rk, verdict, note)
 
 
@@ -241,8 +250,9 @@ def _jacobian_from_conjugation(
     commutator [base, Z]: the coefficient of z_gamma, gamma = (a, b), in the
     entry eta = (i, j) is base[i][a] [b = j] - [i = a] base[b][j], so row eta
     touches only the columns (a, j) with base[i][a] != 0 and (i, b) with
-    base[b][j] != 0; pattern is base's ``_nonzeros``.  A nonzero constant
-    term puts the point outside the variety."""
+    base[b][j] != 0; pattern is base's ``_nonzeros``, and an entry that
+    cancels is dropped.  A nonzero constant term puts the point outside the
+    variety."""
     _require_in_variety(base, cfg, rows, point)
     pairs = cfg.rs.pairs
     column = {(a - 1, b - 1): k for k, (a, b) in enumerate(map(pairs.__getitem__, cols))}
@@ -259,7 +269,9 @@ def _jacobian_from_conjugation(
         for b, y in in_col[j]:
             k = column.get((i, b))
             if k is not None:
-                row[k] = row.get(k, 0) - y
+                x = row.pop(k, 0) - y
+                if x:
+                    row[k] = x
         sparse.append(row)
     return _ranked(cfg.rs, rows, cols, sparse, note)
 
@@ -282,8 +294,9 @@ def linear_terms_closed_form(w, mu) -> JacobianResult:
 
     The (eta, gamma) entry is the eigenvalue difference eta(diag) on the
     diagonal, minus the elementary-matrix structure constant whenever eta
-    differs from gamma by a block simple root.  Kept independent of the
-    commutator of explicit matrices so the two can be compared entrywise.
+    differs from gamma by a block simple root; a zero of either is left
+    out.  Kept independent of the commutator of explicit matrices so the two
+    can be compared entrywise, and ranked once when they agree.
     """
     X, cfg, rows, cols = _chart(w, mu)
     _require_in_variety(X, cfg, rows, "fixed point")
@@ -293,12 +306,15 @@ def linear_terms_closed_form(w, mu) -> JacobianResult:
     sparse = []
     for eta in map(pairs.__getitem__, rows):
         i, j = eta
-        row = {column[eta]: X[i - 1][i - 1] - X[j - 1][j - 1]}
+        diff = X[i - 1][i - 1] - X[j - 1][j - 1]
+        row = {column[eta]: diff} if diff else {}
         # eta - gamma is a simple root alpha only for gamma = (i+1, j), (i, j-1)
         for gamma, alpha in (((i + 1, j), (i, i + 1)), ((i, j - 1), (j - 1, j))):
             k = column.get(gamma)
             if k is not None and alpha in block_simples:
-                row[k] = -_structure_constant(gamma, alpha, eta)
+                c = _structure_constant(gamma, alpha, eta)
+                if c:
+                    row[k] = -c
         sparse.append(row)
     return _ranked(cfg.rs, rows, cols, sparse, "")
 

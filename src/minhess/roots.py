@@ -10,7 +10,8 @@ construction.  Simple indices are 1-based throughout the public API,
 matching the standard numbering of the Dynkin diagrams (for type B the
 short simple root is ``alpha_n``, for type C it is the long one, G_2 has
 ``alpha_1`` short).  ``parabolic`` labels each component of a sub-diagram
-by one rule per type, checks the relabeling against the reference Cartan
+from its Cartan matrix alone, reading a chain from either end and a branched
+diagram by its arms, checks the relabeling against the reference Cartan
 matrix, and keeps the result per root system and set of simple roots.
 """
 
@@ -404,52 +405,23 @@ def _connected_components(rs: RootSystem, J: FrozenSet[int]) -> List[List[int]]:
     return comps
 
 
-def _bond(rs: RootSystem, a: int, b: int) -> int:
-    return rs.cartan.matrix[a - 1][b - 1] * rs.cartan.matrix[b - 1][a - 1]
-
-
 def _classify_component(rs: RootSystem, nodes: List[int]) -> Component:
-    """Classify a connected sub-diagram and produce its canonical relabeling.
-
-    B components are oriented so the short root is last; a rank-2 double
-    bond is always normalized to B_2 (C_2 and B_2 are the same system).
+    """Classify a connected sub-diagram and produce its canonical relabeling,
+    with no label read.  A diagram without a branch point is a chain: it is
+    walked from its lower end, then from the other, and named by the first
+    walk whose Cartan matrix is a reference one, B tried before C so that a
+    rank-2 double bond is B_2 (C_2 and B_2 are the same system).
     """
     k = len(nodes)
     C = rs.cartan.matrix
-    if k == 1:
-        return _checked_component(rs, "A", (nodes[0],))
     adj = {a: [b for b in nodes if b != a and C[a - 1][b - 1] != 0] for a in nodes}
-    bonds = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1 :] if _bond(rs, a, b) > 1]
-
-    if any(_bond(rs, a, b) == 3 for a, b in bonds):
-        # a triple bond occurs only in G2 itself, already in reference order
-        return _checked_component(rs, "G", bonds[0])
-
-    if bonds:
-        (a, b) = bonds[0]
-        # orient (long, short): <long, short^vee> = -2
-        long_, short = (a, b) if C[a - 1][b - 1] == -2 else (b, a)
-        if k == 2:
-            return _checked_component(rs, "B", (long_, short))
-        deg = {x: len(adj[x]) for x in nodes}
-        if deg[long_] > 1 and deg[short] > 1:
-            # a double bond interior to the chain occurs only in F4 itself,
-            # already in reference order
-            return _checked_component(rs, "F", tuple(nodes))
-        if deg[short] == 1:
-            chain = _walk_chain(adj, start=short)
-            chain.reverse()
-            return _checked_component(rs, "B", tuple(chain))
-        chain = _walk_chain(adj, start=long_)
-        chain.reverse()
-        return _checked_component(rs, "C", tuple(chain))
-
-    # simply laced: chain or a single branch point
     branch = [x for x in nodes if len(adj[x]) == 3]
     if not branch:
-        ends = sorted(x for x in nodes if len(adj[x]) <= 1)
-        chain = _walk_chain(adj, start=ends[0])
-        return _checked_component(rs, "A", tuple(chain))
+        chain = _walk_chain(adj, start=min(x for x in nodes if len(adj[x]) <= 1))
+        walks = (tuple(chain), tuple(reversed(chain)))
+        families = "ABC" + "F" * (k == 4) + "G" * (k == 2)
+        return _checked_component(rs, [(f, order) for f in families for order in walks])
+    # simply laced with a single branch point
     b = branch[0]
     arms = []
     for first in adj[b]:
@@ -467,12 +439,12 @@ def _classify_component(rs: RootSystem, nodes: List[int]) -> Component:
         # back to alpha_1
         long_arm = arms[2]
         order = list(reversed(long_arm)) + [b] + [arms[0][0], arms[1][0]]
-        return _checked_component(rs, "D", tuple(order))
+        return _checked_component(rs, [("D", tuple(order))])
     if lengths[:2] == (1, 2) and lengths[2] in (2, 3, 4):
         # E_k: the short arm is alpha_2, the two-node arm runs alpha_3,
         # alpha_1 and the long arm alpha_5 onward
         order = (arms[1][1], arms[0][0], arms[1][0], b) + tuple(arms[2])
-        return _checked_component(rs, "E", order)
+        return _checked_component(rs, [("E", order)])
     raise DomainError(f"sub-diagram on {nodes} is not of finite type")
 
 
@@ -489,13 +461,19 @@ def _walk_chain(adj: Dict[int, List[int]], start: int) -> List[int]:
         seen.add(nxt[0])
 
 
-def _checked_component(rs: RootSystem, family: str, order: Tuple[int, ...]) -> Component:
-    datum = cartan_datum(family, len(order))
+def _checked_component(
+    rs: RootSystem, candidates: Iterable[Tuple[str, Tuple[int, ...]]]
+) -> Component:
+    """The first candidate (family, order) under which the sub-diagram's
+    Cartan matrix is the reference matrix of that family: the one statement
+    of "this order is that family"."""
     C = rs.cartan.matrix
-    for i, a in enumerate(order):
-        for j, b in enumerate(order):
-            if C[a - 1][b - 1] != datum.matrix[i][j]:
-                raise RuntimeError(
-                    f"relabeling {order} does not match reference {datum.name}"
-                )
-    return Component(order, datum)
+    for family, order in candidates:
+        datum = cartan_datum(family, len(order))
+        if all(
+            C[a - 1][b - 1] == x
+            for a, row in zip(order, datum.matrix)
+            for b, x in zip(order, row)
+        ):
+            return Component(order, datum)
+    raise RuntimeError(f"no relabeling of {sorted(order)} matches a reference type")

@@ -48,6 +48,9 @@ PETERSON_W_STAR = "PetersonWStar"
 PATTERN_HIT = "PatternHit"
 BLOCK_SPLIT = "BlockSplit"
 BRACKET_NONEMPTY = "BracketNonempty"
+_SINGULAR_REASONS = frozenset(
+    {DELTA_V_MISMATCH, PETERSON_W_STAR, PATTERN_HIT, BLOCK_SPLIT, BRACKET_NONEMPTY}
+)
 
 
 @dataclass(frozen=True)
@@ -58,14 +61,7 @@ class SmoothnessVerdict:
     detail: Tuple = ()
 
     def __post_init__(self) -> None:
-        singular_reasons = {
-            DELTA_V_MISMATCH,
-            PETERSON_W_STAR,
-            PATTERN_HIT,
-            BLOCK_SPLIT,
-            BRACKET_NONEMPTY,
-        }
-        if (self.reason in singular_reasons) != (self.verdict == SINGULAR):
+        if (self.reason in _SINGULAR_REASONS) != (self.verdict == SINGULAR):
             raise RuntimeError("verdict/reason mismatch")
         if not self.citations:
             raise RuntimeError("classification verdicts must carry citations")
@@ -202,12 +198,19 @@ def hess_fixed_point_smooth(w: WeylElement, cfg: HessConfig) -> SmoothnessVerdic
 def contains_pattern(seq: Sequence[int], pattern: Sequence[int]) -> Optional[Tuple[int, ...]]:
     """First index tuple (in lexicographic order) realizing the pattern as an
     order-isomorphic subsequence, or None.  Naive scan; block sizes are small."""
-    k = len(pattern)
-    rel = [(a, b) for a in range(k) for b in range(k) if pattern[a] < pattern[b]]
-    for idx in itertools.combinations(range(len(seq)), k):
+    rel = _order_relation(tuple(pattern))
+    for idx in itertools.combinations(range(len(seq)), len(pattern)):
         if all(seq[idx[a]] < seq[idx[b]] for a, b in rel):
             return idx
     return None
+
+
+@lru_cache(maxsize=None)
+def _order_relation(pattern: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
+    """The position pairs (a, b) with pattern[a] < pattern[b], built once
+    per pattern."""
+    k = len(pattern)
+    return tuple((a, b) for a in range(k) for b in range(k) if pattern[a] < pattern[b])
 
 
 def _block_windows(w_line: Sequence[int], mu: Composition) -> List[Tuple[int, Tuple[int, ...]]]:

@@ -463,6 +463,14 @@ def test_rejects_inadmissible_and_oversize():
         matrix_admissible(tuple(range(1, 8)), (7,))
 
 
+def assert_rows_are_zero_free(res):
+    """Each stored row holds only nonzero values, at strictly increasing
+    columns: both fills drop a zero as it arises."""
+    for row in res.sparse_rows:
+        assert all(x != 0 for _, x in row), row
+        assert all(a < b for (a, _), (b, _) in zip(row, row[1:])), row
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_dual_path_identity(n):
     """The commutator and the assembled closed form agree entrywise."""
@@ -473,6 +481,8 @@ def test_dual_path_identity(n):
             closed = oracle.linear_terms_closed_form(w, mu)
             assert conj.rows == closed.rows and conj.cols == closed.cols
             assert conj.matrix == closed.matrix
+            assert_rows_are_zero_free(conj)
+            assert_rows_are_zero_free(closed)
 
 
 def test_s_assignment_independence():
@@ -651,6 +661,7 @@ def test_cell_points_agree_with_exact_conjugation():
             continue
         res = oracle.jacobian_at_cell_point(w, mu, U)
         assert res.note == oracle.CELL_POINT_NOTE
+        assert_rows_are_zero_free(res)
         assert_columns_are_linear_terms(res, matmul(matmul(inverse(U), X), U))
     assert min(seen.values()) >= 100, seen
 
@@ -699,3 +710,30 @@ def test_rank_of_explicit_zeros_and_empty_rows():
     # the zero at column 0 must not be taken as the pivot
     assert oracle.rank([((0, zero), (1, one)), ((0, one), (1, one))]) == 2
     assert oracle.rank([((0, zero), (1, Fraction(1, 2))), ((1, Fraction(-3)),), ()]) == 1
+
+
+def test_the_closed_form_takes_the_conjugations_rank(monkeypatch):
+    """The memo holds one matrix.  With it cleared, the conjugation
+    Jacobian and then the closed form at one point run one elimination
+    between them; a different matrix next is ranked afresh, and so is the
+    first one after it."""
+    assert oracle._stored_rank.cache_info().maxsize == 1
+    calls = []
+    eliminate = oracle.rank
+
+    def counted(rows):
+        calls.append(rows)
+        return eliminate(rows)
+
+    oracle._stored_rank.cache_clear()
+    monkeypatch.setattr(oracle, "rank", counted)
+    conj = oracle.jacobian_at_fixed_point((3, 4, 2, 1), (2, 2))
+    closed = oracle.linear_terms_closed_form((3, 4, 2, 1), (2, 2))
+    assert len(calls) == 1
+    assert closed.sparse_rows == conj.sparse_rows and closed.rank == conj.rank
+    other = oracle.jacobian_at_fixed_point((3, 4, 1, 2), (2, 2))
+    assert other.sparse_rows != conj.sparse_rows
+    assert len(calls) == 2
+    assert other.rank == gauss_jordan_rank(other.matrix)
+    assert oracle.jacobian_at_fixed_point((3, 4, 2, 1), (2, 2)).rank == conj.rank
+    assert len(calls) == 3

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from minhess import classes, hess, roots
+from minhess import classes, hess, roots, singular
 from minhess.errors import DomainError
 from minhess.roots import (
     CartanDatum,
@@ -277,6 +278,59 @@ def test_component_labelings_are_pinned():
     assert h.hexdigest() == (
         "43cf2a2edf5ecb675365ef099cc97cd3447473c11582aa2d23f4ab055e61f2b4"
     )
+
+
+def relabelled_system(family, rank, perm):
+    """The root system whose simple root alpha_{i+1} is the reference
+    alpha_{perm[i]+1}: the same Cartan matrix under other labels."""
+    M = cartan_datum(family, rank).matrix
+    matrix = tuple(tuple(M[p][q] for q in perm) for p in perm)
+    return roots.from_cartan(CartanDatum(family, rank, matrix))
+
+
+def relabelling_cases():
+    """Every labelling of G2, B3, C3 and F4, and one fixed random labelling
+    of D5 and of E6."""
+    rng = random.Random(5)
+    for family, rank in [("G", 2), ("B", 3), ("C", 3), ("F", 4)]:
+        for perm in itertools.permutations(range(rank)):
+            yield family, rank, perm
+    for family, rank in [("D", 5), ("E", 6)]:
+        yield family, rank, tuple(rng.sample(range(rank), rank))
+
+
+def test_fixed_point_verdicts_do_not_read_the_labels():
+    """Under a relabelling of the simple roots, every J keeps its Levi types,
+    and the Levi route keeps its verdict and reason at the first 2^|J| + 16
+    admissible elements of J, all mapped by the relabelling: classification
+    reads no label."""
+    canonical = {}
+    for family, rank, perm in relabelling_cases():
+        rs = build_root_system(family, rank)
+        if (family, rank) not in canonical:
+            canonical[family, rank] = answers = []
+            for size in range(rank + 1):
+                for J in itertools.combinations(range(1, rank + 1), size):
+                    cfg = hess.hess_config(rs, J)
+                    levi = sorted(c.datum.name for c in parabolic(rs, J).components)
+                    for w, _, _ in itertools.islice(hess.enumerate_admissible(cfg), 2**size + 16):
+                        v = singular.hess_fixed_point_smooth(w, cfg)
+                        answers.append((J, levi, w.perm, v.verdict, v.reason))
+        new = relabelled_system(family, rank, perm)
+        label = {p + 1: i + 1 for i, p in enumerate(perm)}  # reference label -> new
+        # root k of rs is root index[k] of new
+        index = [new.root_index[tuple(r[p] for p in perm)] for r in rs.root_list]
+        for J, levi, p, verdict, reason in canonical[family, rank]:
+            J_new = [label[j] for j in J]
+            assert sorted(c.datum.name for c in parabolic(new, J_new).components) == levi
+            image = bytearray(len(p))
+            for k, x in enumerate(p):
+                image[index[k]] = index[x]
+            w = WeylElement(new, new.perm_type(image))
+            v = singular.hess_fixed_point_smooth(w, hess.hess_config(new, J_new))
+            assert (v.verdict, v.reason) == (verdict, reason), (family, perm, J)
+    reasons = {reason for answers in canonical.values() for *_, reason in answers}
+    assert reasons == {"SmoothByCriterion", "DeltaVMismatch", "PetersonWStar"}
 
 
 def test_root_ordering_deterministic():
