@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import classes, hess, oracle, singular, verification
 from .errors import DomainError
 from .roots import RootSystem, build_root_system, cartan_datum, root_str
-from .weyl import Composition, WeylElement, from_one_line, one_line_str
+from .weyl import Composition, WeylElement, _letter_text, from_one_line, one_line_str
 
 
 # -- serialization helpers ---------------------------------------------------
@@ -60,20 +60,23 @@ _ZERO = _frac(0)
 
 class _Element:
     """A Weyl element in an answer, written as ``{"one_line": ..., "word":
-    [...]}``: its canonical word, and its one-line text in type A only."""
+    [...]}``: its canonical word, and its one-line text in type A only.
+    ``letters`` is its root system's table of letter texts."""
 
-    __slots__ = ("word", "one_line")
+    __slots__ = ("word", "letters", "one_line")
 
-    def __init__(self, word: Tuple[int, ...], one_line: Optional[str]):
+    def __init__(self, word: Tuple[int, ...], letters: Tuple[str, ...], one_line: Optional[str]):
         self.word = word
+        self.letters = letters
         self.one_line = one_line
 
     def json_text(self, indent: str) -> str:
         inner = indent + "  "
         if self.word:
             letters = inner + "  "
-            # the tuple's repr, "(1, 2, 3)" or "(1,)", spells every letter at C speed
-            spelled = repr(self.word)[1:-1].rstrip(",").replace(", ", "," + letters)
+            # each letter's text is looked up in the table, not formatted
+            table = self.letters
+            spelled = ("," + letters).join([table[i] for i in self.word])
             word = "[" + letters + spelled + inner + "]"
         else:
             word = "[]"
@@ -84,7 +87,9 @@ class _Element:
 
 
 def _element(w: WeylElement) -> _Element:
-    return _Element(w.word(), one_line_str(w) if w.rs.cartan.family == "A" else None)
+    rs = w.rs
+    one_line = one_line_str(w) if rs.cartan.family == "A" else None
+    return _Element(w.word(), _letter_text(rs), one_line)
 
 
 def _verdict(v: singular.SmoothnessVerdict) -> Dict[str, object]:
@@ -122,7 +127,8 @@ def _json_text(value: object, indent: str = "\n") -> str:
         if not value:
             return "[]"
         items = [
-            repr(x) if type(x) is int
+            x.json_text(inner) if type(x) is _Element
+            else repr(x) if type(x) is int
             else _str_text(x) if isinstance(x, str)
             else _json_text(x, inner)
             for x in value

@@ -6,7 +6,10 @@ composition of n).  The module decides which Schubert cells meet the variety,
 computes closure relations and Poincare polynomials, and decomposes an
 admissible w = y_K v once: ``decompose_admissible`` gives K, v, Delta(v),
 v^{-1}(K), the descent factorization and the cell dimension, and the
-smoothness routes read them from it.  Only the last decomposition is kept,
+smoothness routes read them from it.  Delta(v) and J_w are each read as
+one set intersection: the root indices at hand against the positive roots
+supported on J (or on des(w)), a table built once per root system and
+set of simple roots.  Only the last decomposition is kept,
 so the routes run on one element in turn decompose it once, and nothing
 outlives the next element.  One enumeration of admissible cells
 serves the whole variety and every Levi: by the Levi correspondence, the
@@ -120,13 +123,21 @@ def _simple_among(rs: RootSystem, ks: Iterable[int], outside: int) -> FrozenSet[
     """The simple indices among the positive root indices ks supported on a
     set K of simple roots, given the complement outside of K's mask, where
     the theory makes every such root simple: v(Delta) meeting J for
-    Delta(v), tau^{-1}(J) meeting the Levi of des(w) for J_w."""
-    N, support = rs.npos, rs.support_mask
-    hits = [k for k in ks if k < N and not support[k] & outside]
-    if any(k >= rs.rank for k in hits):
+    Delta(v), tau^{-1}(J) meeting the Levi of des(w) for J_w.  The hits are
+    one set intersection with K's table; this is the one statement of the
+    check that each of them is simple."""
+    hits = _supported_within(rs, outside).intersection(ks)
+    if hits and max(hits) >= rs.rank:
         K = [i + 1 for i in range(rs.rank) if not outside >> i & 1]
         raise RuntimeError(f"a root supported on {K} is not simple")
     return frozenset(k + 1 for k in hits)
+
+
+@lru_cache(maxsize=None)
+def _supported_within(rs: RootSystem, outside: int) -> FrozenSet[int]:
+    """The positive root indices whose support avoids outside, built once
+    per root system and mask."""
+    return frozenset(k for k in range(rs.npos) if not rs.support_mask[k] & outside)
 
 
 @dataclass(frozen=True)
@@ -229,7 +240,7 @@ def _admissible(
                 y = ys.get(K)
                 if y is None:
                     y = ys[K] = longest_element(rs, K)
-                w = y * v
+                w = WeylElement(rs, _compose(rs, y.perm, v.perm))
                 w.word(known)
                 yield w, v, frozenset(K)
 

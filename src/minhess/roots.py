@@ -32,14 +32,15 @@ Perm = Union[bytes, Tuple[int, ...]]
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 DEFAULT_ENUMERATION_BOUND = 10**6  # cosets per enumeration, and A-D root table entries
 
+# positive roots per rank; 0 at a rank where the family has no simple system
 POSITIVE_COUNT = {
     "A": lambda n: n * (n + 1) // 2,
     "B": lambda n: n * n,
     "C": lambda n: n * n,
     "D": lambda n: n * (n - 1),
-    "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
-    "F": lambda n: 24,
-    "G": lambda n: 6,
+    "E": lambda n: {6: 36, 7: 63, 8: 120}.get(n, 0),
+    "F": lambda n: 24 if n == 4 else 0,
+    "G": lambda n: 6 if n == 2 else 0,
 }
 
 WEYL_ORDER = {
@@ -203,7 +204,10 @@ class RootSystem:
             tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
         )
         self._coroot_columns = tuple(zip(*cartan.matrix))
-        reflections = self._reflection_closure()
+        expected = POSITIVE_COUNT[cartan.family](n)
+        reflections = self._reflection_closure(expected)
+        if len(reflections) != expected:
+            raise DomainError(f"{cartan} is not a Cartan matrix of type {cartan.name}")
         self.positive_roots: Tuple[Coeffs, ...] = tuple(sorted(reflections, key=root_key))
         if self.positive_roots[:n] != self.simple_roots:
             raise RuntimeError("simple roots do not lead the positive root order")
@@ -244,20 +248,16 @@ class RootSystem:
         # from index 2N - 1 down to N, then the positives from 0 up
         self.index_keys: Tuple[int, ...] = tuple(range(N)) + tuple(range(-1, -N - 1, -1))
         self.highest_root: Coeffs = self.positive_roots[-1]
-        expected = POSITIVE_COUNT[cartan.family](n)
-        if len(self.positive_roots) != expected:
-            raise RuntimeError(
-                f"{cartan.name}: generated {len(self.positive_roots)} positive "
-                f"roots, expected {expected}"
-            )
         if height(self.highest_root) != max(height(r) for r in self.positive_roots):
             raise RuntimeError("highest root is not of maximal height")
 
-    def _reflection_closure(self) -> Dict[Coeffs, List[Coeffs]]:
-        """Each positive root with its images under s_1 .. s_n."""
+    def _reflection_closure(self, limit: int) -> Dict[Coeffs, List[Coeffs]]:
+        """Each positive root with its images under s_1 .. s_n; it stops
+        once it holds more than limit roots, which a Cartan matrix not of
+        finite type (with infinitely many) reaches after finitely many."""
         reflections: Dict[Coeffs, List[Coeffs]] = {}
         frontier = set(self.simple_roots)
-        while frontier:
+        while frontier and len(reflections) <= limit:
             for r in frontier:
                 reflections[r] = [self.reflect_simple(r, i) for i in range(1, self.rank + 1)]
             frontier = {

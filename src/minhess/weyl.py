@@ -118,25 +118,28 @@ class WeylElement:
         if self._word is None:
             rs = self.rs
             N, n = rs.npos, rs.rank
+            simple = rs.simple_perms
             p = self.perm
             rev = []
             keys = []
             head: Tuple[int, ...] = ()
             while True:
-                for i in range(n):
-                    if p[i] >= N:
+                key = p[:n]
+                for i, image in enumerate(key):
+                    if image >= N:
                         break  # i is the least descent
                 else:
                     break  # no descent: p is the identity
                 if known is not None:
-                    key = p[:n]
-                    if key in known:
-                        head = known[key]
+                    hit = known.get(key)
+                    if hit is not None:
+                        head = hit
                         break
                     keys.append(key)
                 rev.append(i + 1)
-                p = _compose(rs, p, rs.simple_perms[i])
-            word = head + tuple(reversed(rev))
+                p = _compose(rs, p, simple[i])
+            rev.reverse()
+            word = head + tuple(rev)
             for stripped, key in enumerate(keys):
                 known[key] = word[: len(word) - stripped]
             self._word = word
@@ -323,10 +326,18 @@ def from_one_line(rs: RootSystem, perm: Sequence[int]) -> WeylElement:
 
 
 def one_line_str(w: WeylElement) -> str:
-    perm = one_line(w)
-    if len(perm) < 10:
-        return "".join(str(v) for v in perm)
-    return "[" + ",".join(str(v) for v in perm) + "]"
+    table = _letter_text(w.rs)
+    text = [table[i] for i in one_line(w)]
+    if len(text) < 10:
+        return "".join(text)
+    return "[" + ",".join(text) + "]"
+
+
+@lru_cache(maxsize=None)
+def _letter_text(rs: RootSystem) -> Tuple[str, ...]:
+    """The decimal text of 0 .. rank + 1, which spans every letter of a word
+    and every value of a one-line notation in rs."""
+    return tuple(map(str, range(rs.rank + 2)))
 
 
 # -- compositions (type A) --------------------------------------------------

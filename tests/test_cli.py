@@ -146,13 +146,19 @@ def stdlib_text(value, indent):
     ("G", 2, (), None),
     ("A", 9, (1, 2, 5), 3000),
     ("E", 6, (1, 3, 5), 1000),
+    ("B", 10, (1, 2, 3, 4, 5, 6, 7), 1000),
+    ("A", 10, (2, 3, 4, 5, 6, 7, 8, 9), 1000),
 ])
 def test_element_leaf_text_is_the_dict_text(family, rank, J, limit):
-    """G2 J=() holds the identity (the empty word), and every A9 element has
-    a bracketed one-line text (n = 10); A9 and E6 are checked on a prefix of
-    the enumeration."""
+    """G2 J=() holds the identity (the empty word), and every A9 and A10
+    element has a bracketed one-line text (n = 10, 11); the others are
+    checked on a prefix of the enumeration, long enough that its words use
+    every letter up to the rank, so that B10 and A10 write two-digit
+    letters and A10 the one-line value 11."""
     cfg = hess.hess_config(build_root_system(family, rank), J)
-    for w, _, _ in itertools.islice(hess.enumerate_admissible(cfg), limit):
+    elements = [w for w, _, _ in itertools.islice(hess.enumerate_admissible(cfg), limit)]
+    assert max(itertools.chain.from_iterable(w.word() for w in elements)) == rank
+    for w in elements:
         for indent in ("\n", "\n      "):
             assert _json_text(cli._element(w), indent) == stdlib_text(element_dict(w), indent)
 

@@ -4,7 +4,7 @@ including exhaustive consistency sweeps in small rank."""
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from math import comb
 
 import pytest
@@ -247,6 +247,69 @@ def test_interleaved_enumerations_keep_their_own_words():
         cells = hess.closure_intersecting_cells(w0, cfg)
         assert_carry_canonical_words(c.v for c in cells)
         assert_carry_canonical_words(c.x for c in cells)
+
+
+def test_delta_v_tables_are_kept_per_root_system():
+    """A3 and G2 share the masks of J = {1}, {2} and {1, 2}, but not their
+    tables: G2's roots supported on {1, 2} are all six of its indices.
+    Their enumerations for every nonempty J, advanced in turn from empty
+    tables, with either system's tables built first, each yield for every v
+    exactly the subsets K of Delta(v), the j in J with alpha_j = v(alpha_i)
+    for some i, read here off the roots' coefficients."""
+    a3, g2 = build_root_system("A", 3), build_root_system("G", 2)
+    for systems in ((a3, g2), (g2, a3)):
+        cfgs = [
+            hess.hess_config(rs, J)
+            for rs in systems
+            for size in range(1, rs.rank + 1)
+            for J in itertools.combinations(range(1, rs.rank + 1), size)
+        ]
+        hess._supported_within.cache_clear()
+        subsets = [defaultdict(set) for _ in cfgs]
+        streams = [hess.enumerate_admissible(cfg) for cfg in cfgs]
+        for row in itertools.zip_longest(*streams):
+            for seen, item in zip(subsets, row):
+                if item is not None:
+                    _, v, K = item
+                    seen[v].add(K)
+        for cfg, seen in zip(cfgs, subsets):
+            rs = cfg.rs
+            for v, Ks in seen.items():
+                images = {rs.root_list[k] for k in v.perm[: rs.rank]}
+                delta = sorted(j for j in cfg.J if rs.simple_root(j) in images)
+                assert Ks == {
+                    frozenset(K)
+                    for size in range(len(delta) + 1)
+                    for K in itertools.combinations(delta, size)
+                }
+                assert hess.delta_v(v, cfg) == frozenset(delta)
+
+
+def test_a_planted_non_simple_root_is_refused(monkeypatch):
+    """Root index rank is the first root of height two.  Planted in every
+    table of supported roots, through a support that avoids every mask, it
+    is some v(alpha_i), and each reader of Delta(v) refuses it.
+    The tables are cleared before and after, so that none built from the
+    planted support is read outside this test."""
+    cfg = a3_22()
+    rs = cfg.rs
+    support = list(rs.support_mask)
+    support[rs.rank] = 0
+    v = WeylElement.from_word(rs, [2])  # v(alpha_1) = alpha_1 + alpha_2
+    hess._supported_within.cache_clear()
+    hess.decompose_admissible.cache_clear()
+    monkeypatch.setattr(rs, "support_mask", tuple(support))
+    try:
+        for query in (
+            lambda: list(hess.enumerate_admissible(cfg)),
+            lambda: hess.decompose_admissible(v, cfg),
+            lambda: hess.delta_v(v, cfg),
+            lambda: hess.poincare_polynomial(cfg),
+        ):
+            with pytest.raises(RuntimeError, match=r"^a root supported on \[.*\] is not simple$"):
+                query()
+    finally:
+        hess._supported_within.cache_clear()
 
 
 def test_closure_bound_counts_levi_cosets():

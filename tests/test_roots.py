@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -384,6 +385,26 @@ def test_from_cartan_builds_one_system_per_datum(monkeypatch):
     monkeypatch.setattr(roots, "RootSystem", lambda datum: pytest.fail("system rebuilt"))
     assert roots.from_cartan(CartanDatum("B", 2, c2.matrix)) is b_labelled
     assert roots.from_cartan(by_hand) is build_root_system("A", 3)
+
+
+@pytest.mark.parametrize("datum", [
+    CartanDatum("A", 3, ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))),
+    CartanDatum("E", 5, cartan_datum("D", 5).matrix),
+    CartanDatum("A", 2, cartan_datum("G", 2).matrix),
+], ids=["affine-A2", "E5", "G2-labelled-A2"])
+def test_from_cartan_refuses_a_datum_not_of_its_labelled_type(datum):
+    """The affine A2 matrix has infinitely many positive roots, so the
+    closure must stop on its own; E has no rank 5; G2's six positive roots
+    are not A2's three.  Each is refused by name, and every reference
+    datum up to rank 8 still builds."""
+    with pytest.raises(DomainError, match=f"^{re.escape(repr(datum))} is not a Cartan matrix "):
+        roots.from_cartan(datum)
+    for family, rank in itertools.product(roots.FAMILIES, range(1, 9)):
+        try:
+            reference = cartan_datum(family, rank)
+        except DomainError:
+            continue
+        assert roots.from_cartan(reference).cartan is reference
 
 
 def test_cartan_datum_refuses_a_root_table_past_the_bound_before_building_it(monkeypatch):
