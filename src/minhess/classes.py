@@ -9,9 +9,8 @@ Chern roots x_1..x_n via -(eps_i - eps_j) -> x_i - x_j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Tuple
+from typing import Dict, FrozenSet, Iterable, NamedTuple, Tuple
 
 from .errors import DomainError
 from .hess import HessConfig, require_admissible
@@ -22,15 +21,25 @@ K_THEORY = "k_theory"
 COHOMOLOGY = "cohomology"
 
 
-@dataclass(frozen=True)
-class ClassExpression:
+class _ClassFields(NamedTuple):
     scalar: Fraction
     factor_roots: Tuple[Coeffs, ...]  # negative roots, deterministic order
     form: str
 
-    def __post_init__(self) -> None:
-        if self.form not in (K_THEORY, COHOMOLOGY):
-            raise DomainError(f"unknown form {self.form!r}")
+
+class ClassExpression(_ClassFields):
+    __slots__ = ()
+
+    def __new__(
+        cls, scalar: Fraction, factor_roots: Tuple[Coeffs, ...], form: str
+    ) -> ClassExpression:
+        if form not in (K_THEORY, COHOMOLOGY):
+            raise DomainError(f"unknown form {form!r}")
+        return super().__new__(cls, scalar, factor_roots, form)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> ClassExpression:
+        return cls(*fields)  # so that _replace checks the new form too
 
 
 def _class(
@@ -74,8 +83,7 @@ def peterson_dual_class(K: Iterable[int], rs: RootSystem) -> ClassExpression:
 Monomial = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ChernPolynomial:
+class ChernPolynomial(NamedTuple):
     """Exact polynomial in the Chern roots x_1..x_n (type A only)."""
 
     n: int

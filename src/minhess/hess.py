@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .roots import ParabolicSubsystem, Perm, RootSystem, build_root_system, parabolic
@@ -43,19 +42,30 @@ from .weyl import (
 )
 
 
-@dataclass(frozen=True)
-class HessConfig:
-    """Root system, J naming the regular element, and mu: J's composition in
-    type A, else None."""
-
+class _HessFields(NamedTuple):
     rs: RootSystem
     J: FrozenSet[int]
-    mu: Optional[Composition] = field(init=False, compare=False)
+    mu: Optional[Composition]
 
-    def __post_init__(self) -> None:
-        self.rs.check_simple(self.J)
-        mu = Composition.from_J(self.rs.rank + 1, self.J) if self.rs.cartan.family == "A" else None
-        object.__setattr__(self, "mu", mu)
+
+class HessConfig(_HessFields):
+    """Root system, J naming the regular element, and mu: J's composition in
+    type A, else None.  Built from rs and J alone; mu is derived from them."""
+
+    __slots__ = ()
+
+    def __new__(cls, rs: RootSystem, J: FrozenSet[int]) -> HessConfig:
+        rs.check_simple(J)
+        mu = Composition.from_J(rs.rank + 1, J) if rs.cartan.family == "A" else None
+        return super().__new__(cls, rs, J, mu)
+
+    def __getnewargs__(self) -> Tuple[RootSystem, FrozenSet[int]]:
+        return self.rs, self.J  # so that copy and pickle rebuild through __new__
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> HessConfig:
+        rs, J, _ = fields  # _replace derives mu again from the new rs and J
+        return cls(rs, J)
 
 
 def hess_config(rs: RootSystem, J: Iterable[int]) -> HessConfig:
@@ -140,8 +150,7 @@ def _supported_within(rs: RootSystem, outside: int) -> FrozenSet[int]:
     return frozenset(k for k in range(rs.npos) if not rs.support_mask[k] & outside)
 
 
-@dataclass(frozen=True)
-class AdmissibleDecomposition:
+class AdmissibleDecomposition(NamedTuple):
     """Everything the structure theory attaches to one admissible element
     w = y_K v: delta_v is Delta(v), and des(w) splits as des(v) u vinv_K
     with vinv_K = v^{-1}(K)."""
@@ -253,8 +262,7 @@ def enumerate_admissible(
     yield from _admissible(cfg.rs, range(1, cfg.rs.rank + 1), cfg.J)
 
 
-@dataclass(frozen=True)
-class ClosureCell:
+class ClosureCell(NamedTuple):
     v: WeylElement
     x: WeylElement
     dim: int

@@ -34,11 +34,10 @@ at an integral u1, every entry is an ``int``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from .errors import DomainError
 from .hess import HessConfig, typeA_point
@@ -200,8 +199,7 @@ def _require_in_variety(base: Matrix, cfg: HessConfig, rows: List[int], point: s
         raise DomainError(f"the {point} does not lie in the variety")
 
 
-@dataclass(frozen=True)
-class JacobianResult:
+class JacobianResult(NamedTuple):
     rows: Tuple[Coeffs, ...]
     cols: Tuple[Coeffs, ...]
     # per row, the (column, value) pairs of its nonzeros in column order;

@@ -12,22 +12,24 @@ short simple root is ``alpha_n``, for type C it is the long one, G_2 has
 ``alpha_1`` short).  ``parabolic`` labels each component of a sub-diagram
 from its Cartan matrix alone, reading a chain from either end and a branched
 diagram by its arms, checks the relabeling against the reference Cartan
-matrix, and keeps the result per root system and set of simple roots.
+matrix, and keeps the result per root system and set of simple roots.  The
+same classification of the whole diagram decides whether a datum is of its
+labelled type, so a ``RootSystem`` is never built under another type's name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import mul
-from typing import Dict, FrozenSet, Iterable, List, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Tuple, Union
 
 from .errors import DomainError, EnumerationBoundError
 
 Coeffs = Tuple[int, ...]
 # a permutation of the 2N root indices: bytes when 2N <= 256, else a tuple
 Perm = Union[bytes, Tuple[int, ...]]
+_Matrix = Tuple[Tuple[int, ...], ...]
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 DEFAULT_ENUMERATION_BOUND = 10**6  # cosets per enumeration, and A-D root table entries
@@ -92,8 +94,13 @@ def root_str(root: Coeffs) -> str:
     return "+".join(parts)
 
 
-@dataclass(frozen=True)
-class CartanDatum:
+class _CartanFields(NamedTuple):
+    family: str
+    rank: int
+    matrix: _Matrix
+
+
+class CartanDatum(_CartanFields):
     """A simple type label together with its Cartan matrix.
 
     ``matrix[i][j]`` is the pairing of alpha_{i+1} against the coroot of
@@ -101,21 +108,24 @@ class CartanDatum:
     {0, -1, -2, -3}.
     """
 
-    family: str
-    rank: int
-    matrix: Tuple[Tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise DomainError(f"unknown family {self.family!r}")
-        if len(self.matrix) != self.rank:
+    def __new__(cls, family: str, rank: int, matrix: _Matrix) -> CartanDatum:
+        if family not in FAMILIES:
+            raise DomainError(f"unknown family {family!r}")
+        if len(matrix) != rank:
             raise DomainError("Cartan matrix size does not match rank")
-        for i, row in enumerate(self.matrix):
-            if len(row) != self.rank or row[i] != 2:
+        for i, row in enumerate(matrix):
+            if len(row) != rank or row[i] != 2:
                 raise DomainError("malformed Cartan matrix")
             for j, a in enumerate(row):
                 if i != j and a not in (0, -1, -2, -3):
                     raise DomainError("off-diagonal Cartan entry out of range")
+        return super().__new__(cls, family, rank, matrix)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> CartanDatum:
+        return cls(*fields)  # so that _replace checks the new fields too
 
     @property
     def name(self) -> str:
@@ -206,7 +216,19 @@ class RootSystem:
         self._coroot_columns = tuple(zip(*cartan.matrix))
         expected = POSITIVE_COUNT[cartan.family](n)
         reflections = self._reflection_closure(expected)
-        if len(reflections) != expected:
+        # a finite closure of the expected size may still be another type
+        # (E6's matrix labelled B6; C2 is classified as B2 on both sides), or
+        # no Cartan matrix at all (a zero whose transpose entry is not zero)
+        if (
+            len(reflections) != expected
+            or any(
+                (a == 0) != (b == 0)
+                for row, column in zip(cartan.matrix, self._coroot_columns)
+                for a, b in zip(row, column)
+            )
+            or _diagram_types(cartan.matrix)
+            != _diagram_types(cartan_datum(cartan.family, n).matrix)
+        ):
             raise DomainError(f"{cartan} is not a Cartan matrix of type {cartan.name}")
         self.positive_roots: Tuple[Coeffs, ...] = tuple(sorted(reflections, key=root_key))
         if self.positive_roots[:n] != self.simple_roots:
@@ -343,8 +365,7 @@ def bracket_set(
 # -- parabolic subsystems and component classification -------------------
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """A connected component of a parabolic sub-diagram.
 
     ``indices[k]`` is the ambient simple index playing the role of the
@@ -359,8 +380,7 @@ class Component:
         return frozenset(pos[a] for a in ambient if a in pos)
 
 
-@dataclass(frozen=True)
-class ParabolicSubsystem:
+class ParabolicSubsystem(NamedTuple):
     J: FrozenSet[int]
     components: Tuple[Component, ...]
 
@@ -382,12 +402,20 @@ def parabolic(rs: RootSystem, J: Iterable[int]) -> ParabolicSubsystem:
 @lru_cache(maxsize=None)
 def _parabolic(rs: RootSystem, J: FrozenSet[int]) -> ParabolicSubsystem:
     rs.check_simple(J)
-    comps = [_classify_component(rs, nodes) for nodes in _connected_components(rs, J)]
+    C = rs.cartan.matrix
+    comps = [_classify_component(C, nodes) for nodes in _connected_components(C, J)]
     comps.sort(key=lambda c: min(c.indices))
     return ParabolicSubsystem(J, tuple(comps))
 
 
-def _connected_components(rs: RootSystem, J: FrozenSet[int]) -> List[List[int]]:
+def _diagram_types(matrix: _Matrix) -> Tuple[CartanDatum, ...]:
+    """The classified type of each connected component of the whole
+    diagram of a Cartan matrix, by least simple index."""
+    nodes = frozenset(range(1, len(matrix) + 1))
+    return tuple(_classify_component(matrix, c).datum for c in _connected_components(matrix, nodes))
+
+
+def _connected_components(C: _Matrix, J: FrozenSet[int]) -> List[List[int]]:
     remaining = set(J)
     comps = []
     while remaining:
@@ -397,7 +425,7 @@ def _connected_components(rs: RootSystem, J: FrozenSet[int]) -> List[List[int]]:
         while stack:
             a = stack.pop()
             for b in remaining - comp:
-                if rs.cartan.matrix[a - 1][b - 1] != 0:
+                if C[a - 1][b - 1] != 0:
                     comp.add(b)
                     stack.append(b)
         comps.append(sorted(comp))
@@ -405,7 +433,7 @@ def _connected_components(rs: RootSystem, J: FrozenSet[int]) -> List[List[int]]:
     return comps
 
 
-def _classify_component(rs: RootSystem, nodes: List[int]) -> Component:
+def _classify_component(C: _Matrix, nodes: List[int]) -> Component:
     """Classify a connected sub-diagram and produce its canonical relabeling,
     with no label read.  A diagram without a branch point is a chain: it is
     walked from its lower end, then from the other, and named by the first
@@ -413,14 +441,13 @@ def _classify_component(rs: RootSystem, nodes: List[int]) -> Component:
     rank-2 double bond is B_2 (C_2 and B_2 are the same system).
     """
     k = len(nodes)
-    C = rs.cartan.matrix
     adj = {a: [b for b in nodes if b != a and C[a - 1][b - 1] != 0] for a in nodes}
     branch = [x for x in nodes if len(adj[x]) == 3]
     if not branch:
         chain = _walk_chain(adj, start=min(x for x in nodes if len(adj[x]) <= 1))
         walks = (tuple(chain), tuple(reversed(chain)))
         families = "ABC" + "F" * (k == 4) + "G" * (k == 2)
-        return _checked_component(rs, [(f, order) for f in families for order in walks])
+        return _checked_component(C, [(f, order) for f in families for order in walks])
     # simply laced with a single branch point
     b = branch[0]
     arms = []
@@ -439,12 +466,12 @@ def _classify_component(rs: RootSystem, nodes: List[int]) -> Component:
         # back to alpha_1
         long_arm = arms[2]
         order = list(reversed(long_arm)) + [b] + [arms[0][0], arms[1][0]]
-        return _checked_component(rs, [("D", tuple(order))])
+        return _checked_component(C, [("D", tuple(order))])
     if lengths[:2] == (1, 2) and lengths[2] in (2, 3, 4):
         # E_k: the short arm is alpha_2, the two-node arm runs alpha_3,
         # alpha_1 and the long arm alpha_5 onward
         order = (arms[1][1], arms[0][0], arms[1][0], b) + tuple(arms[2])
-        return _checked_component(rs, [("E", order)])
+        return _checked_component(C, [("E", order)])
     raise DomainError(f"sub-diagram on {nodes} is not of finite type")
 
 
@@ -461,13 +488,10 @@ def _walk_chain(adj: Dict[int, List[int]], start: int) -> List[int]:
         seen.add(nxt[0])
 
 
-def _checked_component(
-    rs: RootSystem, candidates: Iterable[Tuple[str, Tuple[int, ...]]]
-) -> Component:
+def _checked_component(C: _Matrix, candidates: Iterable[Tuple[str, Tuple[int, ...]]]) -> Component:
     """The first candidate (family, order) under which the sub-diagram's
     Cartan matrix is the reference matrix of that family: the one statement
     of "this order is that family"."""
-    C = rs.cartan.matrix
     for family, order in candidates:
         datum = cartan_datum(family, len(order))
         if all(

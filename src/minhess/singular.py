@@ -14,10 +14,9 @@ is decided by a bracket condition on simple roots.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, EnumerationBoundError
 from .hess import HessConfig, decompose_admissible, require_admissible, typeA_point
@@ -53,18 +52,28 @@ _SINGULAR_REASONS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class SmoothnessVerdict:
+class _VerdictFields(NamedTuple):
     verdict: str
     reason: str
     citations: Tuple[str, ...]
     detail: Tuple = ()
 
-    def __post_init__(self) -> None:
-        if (self.reason in _SINGULAR_REASONS) != (self.verdict == SINGULAR):
+
+class SmoothnessVerdict(_VerdictFields):
+    __slots__ = ()
+
+    def __new__(
+        cls, verdict: str, reason: str, citations: Tuple[str, ...], detail: Tuple = ()
+    ) -> SmoothnessVerdict:
+        if (reason in _SINGULAR_REASONS) != (verdict == SINGULAR):
             raise RuntimeError("verdict/reason mismatch")
-        if not self.citations:
+        if not citations:
             raise RuntimeError("classification verdicts must carry citations")
+        return super().__new__(cls, verdict, reason, citations, detail)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> SmoothnessVerdict:
+        return cls(*fields)  # so that _replace checks the new fields too
 
     @property
     def is_smooth(self) -> bool:
@@ -338,8 +347,7 @@ def peterson_singular_locus(component: CartanDatum) -> Tuple[Tuple[int, ...], ..
 # -- the shared-linear-term case table ----------------------------------------
 
 
-@dataclass(frozen=True)
-class SharedLinearRow:
+class SharedLinearRow(NamedTuple):
     beta: int
     checks: Tuple[Tuple[str, bool], ...]
 

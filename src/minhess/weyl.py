@@ -16,10 +16,9 @@ many elements in one call shares the prefixes it strips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, EnumerationBoundError
 from .roots import DEFAULT_ENUMERATION_BOUND, Coeffs, Perm, RootSystem, parabolic
@@ -343,15 +342,23 @@ def _letter_text(rs: RootSystem) -> Tuple[str, ...]:
 # -- compositions (type A) --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Composition:
-    """A strong composition of n, identified with a subset of simple roots."""
-
+class _CompositionFields(NamedTuple):
     parts: Tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.parts or any(p < 1 for p in self.parts):
-            raise DomainError(f"invalid composition {self.parts}")
+
+class Composition(_CompositionFields):
+    """A strong composition of n, identified with a subset of simple roots."""
+
+    __slots__ = ()
+
+    def __new__(cls, parts: Tuple[int, ...]) -> Composition:
+        if not parts or any(p < 1 for p in parts):
+            raise DomainError(f"invalid composition {parts}")
+        return super().__new__(cls, parts)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> Composition:
+        return cls(*fields)  # so that _replace checks the new parts too
 
     @staticmethod
     def of(mu: Iterable[int]) -> "Composition":

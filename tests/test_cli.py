@@ -856,6 +856,23 @@ def test_reused_parser_matches_fresh_processes(capsys):
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
+def test_cold_import_loads_no_dataclasses_inspect_or_traceback():
+    """Importing the command line in a fresh interpreter loads none of
+    dataclasses, inspect (which dataclasses imports) and traceback, which
+    together cost every one-shot call about 8 ms: records are named tuples,
+    and traceback is imported only when an internal error is reported."""
+    src = str(Path(minhess.__file__).resolve().parents[1])
+    probe = (
+        "import sys, minhess.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'traceback'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_closed_stdout_exits_quietly_with_sigpipe_status():
     """A reader that has closed its end of the pipe, as `| head -1` does,
     ends the command with 128 + SIGPIPE and no error document."""

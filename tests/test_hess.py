@@ -461,7 +461,7 @@ def test_known_composition_is_answered_without_rebuilding_it(monkeypatch):
         )
 
     expect = answers()
-    for name in ("from_J", "__post_init__"):
+    for name in ("from_J", "__new__"):
         monkeypatch.setattr(Composition, name, lambda *args: pytest.fail("composition rebuilt"))
     assert hess.config_from_mu((2, 2)).mu is comp
     assert hess.config_from_mu([2, 2]) is hess.config_from_mu(comp) is cfg

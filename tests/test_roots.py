@@ -391,12 +391,23 @@ def test_from_cartan_builds_one_system_per_datum(monkeypatch):
     CartanDatum("A", 3, ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))),
     CartanDatum("E", 5, cartan_datum("D", 5).matrix),
     CartanDatum("A", 2, cartan_datum("G", 2).matrix),
-], ids=["affine-A2", "E5", "G2-labelled-A2"])
+    CartanDatum("B", 6, cartan_datum("E", 6).matrix),
+    CartanDatum("B", 3, cartan_datum("C", 3).matrix),
+    CartanDatum("D", 4, ((2, -1, 0, 0), (-3, 2, 0, 0), (0, 0, 2, -1), (0, 0, -3, 2))),
+    CartanDatum("A", 2, ((2, -1), (0, 2))),
+], ids=[
+    "affine-A2", "E5", "G2-labelled-A2", "E6-labelled-B6", "C3-labelled-B3", "G2xG2-as-D4",
+    "one-sided-zero",
+])
 def test_from_cartan_refuses_a_datum_not_of_its_labelled_type(datum):
     """The affine A2 matrix has infinitely many positive roots, so the
     closure must stop on its own; E has no rank 5; G2's six positive roots
-    are not A2's three.  Each is refused by name, and every reference
-    datum up to rank 8 still builds."""
+    are not A2's three.  E6 and B6, C3 and B3, and G2 x G2 and D4 have as
+    many positive roots as each other, so these three are told apart by
+    the classified diagram.  A zero entry whose transpose is not zero makes
+    no Cartan matrix, though its closure here has A2's three roots.  Each
+    is refused by name, and every reference datum up to rank 8 still
+    builds."""
     with pytest.raises(DomainError, match=f"^{re.escape(repr(datum))} is not a Cartan matrix "):
         roots.from_cartan(datum)
     for family, rank in itertools.product(roots.FAMILIES, range(1, 9)):
