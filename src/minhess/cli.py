@@ -9,6 +9,14 @@ with status 1; usage errors exit 2; verification failures exit 3; any other
 exception is reported the same way with kind ``internal`` and exits 4.  A
 reader that closes stdout early (``| head``) ends the command quietly with
 status 141, as SIGPIPE ends native tools.
+
+A plain command line, a subcommand and then ``--option value`` pairs and
+flags, each option named in full and used once, is read from a table
+derived from the subcommand parser's own actions.  Every other line (help,
+``--option=value``, abbreviations, repeats, a missing or ``-``-led value, a
+value its type or choices refuse, a missing required option) goes through
+argparse, which gives the same namespace, messages and exit codes as ever:
+argparse stays the one statement of the options.
 """
 
 from __future__ import annotations
@@ -105,10 +113,11 @@ def _json_text(value: object, indent: str = "\n") -> str:
 
     With an indent the stdlib encodes in pure Python, token by token.  Here
     lists, tuples and dicts with ``str`` keys are joined in one recursion,
-    ``str`` and ``int`` items and ``str`` dict values are encoded in place,
-    and the two leaves of an answer write their own text: an ``_Element``
-    (a Weyl element) as the dict ``{"one_line": ..., "word": [...]}`` and
-    a ``_Rational`` as ``{"den": ..., "num": ...}``.  Every other value goes
+    ``str`` and ``int`` items, ``str`` dict values, ``True``, ``False`` and
+    ``None`` are encoded in place, and the two leaves of an answer write
+    their own text: an ``_Element`` (a Weyl element) as the dict
+    ``{"one_line": ..., "word": [...]}`` and a ``_Rational`` as
+    ``{"den": ..., "num": ...}``.  Every other value goes
     to ``json.dumps``, so the text and any error are the stdlib's; there a
     leaf, which subclasses no JSON type, is a TypeError.  Only the stack
     differs: a value that contains itself raises RecursionError (the
@@ -147,6 +156,13 @@ def _json_text(value: object, indent: str = "\n") -> str:
         parts[0] = "{" + inner
         parts.append(indent + "}")
         return "".join(parts)
+    # by identity, since 1 == True: the stdlib would build an encoder for each
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
     # JSON text holds no raw newline, so this re-indents exactly.
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
 
@@ -528,18 +544,104 @@ def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentPars
     return parser, sub.choices
 
 
+_PLAIN_ACTIONS = (
+    argparse._StoreAction,
+    argparse._StoreConstAction,
+    argparse._StoreTrueAction,
+    argparse._StoreFalseAction,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _plain_table(sub: argparse.ArgumentParser):
+    """What reading a plain command line of ``sub`` needs, derived from the
+    parser's own actions: each option string's action, the namespace of an
+    empty line (action defaults, then ``set_defaults``), and the required
+    actions.  An action is in the table if it stores one value or a
+    constant; one that is not, but would put a default in the namespace or
+    is required, leaves ``sub`` with no table (None), as do positionals,
+    exclusive groups and argument files."""
+    if sub.fromfile_prefix_chars or sub._mutually_exclusive_groups or sub.prefix_chars != "-":
+        return None
+    options: Dict[str, argparse.Action] = {}
+    defaults: Dict[str, object] = {}
+    required = []
+    suppress = argparse.SUPPRESS
+    for action in sub._actions:
+        in_namespace = action.dest is not suppress and action.default is not suppress
+        if (
+            type(action) in _PLAIN_ACTIONS
+            and action.option_strings
+            and action.nargs in (None, 0)
+            # argparse converts a str default by the type on every parse
+            and not (isinstance(action.default, str) and action.type is not None)
+            and not getattr(action, "deprecated", False)
+        ):
+            options.update(dict.fromkeys(action.option_strings, action))
+            if action.required:
+                required.append(action)
+        elif action.required or in_namespace:
+            return None
+        if in_namespace:
+            defaults.setdefault(action.dest, action.default)
+    for dest, value in sub._defaults.items():
+        defaults.setdefault(dest, value)
+    return options, defaults, required
+
+
+def _read_plain(sub: argparse.ArgumentParser, argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace ``sub.parse_known_args(argv)`` gives a plain line: whole
+    option names of the table, each used once, each value-taking one
+    followed by a value that does not start with ``-`` and that its type
+    and choices accept, and every required option present.  On any other
+    line, None: argparse then reads it, with its help, errors and exits."""
+    table = _plain_table(sub)
+    if table is None:
+        return None
+    options, defaults, required = table
+    values = dict(defaults)
+    seen = set()
+    tokens = iter(argv)
+    for token in tokens:
+        action = options.get(token)
+        if action is None or action in seen:
+            return None
+        seen.add(action)
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None  # argparse reports it
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not seen.issuperset(required):
+        return None
+    return argparse.Namespace(**values)
+
+
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """The top-level parser's ``parse_args(argv)``, with the same namespace,
     exit code and messages.  A command line that starts with a subcommand's
-    name goes straight to that subcommand's parser, as the top-level parser
-    would hand it over, without the top-level pass over every argument."""
+    name goes straight to that subcommand: a plain line is read from the
+    subcommand parser's own table, any other line by that parser, as the
+    top-level parser would hand it over, without the top-level pass over
+    every argument."""
     parser, subcommands = _parsers()
     sub = subcommands.get(argv[0]) if argv else None
     if sub is None:
         return parser.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:])
-    if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
+    args = _read_plain(sub, argv[1:])
+    if args is None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
     args.command = argv[0]
     return args
 

@@ -320,8 +320,15 @@ def from_one_line(rs: RootSystem, perm: Sequence[int]) -> WeylElement:
     perm = tuple(perm)
     if sorted(perm) != list(range(1, n + 1)):
         raise DomainError(f"{perm} is not a permutation of 1..{n}")
-    index = {pair: k for k, pair in enumerate(rs.pairs)}
+    index = _pair_index(rs)
     return WeylElement(rs, rs.perm_type(index[perm[a - 1], perm[b - 1]] for a, b in rs.pairs))
+
+
+@lru_cache(maxsize=None)
+def _pair_index(rs: RootSystem) -> Dict[Tuple[int, int], int]:
+    """The index of each root of type A rs by its pair (a, b), the root
+    eps_a - eps_b."""
+    return {pair: k for k, pair in enumerate(rs.pairs)}
 
 
 def one_line_str(w: WeylElement) -> str:

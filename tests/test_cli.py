@@ -812,6 +812,29 @@ def parse_outcome(capsys, parse, argv):
     return ("parsed", vars(args), *capsys.readouterr())
 
 
+# Lines that are not plain: the reader hands each to argparse.
+NOT_PLAIN = [
+    ["admissible", "--fam", "A", "--rank", "3"],
+    ["decompose", "--mu", "2,2", "--w", "3421", "--w", "3421"],
+    ["admissible", "--mu", "2,2", "--list", "--list"],
+    ["peterson-singular-locus", "--family", "A", "--rank", "-1"],
+    ["count-smooth", "--mu", "-1,2"],
+    ["decompose", "--mu", "2,2", "--w"],
+    ["decompose", "--mu", "2,2", "-h"],
+    ["decompose", "--mu", "2,2", "--", "--w", "3421"],
+    ["decompose", "--mu", "2,2", "--w", "3421", "--"],
+    ["decompose", "--mu=2,2", "--w=3421"],
+    ["decompose", "--mu", "2,2", "--J", "--w", "3421"],
+    ["admissible", "--family", "A", "--rank", "7.0"],
+    ["admissible", "--family", "Z", "--rank", "3"],
+    ["class", "--mu", "2,2", "--w", "3421", "--form", "bogus"],
+    ["admissible", "--mu", "2,2", "--w", "3421"],
+    ["verify", "--suite", "fig1", "--max", "3"],
+    ["oracle", "--w", "s2"],
+    ["decompose", "--mu", "2,2", "--w", "3421", "extra"],
+]
+
+
 def test_subcommand_dispatch_matches_the_top_level_parse(capsys):
     """A command line that starts with a subcommand goes straight to its
     parser; every outcome is the top-level parse's, exit messages included."""
@@ -823,11 +846,48 @@ def test_subcommand_dispatch_matches_the_top_level_parse(capsys):
     argvs += [
         ["decompose", "--mu", "2,2"],
         ["decompose", "--mu", "2,2", "--w", "1", "--bogus"],
-        ["admissible", "--fam", "A", "--rank", "3"],
+        *NOT_PLAIN,
+        ["admissible", "--family", "A", "--rank", "3", "--J", ""],  # "" is a value
     ]
     for argv in argvs:
         expected = parse_outcome(capsys, _parsers()[0].parse_args, argv)
         assert parse_outcome(capsys, _parse_args, argv) == expected, argv
+
+
+@pytest.mark.parametrize("argv", NOT_PLAIN, ids=" ".join)
+def test_the_reader_declines_every_line_that_is_not_plain(argv):
+    from minhess.cli import _parsers, _read_plain
+
+    assert _read_plain(_parsers()[1][argv[0]], argv[1:]) is None
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_the_reader_answers_every_readme_line(argv):
+    """Each README example is a plain line: the table reader, not argparse,
+    gives its namespace, and that namespace is argparse's."""
+    from minhess.cli import _parsers, _read_plain
+
+    sub = _parsers()[1][argv[0]]
+    args = _read_plain(sub, argv[1:])
+    assert args is not None
+    expected, extras = sub.parse_known_args(argv[1:])
+    assert (vars(args), extras) == (vars(expected), [])
+
+
+def test_a_parser_the_table_cannot_describe_is_left_to_argparse():
+    """A positional, or an option that appends, gives the parser no table,
+    so none of its lines is read outside argparse."""
+    import argparse
+
+    from minhess.cli import _plain_table, _read_plain
+
+    positional = argparse.ArgumentParser()
+    positional.add_argument("name")
+    appending = argparse.ArgumentParser()
+    appending.add_argument("--w", action="append")
+    for parser in (positional, appending):
+        assert _plain_table(parser) is None
+        assert _read_plain(parser, []) is None
 
 
 def fresh_process(argv, **kwargs):
