@@ -10,26 +10,24 @@ combinatorial routes.
 
 To first order (I + Z)^-1 X (I + Z) = X + [X, Z], so the linear parts of the
 defining equations, which are all the Jacobian needs, are the entries of the
-commutator [X, Z].  A row of [X, Z] has at most three nonzero entries at a
-fixed point, so the rows are filled from the nonzeros of X, kept free of
-zeros as they are built, stored as sparse rows and ranked by exact integer
-elimination on them, the only elimination here.  The rank of the last
-matrix is kept in a one-entry memo keyed by its rows, so the closed form,
-whose rows equal the conjugation's, takes the rank already found.  The rows
-are the entries the point must leave zero to lie in the Hessenberg space,
-so the chart's constant terms decide membership: one test on them refuses
-a point outside the variety for both Jacobians and the closed form.  Every
-entry point sets up its chart the same way, and no result from ``hess`` is
-consulted.
-
-X has the eigenvalues l-1, l-3, ..., 1-l.  X, its nonzero pattern (the
-nonzeros of each row and of each column, from which the commutator rows
-are filled) and the configuration are built once per composition: X as an
-immutable table of ints, the configuration through ``hess.config_from_mu``.
-At a cell point, the same helper reads the pattern off the recentered
-matrix on every call.  Entries stay ``int`` unless an entry of a translate
-u1 is non-integral, and only then are ``Fraction``: at a fixed point, and
-at an integral u1, every entry is an ``int``.
+commutator [X, Z].  At a fixed point its row eta depends only on the
+composition and eta, so two tables of the rows for every root eta are built
+once per composition, neither read from the other: the conjugation's, by
+one commutator-row helper from the nonzeros of X, and the closed form's,
+from eigenvalue differences and structure constants.  A fixed-point
+Jacobian reads its table's chart rows at the chart's columns, and a cell
+point runs the same helper on the recentered matrix.  The chart is kept
+for the last point.  Rows are stored sparse and zero-free, and ranked by
+exact integer elimination, the only elimination here, once every row with
+a column of its own is peeled off.  The rank of the last matrix is kept in
+a one-entry memo keyed by its rows, so the closed form, whose rows equal
+the conjugation's, takes the rank already found.  The rows are the entries
+the point must leave zero to lie in the Hessenberg space, so the chart's
+constant terms decide membership: one test, on every call, refuses a point
+outside the variety for every entry point.  Nothing from ``hess`` is
+consulted.  X has the eigenvalues l-1, l-3, ..., 1-l.  Entries stay ``int``
+unless an entry of a translate u1 is non-integral, and only then are
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -40,10 +38,10 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from .errors import DomainError
-from .hess import HessConfig, typeA_point
+from .hess import HessConfig, config_from_mu, typeA_point
 from .roots import Coeffs, RootSystem
 from .singular import SINGULAR, SMOOTH
-from .weyl import Composition
+from .weyl import Composition, WeylElement
 
 DEFAULT_SIZE_BOUND = 6
 
@@ -58,26 +56,37 @@ CELL_POINT_NOTE = (
 # an int wherever the inputs allow it, else a Fraction
 Entry = Union[int, Fraction]
 Matrix = Sequence[Sequence[Entry]]
-# the (position, value) pairs of a row's or column's nonzeros, in order
+# the (column, value) pairs of a row's nonzeros, in column order
 Nonzeros = Tuple[Tuple[int, Entry], ...]
-# a matrix's nonzeros per row, then per column
-Pattern = Tuple[Tuple[Nonzeros, ...], Tuple[Nonzeros, ...]]
+# (root index gamma, value) for each nonzero coefficient of z_gamma in an entry of [X, Z]
+Row = Tuple[Tuple[int, Entry], ...]
 
 
 def rank(sparse_rows: Iterable[Iterable[Tuple[int, Entry]]]) -> int:
     """Rank by exact integer elimination on sparse rows of (column, value)
-    pairs, the oracle's only elimination.  Each row with a nonzero value
-    becomes a {column: int} row: as it is when every value in the matrix is
-    an int, else scaled by the lowest common denominator of its entries.  A
-    pivot row is set aside, and only the rows nonzero in the column of its
-    first entry are combined with it, each result divided by the gcd of its
-    entries."""
+    pairs, the oracle's only elimination.  A row with a nonzero in a column
+    no other row touches is independent of the rest, so each such row is
+    counted and dropped, until none is left.  Each remaining row becomes a
+    {column: int} row: as it is when every value is an int, else scaled by
+    the lowest common denominator of its entries.  A pivot row is set aside,
+    and only the rows nonzero in the column of its first entry are combined
+    with it, each result divided by the gcd of its entries."""
     rows = [nz for nz in ({c: x for c, x in row if x} for row in sparse_rows) if nz]
+    r = 0
+    while rows:
+        seen, shared = set(), set()
+        for row in rows:
+            shared |= seen.intersection(row)
+            seen.update(row)
+        if len(shared) == len(seen):
+            break
+        kept = [row for row in rows if shared.issuperset(row)]
+        r += len(rows) - len(kept)
+        rows = kept
     if not all(type(x) is int for row in rows for x in row.values()):
         for k, nz in enumerate(rows):
             lcd = lcm(*(x.denominator for x in nz.values()))
             rows[k] = {c: x.numerator * (lcd // x.denominator) for c, x in nz.items()}
-    r = 0
     while rows:
         top = rows.pop()
         col, pv = next(iter(top.items()))
@@ -144,13 +153,13 @@ def regular_matrix(mu) -> Matrix:
     DEFAULT_SIZE_BOUND is refused before anything is built."""
     comp = Composition.of(mu)
     require_size(comp.n)
-    return _regular_table(comp)[0]
+    return _regular_table(comp)
 
 
 # at most one table per composition with n <= DEFAULT_SIZE_BOUND
 @lru_cache(maxsize=None)
-def _regular_table(comp: Composition) -> Tuple[Matrix, Pattern]:
-    """X for comp, and its nonzeros, both built once."""
+def _regular_table(comp: Composition) -> Matrix:
+    """X for comp, built once."""
     ell = comp.length
     diag = [s for s, part in zip(range(ell - 1, -ell, -2), comp.parts) for _ in range(part)]
     X = [[0] * comp.n for _ in range(comp.n)]
@@ -158,44 +167,101 @@ def _regular_table(comp: Composition) -> Tuple[Matrix, Pattern]:
         X[i][i] = s
     for i in comp.to_J():
         X[i - 1][i] = 1
-    X = tuple(map(tuple, X))
-    return X, _nonzeros(X)
+    return tuple(map(tuple, X))
 
 
-def _nonzeros(base: Matrix) -> Pattern:
-    """The nonzeros of each row and of each column of base."""
-    in_row = tuple(tuple((a, x) for a, x in enumerate(r) if x) for r in base)
-    in_col = tuple(
-        tuple((b, r[j]) for b, r in enumerate(base) if r[j]) for j in range(len(base))
-    )
-    return in_row, in_col
+# -- row tables, charts and Jacobians ------------------------------------------
 
 
-# -- charts and Jacobians ----------------------------------------------------
+def _commutator_rows(base: Matrix, rs: RootSystem, etas: Iterable[int]) -> List[Row]:
+    """Row eta of [base, Z] for each root index eta, Z over every root: the
+    coefficient of z_gamma, gamma = (a, b), in the entry eta = (i, j) is
+    base[i][a] [b = j] - [i = a] base[b][j], so row eta touches only the
+    gamma = (a, j) with base[i][a] != 0 and (i, b) with base[b][j] != 0; an
+    entry that cancels is dropped."""
+    unit = {(a - 1, b - 1): k for k, (a, b) in enumerate(rs.pairs)}
+    rows = []
+    for i, j in map(rs.pairs.__getitem__, etas):
+        i, j = i - 1, j - 1
+        touched = {(a, j) for a, x in enumerate(base[i]) if x}
+        touched.update((i, b) for b, r in enumerate(base) if r[j])
+        row = []
+        for a, b in touched & unit.keys():
+            x = (base[i][a] if b == j else 0) - (base[b][j] if a == i else 0)
+            if x:
+                row.append((unit[a, b], x))
+        rows.append(tuple(row))
+    return rows
 
 
-def _chart(w, mu) -> Tuple[Matrix, HessConfig, List[int], List[int]]:
-    """The regular element X of mu, its configuration, and the chart at w:
-    the indices of the row roots w(Phi^- minus the negative simples) and of
-    the column roots w(Phi^-), both in the package's deterministic root
-    order.  An n above the size bound is refused before X or its root system
-    is built."""
+def _closed_form_rows(X: Matrix, cfg: HessConfig) -> List[Row]:
+    """Row eta of [X, Z] for every root eta, assembled with no conjugation:
+    the eigenvalue difference eta(diag) at z_eta, minus the elementary-matrix
+    structure constant at z_gamma whenever eta differs from gamma by a
+    block simple root; a zero of either is left out."""
+    index = {pair: k for k, pair in enumerate(cfg.rs.pairs)}
+    block_simples = {(a, a + 1) for a in cfg.J}
+    rows = []
+    for eta in cfg.rs.pairs:
+        i, j = eta
+        diff = X[i - 1][i - 1] - X[j - 1][j - 1]
+        row = {index[eta]: diff} if diff else {}
+        # eta - gamma is a simple root alpha only for gamma = (i+1, j), (i, j-1)
+        for gamma, alpha in (((i + 1, j), (i, i + 1)), ((i, j - 1), (j - 1, j))):
+            k = index.get(gamma)
+            if k is not None and alpha in block_simples:
+                c = _structure_constant(gamma, alpha, eta)
+                if c:
+                    row[k] = -c
+        rows.append(tuple(row.items()))
+    return rows
+
+
+# two tables per composition with n <= DEFAULT_SIZE_BOUND, neither read
+# from the other, so the Jacobian's two constructions stay independent
+@lru_cache(maxsize=None)
+def _row_tables(comp: Composition) -> Tuple[List[Row], List[Row]]:
+    """Every row of [X, Z] by root: by conjugation, and by the closed form."""
+    X, cfg = _regular_table(comp), config_from_mu(comp)
+    return _commutator_rows(X, cfg.rs, range(len(cfg.rs.pairs))), _closed_form_rows(X, cfg)
+
+
+class _Chart(NamedTuple):
+    """The chart at w, in root order: the row roots w(Phi^- minus the negative
+    simples) as indices and 0-based matrix units, the position of each
+    column root w(Phi^-), and the row and column roots."""
+    rows: Tuple[int, ...]
+    units: Tuple[Tuple[int, int], ...]
+    column: Dict[int, int]
+    roots: Tuple[Tuple[Coeffs, ...], Tuple[Coeffs, ...]]
+
+
+def _chart(w, mu) -> Tuple[HessConfig, _Chart]:
+    """mu's configuration and the chart at w, once n passes the size bound."""
     comp = Composition.of(mu)
-    X = regular_matrix(comp)
+    require_size(comp.n)
     element, cfg = typeA_point(w, comp)
+    return cfg, _chart_at(element, cfg)
+
+
+# one chart, for the point the routes last asked about
+@lru_cache(maxsize=1)
+def _chart_at(element: WeylElement, cfg: HessConfig) -> _Chart:
     rs = cfg.rs
     key = rs.index_keys.__getitem__
-    rows = sorted(element.perm[rs.npos + rs.rank :], key=key)
+    rows = tuple(sorted(element.perm[rs.npos + rs.rank :], key=key))
     cols = sorted(element.perm[rs.npos :], key=key)
-    return X, cfg, rows, cols
+    units = tuple((i - 1, j - 1) for i, j in map(rs.pairs.__getitem__, rows))
+    roots = tuple(tuple(map(rs.root_list.__getitem__, ks)) for ks in (rows, cols))
+    return _Chart(rows, units, {gamma: k for k, gamma in enumerate(cols)}, roots)
 
 
-def _require_in_variety(base: Matrix, cfg: HessConfig, rows: List[int], point: str) -> None:
+def _require_in_variety(base: Matrix, chart: _Chart, point: str) -> None:
     """Refuse the point unless every chart row eta = (i, j) has a zero
     constant term base[i][j]: the rows eta = w(eps_a - eps_b), a > b + 1, are
     exactly the entries P^-1 base P must leave zero to lie in the Hessenberg
-    space.  The oracle's one membership test."""
-    if any(base[i - 1][j - 1] for i, j in map(cfg.rs.pairs.__getitem__, rows)):
+    space.  The oracle's one membership test, run on every call."""
+    if any(base[i][j] for i, j in chart.units):
         raise DomainError(f"the {point} does not lie in the variety")
 
 
@@ -227,51 +293,15 @@ class JacobianResult(NamedTuple):
         return self.verdict == SMOOTH
 
 
-def _ranked(
-    rs: RootSystem, rows: List[int], cols: List[int], sparse: List[Dict[int, Entry]],
-    note: str,
-) -> JacobianResult:
-    """The Jacobian with its rank and verdict, rows and columns as roots;
-    each row of sparse holds only nonzero values."""
-    stored = tuple(tuple(sorted(row.items())) for row in sparse)
+def _ranked(chart: _Chart, rows: Iterable[Row], note: str = "") -> JacobianResult:
+    """The Jacobian with its rank and verdict, the chart's rows of [base, Z]
+    read at the chart's columns and stored in column order."""
+    column = chart.column
+    stored = tuple(tuple(sorted([(column[g], x) for g, x in row if g in column]))
+                   for row in rows)
     rk = _stored_rank(stored)
-    verdict = SMOOTH if rk == len(rows) else SINGULAR
-    roots = [tuple(map(rs.root_list.__getitem__, ks)) for ks in (rows, cols)]
-    return JacobianResult(*roots, stored, rk, verdict, note)
-
-
-def _jacobian_from_conjugation(
-    cfg: HessConfig, rows: List[int], cols: List[int], base: Matrix, pattern: Pattern,
-    point: str, note: str = "",
-) -> JacobianResult:
-    """Linear parts of the defining equations of the chart, read off the
-    commutator [base, Z]: the coefficient of z_gamma, gamma = (a, b), in the
-    entry eta = (i, j) is base[i][a] [b = j] - [i = a] base[b][j], so row eta
-    touches only the columns (a, j) with base[i][a] != 0 and (i, b) with
-    base[b][j] != 0; pattern is base's ``_nonzeros``, and an entry that
-    cancels is dropped.  A nonzero constant term puts the point outside the
-    variety."""
-    _require_in_variety(base, cfg, rows, point)
-    pairs = cfg.rs.pairs
-    column = {(a - 1, b - 1): k for k, (a, b) in enumerate(map(pairs.__getitem__, cols))}
-    in_row, in_col = pattern
-    sparse: List[Dict[int, Entry]] = []
-    for eta in rows:
-        i, j = pairs[eta]
-        i, j = i - 1, j - 1
-        row: Dict[int, Entry] = {}
-        for a, x in in_row[i]:
-            k = column.get((a, j))
-            if k is not None:
-                row[k] = x
-        for b, y in in_col[j]:
-            k = column.get((i, b))
-            if k is not None:
-                x = row.pop(k, 0) - y
-                if x:
-                    row[k] = x
-        sparse.append(row)
-    return _ranked(cfg.rs, rows, cols, sparse, note)
+    verdict = SMOOTH if rk == len(stored) else SINGULAR
+    return JacobianResult(*chart.roots, stored, rk, verdict, note)
 
 
 def jacobian_at_fixed_point(w, mu) -> JacobianResult:
@@ -281,40 +311,18 @@ def jacobian_at_fixed_point(w, mu) -> JacobianResult:
     the chart variables; the point is smooth exactly when the matrix has
     full row rank.
     """
-    X, cfg, rows, cols = _chart(w, mu)
-    return _jacobian_from_conjugation(
-        cfg, rows, cols, X, _regular_table(cfg.mu)[1], "fixed point"
-    )
+    cfg, chart = _chart(w, mu)
+    _require_in_variety(_regular_table(cfg.mu), chart, "fixed point")
+    return _ranked(chart, map(_row_tables(cfg.mu)[0].__getitem__, chart.rows))
 
 
 def linear_terms_closed_form(w, mu) -> JacobianResult:
-    """The same Jacobian assembled entry by entry, with no conjugation.
-
-    The (eta, gamma) entry is the eigenvalue difference eta(diag) on the
-    diagonal, minus the elementary-matrix structure constant whenever eta
-    differs from gamma by a block simple root; a zero of either is left
-    out.  Kept independent of the commutator of explicit matrices so the two
-    can be compared entrywise, and ranked once when they agree.
-    """
-    X, cfg, rows, cols = _chart(w, mu)
-    _require_in_variety(X, cfg, rows, "fixed point")
-    pairs = cfg.rs.pairs
-    column = {pairs[gamma]: k for k, gamma in enumerate(cols)}
-    block_simples = {(a, a + 1) for a in cfg.J}
-    sparse = []
-    for eta in map(pairs.__getitem__, rows):
-        i, j = eta
-        diff = X[i - 1][i - 1] - X[j - 1][j - 1]
-        row = {column[eta]: diff} if diff else {}
-        # eta - gamma is a simple root alpha only for gamma = (i+1, j), (i, j-1)
-        for gamma, alpha in (((i + 1, j), (i, i + 1)), ((i, j - 1), (j - 1, j))):
-            k = column.get(gamma)
-            if k is not None and alpha in block_simples:
-                c = _structure_constant(gamma, alpha, eta)
-                if c:
-                    row[k] = -c
-        sparse.append(row)
-    return _ranked(cfg.rs, rows, cols, sparse, "")
+    """The same Jacobian assembled entry by entry by ``_closed_form_rows``,
+    with no conjugation, so that the two can be compared entrywise; it is
+    ranked once when they agree."""
+    cfg, chart = _chart(w, mu)
+    _require_in_variety(_regular_table(cfg.mu), chart, "fixed point")
+    return _ranked(chart, map(_row_tables(cfg.mu)[1].__getitem__, chart.rows))
 
 
 def _structure_constant(
@@ -335,7 +343,8 @@ def jacobian_at_cell_point(w, mu, u1: Sequence[Sequence]) -> JacobianResult:
     Entries stay ``int`` unless an entry of u1 is non-integral, so an
     integral u1 gives the fixed point's entry types.
     """
-    X, cfg, rows, cols = _chart(w, mu)
+    cfg, chart = _chart(w, mu)
+    X = _regular_table(cfg.mu)
     n = len(X)
     U = [[_exact(x) for x in row] for row in u1]
     if len(U) != n or any(len(row) != n for row in U):
@@ -344,7 +353,5 @@ def jacobian_at_cell_point(w, mu, u1: Sequence[Sequence]) -> JacobianResult:
         if U[i][i] != 1 or any(U[i][j] != 0 for j in range(i)):
             raise DomainError("u1 must be unipotent upper triangular")
     recentered = _unipotent_conjugate(U, X)
-    return _jacobian_from_conjugation(
-        cfg, rows, cols, recentered, _nonzeros(recentered), "translated point",
-        CELL_POINT_NOTE,
-    )
+    _require_in_variety(recentered, chart, "translated point")
+    return _ranked(chart, _commutator_rows(recentered, cfg.rs, chart.rows), CELL_POINT_NOTE)

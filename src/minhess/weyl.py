@@ -3,9 +3,9 @@
 An element is stored as the permutation it induces on the 2N root indices of
 its root system (index k < N is the k-th positive root, k + N its negative),
 following W. Casselman, "Machine calculations in Weyl groups" (Invent. Math.
-116, 1994).  The permutation is ``bytes`` when 2N <= 256, so that a product
-is one ``bytes.translate`` in C, and a tuple otherwise; the root system
-chooses once, and only ``_compose`` tells the two apart.  Products, inverses,
+116, 1994).  The permutation is ``bytes`` when 2N <= 256, so that products,
+inverses and lengths run in C (``bytes.translate``, ``bytes.maketrans``),
+and a tuple otherwise, chosen once by the root system.  Products, inverses,
 root actions, descents, lengths and type A one-line notation are index
 arithmetic; coefficient tuples appear only in ``act`` and ``root_pair``.
 Words are never part of an element's identity: equality and hashing use the
@@ -82,16 +82,23 @@ class WeylElement:
         return WeylElement(self.rs, _compose(self.rs, self.perm, other.perm))
 
     def inverse(self) -> "WeylElement":
-        inv = [0] * len(self.perm)
-        for k, image in enumerate(self.perm):
+        rs, perm = self.rs, self.perm
+        if rs.perm_pad is not None:
+            # the table of bytes.maketrans sends perm[k] to k
+            return WeylElement(rs, bytes.maketrans(perm, rs.identity_perm)[: len(perm)])
+        inv = [0] * len(perm)
+        for k, image in enumerate(perm):
             inv[image] = k
-        return WeylElement(self.rs, self.rs.perm_type(inv))
+        return WeylElement(rs, tuple(inv))
 
     # -- combinatorial statistics -----------------------------------------
 
     def length(self) -> int:
-        N = self.rs.npos
-        return sum(1 for image in self.perm[:N] if image >= N)
+        N, perm = self.rs.npos, self.perm
+        if self.rs.perm_pad is None:
+            return sum(1 for image in perm[:N] if image >= N)
+        # deleting the positive images leaves the negative ones
+        return len(perm[:N].translate(None, self.rs.identity_perm[:N]))
 
     def descents(self) -> FrozenSet[int]:
         """Right descents, as 1-based simple indices."""

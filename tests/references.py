@@ -27,9 +27,9 @@ def in_closure(v, w, cfg):
 def matrix_admissible(w, mu):
     """Whether the fixed point of w lies in the variety: the chart at w, and
     the oracle's own membership test on its constant terms at X."""
-    X, cfg, rows, _ = oracle._chart(w, mu)
+    cfg, chart = oracle._chart(w, mu)
     try:
-        oracle._require_in_variety(X, cfg, rows, "fixed point")
+        oracle._require_in_variety(oracle.regular_matrix(cfg.mu), chart, "fixed point")
     except DomainError:
         return False
     return True

@@ -12,12 +12,13 @@ import itertools
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minhess import hess, oracle, singular
+from minhess import hess, oracle, singular, verification
 from minhess.cli import _u1_entry, main
 from minhess.errors import DomainError
 from minhess.weyl import compositions, from_one_line, one_line
@@ -48,10 +49,8 @@ def regular_at(mu, values):
 def jacobian_at(w, mu, X):
     """The fixed-point Jacobian of w with X as the regular element, through
     the oracle's chart and commutator."""
-    _, cfg, rows, cols = oracle._chart(w, mu)
-    return oracle._jacobian_from_conjugation(
-        cfg, rows, cols, X, oracle._nonzeros(X), "fixed point"
-    )
+    cfg, chart = oracle._chart(w, mu)
+    return oracle._ranked(chart, oracle._commutator_rows(X, cfg.rs, chart.rows))
 
 
 def matmul(A, B):
@@ -229,6 +228,77 @@ def jacobian_shaped_matrices(draw):
 @given(jacobian_shaped_matrices())
 def test_rank_of_jacobian_shaped_matrices(matrix):
     assert oracle.rank(sparse(matrix)) == gauss_jordan_rank(matrix)
+
+
+@st.composite
+def peelable_matrices(draw):
+    """Rows over some shared columns and rational combinations of them,
+    with some rows given a column of their own (a nonzero no other row
+    has), in shuffled order: the rows the pre-pass peels before the
+    elimination."""
+    shared = draw(st.integers(1, 6))
+    rows = draw(st.lists(
+        st.lists(fractions_small, min_size=shared, max_size=shared), min_size=1, max_size=5
+    ))
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = draw(st.lists(fractions_small, min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(shared)])
+    owners = draw(st.lists(st.integers(0, len(rows) - 1), unique=True))
+    nonzero = fractions_small.filter(bool)
+    own = [
+        [draw(nonzero) if k == owner else Fraction(0) for owner in owners]
+        for k in range(len(rows))
+    ]
+    return draw(st.permutations([row + extra for row, extra in zip(rows, own)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(peelable_matrices())
+def test_rank_of_peelable_matrices(matrix):
+    assert oracle.rank(sparse(matrix)) == gauss_jordan_rank(matrix)
+
+
+def rank_and_gcd_calls(monkeypatch, rows):
+    """oracle.rank of the rows, and the number of gcds its elimination
+    took: none when the pre-pass peeled every row."""
+    calls = []
+    monkeypatch.setattr(oracle, "gcd", lambda *xs: calls.append(xs) or gcd(*xs))
+    r = oracle.rank(rows)
+    monkeypatch.undo()
+    return r, len(calls)
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_the_pre_pass_peels_what_has_a_column_of_its_own(monkeypatch, fractions):
+    """Each case against Gauss-Jordan, with int values and with Fraction
+    ones (each row and each column scaled by its own fraction, which keeps
+    the rank): peeling cascades until no row is left (each peel frees a
+    column of the next row), nothing peels and the elimination does all the
+    work, and a peel leaves a dependent remainder."""
+    def rows(*dense):
+        if fractions:
+            dense = [
+                [x * Fraction(k + 1, k + 3) * Fraction(c + 2, 5) for c, x in enumerate(row)]
+                for k, row in enumerate(dense)
+            ]
+        return sparse(dense)
+
+    cascade = rows([3, 1, 0, 0], [0, 2, 5, 0], [0, 0, 4, 1], [0, 0, 0, 6])
+    assert rank_and_gcd_calls(monkeypatch, cascade) == (4, 0)
+    # every column is shared by two rows: an odd cycle of full rank
+    cycle = rows([1, 2, 0], [0, 3, 1], [4, 0, 5])
+    r, gcds = rank_and_gcd_calls(monkeypatch, cycle)
+    assert r == 3 and gcds > 0
+    # the first row owns column 0; the last is the sum of the two before it
+    remainder = rows([1, 1, 0, 0], [0, 1, 2, 0], [0, 0, 3, 4], [0, 1, 5, 4])
+    r, gcds = rank_and_gcd_calls(monkeypatch, remainder)
+    assert r == 3 and gcds > 0
+    for matrix in (cascade, cycle, remainder):
+        dense = [[Fraction(0)] * 4 for _ in matrix]
+        for row, entries in zip(dense, matrix):
+            for c, x in entries:
+                row[c] = Fraction(x)
+        assert oracle.rank(matrix) == gauss_jordan_rank(dense)
 
 
 def test_rank_of_every_jacobian_matches_gauss_jordan():
@@ -736,3 +806,43 @@ def test_the_closed_form_takes_the_conjugations_rank(monkeypatch):
     assert other.rank == gauss_jordan_rank(other.matrix)
     assert oracle.jacobian_at_fixed_point((3, 4, 2, 1), (2, 2)).rank == conj.rank
     assert len(calls) == 3
+
+
+def test_one_chart_per_point_caches_no_refusal():
+    """The chart memo holds one chart.  A point outside the variety is
+    refused by both fixed-point routes on every call, with its chart
+    cached; an admissible point after it gets the Jacobian it gets with the
+    memo cleared."""
+    assert oracle._chart_at.cache_info().maxsize == 1
+    inside, outside, mu = (3, 4, 2, 1), (3, 2, 4, 1), (2, 2)
+    routes = (oracle.jacobian_at_fixed_point, oracle.linear_terms_closed_form)
+    first = [route(inside, mu) for route in routes]
+    for _ in range(3):
+        for route in routes:
+            with pytest.raises(DomainError, match="does not lie in the variety"):
+                route(outside, mu)
+    again = [route(inside, mu) for route in routes]
+    oracle._chart_at.cache_clear()
+    cleared = [route(inside, mu) for route in routes]
+    assert again == cleared == first
+
+
+def test_the_row_tables_hide_no_planted_defect(monkeypatch):
+    """With the structure constant negated and the per-composition tables
+    rebuilt, the cross-validation's dual-path check fails; with it restored
+    and the tables rebuilt again, the check passes."""
+    def dual_path():
+        (check,) = (
+            c for c in verification.suite_cross_validate(4) if c.name == "jacobian-dual-path"
+        )
+        return check.ok
+
+    constant = oracle._structure_constant
+    try:
+        monkeypatch.setattr(oracle, "_structure_constant", lambda *args: -constant(*args))
+        oracle._row_tables.cache_clear()
+        assert not dual_path()
+    finally:
+        monkeypatch.undo()
+        oracle._row_tables.cache_clear()
+    assert dual_path()

@@ -497,3 +497,41 @@ def test_every_constructor_returns_the_systems_storage(family, rank):
     if family == "A":
         built.append(from_one_line(rs, range(rank + 1, 0, -1)))
     assert {type(w.perm) for w in built} == {rs.perm_type}
+
+
+def list_inverse(perm):
+    inverse = [0] * len(perm)
+    for k, image in enumerate(perm):
+        inverse[image] = k
+    return tuple(inverse)
+
+
+@pytest.mark.parametrize(
+    "family,rank,words,storage",
+    [
+        ("G", 2, None, bytes), ("B", 3, None, bytes), ("E", 8, 30, bytes),
+        ("A", 16, 30, tuple), ("B", 12, 30, tuple),
+    ],
+)
+def test_inverse_and_length_match_the_list_loop(family, rank, words, storage):
+    """inverse and length against a loop over the permutation as a list:
+    on every element of G2 and B3, and on random words in E8 (bytes) and in
+    A16 and B12 (tuples)."""
+    rs = build_root_system(family, rank)
+    N = rs.npos
+    assert rs.perm_type is storage
+    if words is None:
+        els = list(enumerate_min_reps(rs, ()))
+        assert len(els) == {"G": 12, "B": 48}[family]
+    else:
+        rng = random.Random(f"inverse {family}{rank}")
+        els = [
+            WeylElement.from_word(rs, [rng.randint(1, rank) for _ in range(rng.randint(0, 60))])
+            for _ in range(words)
+        ]
+    for w in els:
+        inverse = w.inverse()
+        assert type(inverse.perm) is rs.perm_type
+        assert tuple(inverse.perm) == list_inverse(tuple(w.perm))
+        assert w.length() == sum(1 for image in w.perm[:N] if image >= N)
+        assert inverse.length() == w.length()
