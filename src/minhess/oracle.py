@@ -43,8 +43,6 @@ from .roots import Coeffs, RootSystem
 from .singular import SINGULAR, SMOOTH
 from .weyl import Composition, WeylElement
 
-DEFAULT_SIZE_BOUND = 6
-
 CELL_POINT_NOTE = (
     "full rank certifies a smooth point; a rank deficit certifies a singular "
     "point of the local chart model"
@@ -130,12 +128,6 @@ def _unipotent_conjugate(U: Matrix, M: Matrix) -> Matrix:
 # -- the regular element -----------------------------------------------------
 
 
-def require_size(n: int) -> None:
-    """Refuse an n above DEFAULT_SIZE_BOUND."""
-    if n > DEFAULT_SIZE_BOUND:
-        raise DomainError(f"n={n} exceeds the size bound {DEFAULT_SIZE_BOUND}")
-
-
 def _exact(value) -> Entry:
     """An entry of u1 as an int if it is an integer, else as a Fraction."""
     if type(value) is int:
@@ -149,14 +141,13 @@ def regular_matrix(mu) -> Matrix:
     the blocks, with the centered integers l-1, l-3, ..., 1-l as its values,
     so a two-block composition gets the classical (1, -1) pair; N has a 1 in
     position (i, i+1) for every alpha_i inside a block.  X is a tuple of int
-    rows, shared by every call with the same composition.  An n above
-    DEFAULT_SIZE_BOUND is refused before anything is built."""
-    comp = Composition.of(mu)
-    require_size(comp.n)
-    return _regular_table(comp)
+    rows, shared by every call with the same composition.  An n that
+    ``config_from_mu`` refuses, below 2 or with an A_{n-1} root table over
+    DEFAULT_ENUMERATION_BOUND (n >= 127), is refused before X is built."""
+    return _regular_table(config_from_mu(mu).mu)
 
 
-# at most one table per composition with n <= DEFAULT_SIZE_BOUND
+# one table per composition config_from_mu admits, so n <= 126
 @lru_cache(maxsize=None)
 def _regular_table(comp: Composition) -> Matrix:
     """X for comp, built once."""
@@ -217,8 +208,8 @@ def _closed_form_rows(X: Matrix, cfg: HessConfig) -> List[Row]:
     return rows
 
 
-# two tables per composition with n <= DEFAULT_SIZE_BOUND, neither read
-# from the other, so the Jacobian's two constructions stay independent
+# two tables per composition config_from_mu admits, neither read from the
+# other, so the Jacobian's two constructions stay independent
 @lru_cache(maxsize=None)
 def _row_tables(comp: Composition) -> Tuple[List[Row], List[Row]]:
     """Every row of [X, Z] by root: by conjugation, and by the closed form."""
@@ -237,10 +228,9 @@ class _Chart(NamedTuple):
 
 
 def _chart(w, mu) -> Tuple[HessConfig, _Chart]:
-    """mu's configuration and the chart at w, once n passes the size bound."""
-    comp = Composition.of(mu)
-    require_size(comp.n)
-    element, cfg = typeA_point(w, comp)
+    """mu's configuration and the chart at w, for any n whose root system
+    ``config_from_mu`` builds; it refuses n >= 127 before w is read."""
+    element, cfg = typeA_point(w, mu)
     return cfg, _chart_at(element, cfg)
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import classes, hess, oracle, singular
 from .errors import DomainError, EnumerationBoundError
-from .roots import build_root_system, cartan_datum
+from .roots import DEFAULT_ENUMERATION_BOUND, build_root_system, cartan_datum
 from .weyl import (
     WeylElement,
     compositions,
@@ -247,11 +247,15 @@ def _levi_oracle_smooth(
 
 def suite_cross_validate(max_rank: Optional[int] = None) -> List[Check]:
     """Every admissible (w, mu) with n <= max_rank + 1 (default 4) through
-    all smoothness routes.  An n the oracle refuses is refused before the
-    sweep starts, with the oracle's own error."""
+    all smoothness routes.  Before the sweep starts, the first n whose
+    cosets n!/prod(mu_i!), summed over the compositions mu of n, exceed
+    DEFAULT_ENUMERATION_BOUND is refused: n = 9, with 7087261."""
     max_rank = 4 if max_rank is None else max_rank
     for n in range(2, max_rank + 2):
-        oracle.require_size(n)
+        cosets = sum(math.factorial(n) // math.prod(map(math.factorial, mu))
+                     for mu in compositions(n))
+        if cosets > DEFAULT_ENUMERATION_BOUND:
+            raise EnumerationBoundError(f"n={n}: {cosets} cosets exceed the enumeration bound")
     checks: List[Check] = []
     mismatches = 0
     dual_path = 0

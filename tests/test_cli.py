@@ -574,12 +574,13 @@ def test_malformed_list_tokens_are_input_errors(capsys, argv):
     assert json.loads(err)["error"]["kind"] == "input"
 
 
-def test_oracle_refuses_n_above_the_size_bound(capsys):
-    code, out, err = run(capsys, "oracle", "--mu", "4,3", "--w", "e")
-    assert (code, out) == (1, "")
-    assert json.loads(err) == {
-        "error": {"kind": "domain", "message": "n=7 exceeds the size bound 6"}
-    }
+def test_oracle_answers_n_7_and_takes_no_size_bound(capsys):
+    """The oracle takes any n whose root system builds: w0 at mu = (4, 3)
+    answers, and no option sets a bound of its own."""
+    code, out, err = run(capsys, "oracle", "--mu", "4,3", "--w", "7654321")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)["payload"]
+    assert (payload["verdict"], payload["rank"], len(payload["rows"])) == ("smooth", 15, 15)
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "--mu", "4,3", "--w", "e", "--size-bound", "7"])
     assert exc.value.code == 2
@@ -589,15 +590,16 @@ def test_cross_validate_refuses_an_oversized_rank_before_sweeping(capsys, monkey
     from minhess import oracle
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the oracle ran before the size bound was checked")
+        raise AssertionError("the oracle ran before the coset total was checked")
 
     monkeypatch.setattr(oracle, "jacobian_at_fixed_point", refuse)
-    code, out, err = run(capsys, "verify", "--suite", "cross-validate", "--max-rank", "6")
-    assert code == 1
-    assert not out
-    assert json.loads(err) == {
-        "error": {"kind": "domain", "message": "n=7 exceeds the size bound 6"}
-    }
+    for max_rank in ("8", "17"):
+        code, out, err = run(capsys, "verify", "--suite", "cross-validate", "--max-rank", max_rank)
+        assert code == 1
+        assert not out
+        assert json.loads(err) == {"error": {
+            "kind": "domain", "message": "n=9: 7087261 cosets exceed the enumeration bound",
+        }}
 
 
 def test_cominuscule_refuses_an_oversized_rank_before_scanning(capsys, monkeypatch):

@@ -202,6 +202,38 @@ def test_top_closure_is_the_whole_variety_e6():
     assert_carry_canonical_words(c.x for c in cells)
 
 
+# every J of these systems: w0's closure counted by its cells' dimensions
+TOP_CLOSURE_SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("B", 4), ("F", 4)]
+
+
+def top_closure_poincare_mismatches():
+    """The (family, rank, J) where the Sigma t^dim over the closure of w0's
+    cell differs from poincare_polynomial.  With tau_w0 = e the closure is
+    the whole variety, so both count the same cells, one by each closure
+    cell's dim and one by binomials over the coset representatives."""
+    bad = []
+    for family, rank in TOP_CLOSURE_SYSTEMS:
+        rs = build_root_system(family, rank)
+        w0 = longest_element(rs, range(1, rank + 1))
+        for size in range(rank + 1):
+            for J in itertools.combinations(range(1, rank + 1), size):
+                cfg = hess.hess_config(rs, J)
+                dims = Counter(c.dim for c in hess.closure_intersecting_cells(w0, cfg))
+                if tuple(dims[k] for k in range(max(dims) + 1)) != hess.poincare_polynomial(cfg):
+                    bad.append((family, rank, J))
+    return bad
+
+
+def test_top_closure_dimensions_are_the_poincare_polynomial(monkeypatch):
+    """Every J of the systems above agrees; with a closure cell's dimension
+    planted as l(x) in place of |des(x)|, some J of every system fails."""
+    assert top_closure_poincare_mismatches() == []
+    cell = hess.ClosureCell
+    monkeypatch.setattr(hess, "ClosureCell", lambda v, x, dim: cell(v, x, x.length()))
+    failed = {(family, rank) for family, rank, _ in top_closure_poincare_mismatches()}
+    assert failed == set(TOP_CLOSURE_SYSTEMS)
+
+
 # the configurations of the benchmark's coset sweep
 SWEEP_CONFIGS = [
     ("E", 6, [1, 3, 5]),

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from minhess import hess, oracle, singular, verification
 from minhess.cli import _u1_entry, main
-from minhess.errors import DomainError
+from minhess.errors import DomainError, EnumerationBoundError
 from minhess.weyl import compositions, from_one_line, one_line
 from references import matrix_admissible
 
@@ -367,18 +367,19 @@ def test_regular_matrix_is_one_table_of_ints_per_composition():
 
 
 def test_size_bound_is_checked_before_x_is_built(monkeypatch):
-    """An oversized n is refused before the regular element is built or
-    cached."""
+    """An n whose A_{n-1} root table passes the enumeration bound is refused
+    before the regular element is built or cached."""
     def refuse(*args):
         raise AssertionError("X was built")
 
     monkeypatch.setattr(oracle, "_regular_table", refuse)
-    with pytest.raises(DomainError, match="size bound"):
+    with pytest.raises(EnumerationBoundError, match="root table"):
         matrix_admissible(range(1, 3001), (3000,))
-    with pytest.raises(DomainError, match="size bound"):
+    with pytest.raises(EnumerationBoundError, match="root table"):
         oracle.jacobian_at_fixed_point(range(1, 3001), [3000])
-    with pytest.raises(DomainError, match="size bound"):
-        oracle.regular_matrix((3000,))
+    for mu in [(3000,), (127,)]:
+        with pytest.raises(EnumerationBoundError, match="root table"):
+            oracle.regular_matrix(mu)
 
 
 # -- fixed-point Jacobians -------------------------------------------------------
@@ -526,10 +527,16 @@ def test_rejects_inadmissible_and_oversize():
         oracle.jacobian_at_fixed_point((3, 2, 4, 1), (2, 2))
     with pytest.raises(DomainError, match="does not lie in the variety"):
         oracle.linear_terms_closed_form((3, 2, 4, 1), (2, 2))
-    with pytest.raises(DomainError):
-        oracle.jacobian_at_fixed_point(tuple(range(7, 0, -1)), (7,))
-    with pytest.raises(DomainError, match="size bound"):
-        matrix_admissible(tuple(range(1, 8)), (7,))
+    # n = 7 answers, and w0's fixed point is smooth, as the Levi route
+    # finds; n = 127 is refused, its root table being over the bound
+    res = oracle.jacobian_at_fixed_point(tuple(range(7, 0, -1)), (7,))
+    assert (res.verdict, res.rank, len(res.rows), len(res.cols)) == ("smooth", 15, 15, 21)
+    cfg = hess.config_from_mu((7,))
+    w0 = from_one_line(cfg.rs, tuple(range(7, 0, -1)))
+    assert singular.hess_fixed_point_smooth(w0, cfg).is_smooth
+    assert matrix_admissible(tuple(range(1, 8)), (7,))
+    with pytest.raises(EnumerationBoundError, match="root table"):
+        matrix_admissible(tuple(range(1, 128)), (127,))
 
 
 def assert_rows_are_zero_free(res):
@@ -583,7 +590,7 @@ def test_admissibility_matrix_examples():
     assert matrix_admissible((1, 2, 3, 4), (2, 2))
 
 
-@pytest.mark.parametrize("n", range(2, oracle.DEFAULT_SIZE_BOUND + 1))
+@pytest.mark.parametrize("n", range(2, 7))
 def test_admissibility_matrix_matches_root_test(n):
     for mu in compositions(n):
         cfg = hess.config_from_mu(mu)
