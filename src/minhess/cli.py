@@ -10,13 +10,13 @@ exception is reported the same way with kind ``internal`` and exits 4.  A
 reader that closes stdout early (``| head``) ends the command quietly with
 status 141, as SIGPIPE ends native tools.
 
-A plain command line, a subcommand and then ``--option value`` pairs and
-flags, each option named in full and used once, is read from a table
-derived from the subcommand parser's own actions.  Every other line (help,
-``--option=value``, abbreviations, repeats, a missing or ``-``-led value, a
-value its type or choices refuse, a missing required option) goes through
-argparse, which gives the same namespace, messages and exit codes as ever:
-argparse stays the one statement of the options.
+The options are stated once, in the table ``_COMMANDS``, and two readers
+are built from it: argparse's parser, and a reader of plain command lines
+(a subcommand and then ``--option value`` pairs and flags, each option
+named in full and used once).  Every other line (help, ``--option=value``,
+abbreviations, repeats, a missing or ``-``-led value, a value its type or
+choices refuse, a missing required option) goes through argparse, which
+gives the same namespace, messages and exit codes for the lines both read.
 """
 
 from __future__ import annotations
@@ -461,25 +461,69 @@ def _cmd_verify(args) -> int:
     return 3 if failures else 0
 
 
-# -- parser ---------------------------------------------------------------------
+# -- command table -------------------------------------------------------------
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=list("ABCDEFG"), help="simple type")
-    p.add_argument("--rank", type=int, help="rank of the simple type")
-    p.add_argument("--J", help="comma-separated simple indices naming the regular element")
-    p.add_argument("--mu", help="type A composition, comma separated")
+_CONFIG = (
+    ("--family", {"choices": tuple("ABCDEFG"), "help": "simple type"}),
+    ("--rank", {"type": int, "help": "rank of the simple type"}),
+    ("--J", {"help": "comma-separated simple indices naming the regular element"}),
+    ("--mu", {"help": "type A composition, comma separated"}),
+)
+_W = ("--w", {"required": True, "help": "one-line notation (type A) or reflection word"})
 
-
-def _add_element_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--w", required=True, help="one-line notation (type A) or reflection word")
+# Each subcommand's help, handler and options in help order, an option being
+# a long flag and the keywords of its ``add_argument``: argparse's parser and
+# the plain-line reader are both built from this one table.
+_COMMANDS = {
+    "admissible": ("count or list nonempty cells", _cmd_admissible, (
+        *_CONFIG,
+        ("--list", {"action": "store_true"}),
+    )),
+    "decompose": ("full decomposition data of an admissible element", _cmd_decompose, (
+        *_CONFIG,
+        _W,
+    )),
+    "closure": ("cells meeting a cell closure", _cmd_closure, (
+        *_CONFIG,
+        _W,
+        ("--dot", {"action": "store_true", "help": "emit a DOT containment diagram"}),
+    )),
+    "fixed-point-smooth": ("smooth/singular verdict at a fixed point", _cmd_fixed_point_smooth, (
+        *_CONFIG,
+        _W,
+    )),
+    "peterson-singular-locus": (
+        "singular cells of a Peterson variety", _cmd_peterson_singular_locus, (
+            ("--family", {"choices": tuple("ABCDEFG"), "required": True}),
+            ("--rank", {"type": int, "required": True}),
+        ),
+    ),
+    "count-smooth": ("number of smooth permutation flags", _cmd_count_smooth, (
+        ("--mu", {"required": True}),
+    )),
+    "class": ("K-theory / cohomology class of a cell closure", _cmd_class, (
+        *_CONFIG,
+        _W,
+        ("--form", {"choices": ("cohomology", "k-theory"), "default": "cohomology"}),
+        ("--expand", {"action": "store_true", "help": "expand in Chern roots (type A)"}),
+    )),
+    "oracle": ("exact Jacobian verdict via matrix charts (type A)", _cmd_oracle, (
+        ("--mu", {"required": True}),
+        _W,
+        ("--u1", {"help": "rational unipotent matrix as JSON, or @file"}),
+    )),
+    "verify": ("run a verification suite", _cmd_verify, (
+        ("--suite", {"required": True, "choices": tuple(sorted(verification.SUITES))}),
+        ("--max-rank", {"type": int, "default": None}),
+    )),
+}
 
 
 @functools.lru_cache(maxsize=None)
-def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
-    """The command line parser and each subcommand's own parser, by name,
-    built once per process: building them costs far more than parsing one
-    command line."""
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built from ``_COMMANDS`` once per process:
+    building it costs far more than parsing one command line."""
     parser = argparse.ArgumentParser(
         prog="minhess",
         description=(
@@ -488,162 +532,75 @@ def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentPars
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("admissible", help="count or list nonempty cells")
-    _add_config_flags(p)
-    p.add_argument("--list", action="store_true")
-    p.set_defaults(func=_cmd_admissible)
-
-    p = sub.add_parser("decompose", help="full decomposition data of an admissible element")
-    _add_config_flags(p)
-    _add_element_flags(p)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("closure", help="cells meeting a cell closure")
-    _add_config_flags(p)
-    _add_element_flags(p)
-    p.add_argument("--dot", action="store_true", help="emit a DOT containment diagram")
-    p.set_defaults(func=_cmd_closure)
-
-    p = sub.add_parser("fixed-point-smooth", help="smooth/singular verdict at a fixed point")
-    _add_config_flags(p)
-    _add_element_flags(p)
-    p.set_defaults(func=_cmd_fixed_point_smooth)
-
-    p = sub.add_parser("peterson-singular-locus", help="singular cells of a Peterson variety")
-    p.add_argument("--family", choices=list("ABCDEFG"), required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.set_defaults(func=_cmd_peterson_singular_locus)
-
-    p = sub.add_parser("count-smooth", help="number of smooth permutation flags")
-    p.add_argument("--mu", required=True)
-    p.set_defaults(func=_cmd_count_smooth)
-
-    p = sub.add_parser("class", help="K-theory / cohomology class of a cell closure")
-    _add_config_flags(p)
-    _add_element_flags(p)
-    p.add_argument("--form", choices=["cohomology", "k-theory"], default="cohomology")
-    p.add_argument("--expand", action="store_true", help="expand in Chern roots (type A)")
-    p.set_defaults(func=_cmd_class)
-
-    p = sub.add_parser("oracle", help="exact Jacobian verdict via matrix charts (type A)")
-    p.add_argument("--mu", required=True)
-    _add_element_flags(p)
-    p.add_argument("--u1", help="rational unipotent matrix as JSON, or @file")
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=sorted(verification.SUITES),
-    )
-    p.add_argument("--max-rank", type=int, default=None)
-    p.set_defaults(func=_cmd_verify)
-
-    return parser, sub.choices
+    for name, (help_text, handler, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=handler)
+    return parser
 
 
-_PLAIN_ACTIONS = (
-    argparse._StoreAction,
-    argparse._StoreConstAction,
-    argparse._StoreTrueAction,
-    argparse._StoreFalseAction,
-)
+def _plain_table(name: str, handler, options):
+    """What reading a plain line of one subcommand needs: each flag's dest,
+    whether it takes a value, its type and its choices; the namespace of an
+    empty line; and the required flags."""
+    readers = {}
+    empty: Dict[str, object] = {"command": name, "func": handler}
+    for flag, keywords in options:
+        dest = flag[2:].replace("-", "_")
+        takes_value = keywords.get("action") != "store_true"
+        readers[flag] = (dest, takes_value, keywords.get("type"), keywords.get("choices"))
+        empty[dest] = keywords.get("default") if takes_value else False
+    return readers, empty, frozenset(flag for flag, keywords in options if keywords.get("required"))
 
 
-@functools.lru_cache(maxsize=None)
-def _plain_table(sub: argparse.ArgumentParser):
-    """What reading a plain command line of ``sub`` needs, derived from the
-    parser's own actions: each option string's action, the namespace of an
-    empty line (action defaults, then ``set_defaults``), and the required
-    actions.  An action is in the table if it stores one value or a
-    constant; one that is not, but would put a default in the namespace or
-    is required, leaves ``sub`` with no table (None), as do positionals,
-    exclusive groups and argument files."""
-    if sub.fromfile_prefix_chars or sub._mutually_exclusive_groups or sub.prefix_chars != "-":
-        return None
-    options: Dict[str, argparse.Action] = {}
-    defaults: Dict[str, object] = {}
-    required = []
-    suppress = argparse.SUPPRESS
-    for action in sub._actions:
-        in_namespace = action.dest is not suppress and action.default is not suppress
-        if (
-            type(action) in _PLAIN_ACTIONS
-            and action.option_strings
-            and action.nargs in (None, 0)
-            # argparse converts a str default by the type on every parse
-            and not (isinstance(action.default, str) and action.type is not None)
-            and not getattr(action, "deprecated", False)
-        ):
-            options.update(dict.fromkeys(action.option_strings, action))
-            if action.required:
-                required.append(action)
-        elif action.required or in_namespace:
-            return None
-        if in_namespace:
-            defaults.setdefault(action.dest, action.default)
-    for dest, value in sub._defaults.items():
-        defaults.setdefault(dest, value)
-    return options, defaults, required
+_PLAIN = {
+    name: _plain_table(name, handler, options) for name, (_, handler, options) in _COMMANDS.items()
+}
 
 
-def _read_plain(sub: argparse.ArgumentParser, argv: Sequence[str]) -> Optional[argparse.Namespace]:
-    """The namespace ``sub.parse_known_args(argv)`` gives a plain line: whole
-    option names of the table, each used once, each value-taking one
-    followed by a value that does not start with ``-`` and that its type
-    and choices accept, and every required option present.  On any other
-    line, None: argparse then reads it, with its help, errors and exits."""
-    table = _plain_table(sub)
+def _read_plain(command: str, argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace ``_parser().parse_args([command, *argv])`` gives a plain
+    line: whole flags of the command, each used once, each value-taking one
+    followed by a value that does not start with ``-`` and that its type and
+    choices accept, and every required flag present.  On any other line,
+    None: argparse then reads it, with its help, errors and exits."""
+    table = _PLAIN.get(command)
     if table is None:
         return None
-    options, defaults, required = table
-    values = dict(defaults)
+    readers, empty, required = table
+    values = dict(empty)
     seen = set()
     tokens = iter(argv)
-    for token in tokens:
-        action = options.get(token)
-        if action is None or action in seen:
+    for flag in tokens:
+        reader = readers.get(flag)
+        if reader is None or flag in seen:
             return None
-        seen.add(action)
-        if action.nargs == 0:
-            values[action.dest] = action.const
+        seen.add(flag)
+        dest, takes_value, kind, choices = reader
+        if not takes_value:
+            values[dest] = True
             continue
         value = next(tokens, None)
         if value is None or value.startswith("-"):
             return None
-        if action.type is not None:
+        if kind is not None:
             try:
-                value = action.type(value)
+                value = kind(value)
             except (argparse.ArgumentTypeError, TypeError, ValueError):
                 return None  # argparse reports it
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        values[action.dest] = value
-    if not seen.issuperset(required):
-        return None
-    return argparse.Namespace(**values)
+        values[dest] = value
+    return argparse.Namespace(**values) if required <= seen else None
 
 
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """The top-level parser's ``parse_args(argv)``, with the same namespace,
-    exit code and messages.  A command line that starts with a subcommand's
-    name goes straight to that subcommand: a plain line is read from the
-    subcommand parser's own table, any other line by that parser, as the
-    top-level parser would hand it over, without the top-level pass over
-    every argument."""
-    parser, subcommands = _parsers()
-    sub = subcommands.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    args = _read_plain(sub, argv[1:])
-    if args is None:
-        args, extras = sub.parse_known_args(argv[1:])
-        if extras:
-            parser.error("unrecognized arguments: " + " ".join(extras))
-    args.command = argv[0]
-    return args
+    """``_parser().parse_args(argv)``, with the same namespace, exit code and
+    messages: a plain line is read from the command table, every other line
+    by argparse."""
+    args = _read_plain(argv[0], argv[1:]) if argv else None
+    return _parser().parse_args(argv) if args is None else args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import itertools
 import json
@@ -838,9 +839,9 @@ NOT_PLAIN = [
 
 
 def test_subcommand_dispatch_matches_the_top_level_parse(capsys):
-    """A command line that starts with a subcommand goes straight to its
-    parser; every outcome is the top-level parse's, exit messages included."""
-    from minhess.cli import _parse_args, _parsers
+    """A plain line is read from the command table and every other line by
+    argparse; every outcome is the top-level parse's, exit messages included."""
+    from minhess.cli import _parse_args, _parser
 
     rng = random.Random(0)
     argvs = [random_argv(rng) for _ in range(1000)]
@@ -852,44 +853,141 @@ def test_subcommand_dispatch_matches_the_top_level_parse(capsys):
         ["admissible", "--family", "A", "--rank", "3", "--J", ""],  # "" is a value
     ]
     for argv in argvs:
-        expected = parse_outcome(capsys, _parsers()[0].parse_args, argv)
+        expected = parse_outcome(capsys, _parser().parse_args, argv)
         assert parse_outcome(capsys, _parse_args, argv) == expected, argv
 
 
 @pytest.mark.parametrize("argv", NOT_PLAIN, ids=" ".join)
 def test_the_reader_declines_every_line_that_is_not_plain(argv):
-    from minhess.cli import _parsers, _read_plain
+    from minhess.cli import _read_plain
 
-    assert _read_plain(_parsers()[1][argv[0]], argv[1:]) is None
+    assert _read_plain(argv[0], argv[1:]) is None
 
 
 @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
 def test_the_reader_answers_every_readme_line(argv):
     """Each README example is a plain line: the table reader, not argparse,
     gives its namespace, and that namespace is argparse's."""
-    from minhess.cli import _parsers, _read_plain
+    from minhess.cli import _parser, _read_plain
 
-    sub = _parsers()[1][argv[0]]
-    args = _read_plain(sub, argv[1:])
+    args = _read_plain(argv[0], argv[1:])
     assert args is not None
-    expected, extras = sub.parse_known_args(argv[1:])
-    assert (vars(args), extras) == (vars(expected), [])
+    assert vars(args) == vars(_parser().parse_args(argv))
 
 
-def test_a_parser_the_table_cannot_describe_is_left_to_argparse():
-    """A positional, or an option that appends, gives the parser no table,
-    so none of its lines is read outside argparse."""
-    import argparse
+# One plain line per subcommand that sets every option the subcommand has.
+EVERY_OPTION = [
+    ["admissible", "--family", "B", "--rank", "3", "--J", "1,3", "--mu", "2,2", "--list"],
+    ["decompose", "--family", "A", "--rank", "3", "--J", "1,3", "--mu", "2,2", "--w", "3421"],
+    ["closure", "--family", "A", "--rank", "3", "--J", "1,3", "--mu", "2,2", "--w", "3421",
+     "--dot"],
+    ["fixed-point-smooth", "--family", "A", "--rank", "3", "--J", "1,3", "--mu", "2,2",
+     "--w", "3421"],
+    ["peterson-singular-locus", "--family", "F", "--rank", "4"],
+    ["count-smooth", "--mu", "4,3,1"],
+    ["class", "--family", "A", "--rank", "3", "--J", "1,3", "--mu", "2,2", "--w", "3421",
+     "--form", "k-theory", "--expand"],
+    ["oracle", "--mu", "3,1", "--w", "s2", "--u1", "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"],
+    ["verify", "--suite", "fig1", "--max-rank", "3"],
+]
 
-    from minhess.cli import _plain_table, _read_plain
 
-    positional = argparse.ArgumentParser()
-    positional.add_argument("name")
-    appending = argparse.ArgumentParser()
-    appending.add_argument("--w", action="append")
-    for parser in (positional, appending):
-        assert _plain_table(parser) is None
-        assert _read_plain(parser, []) is None
+@pytest.mark.parametrize("argv", EVERY_OPTION, ids=lambda argv: argv[0])
+def test_the_reader_answers_a_line_that_sets_every_option(argv):
+    """A plain line that sets each of its subcommand's options is read by
+    the table reader, not argparse, into argparse's namespace."""
+    from minhess.cli import _COMMANDS, _parser, _read_plain
+
+    flags = [flag for flag, _ in _COMMANDS[argv[0]][2]]
+    assert sorted(token for token in argv if token.startswith("--")) == sorted(flags)
+    args = _read_plain(argv[0], argv[1:])
+    assert args is not None
+    assert vars(args) == vars(_parser().parse_args(argv))
+
+
+def test_every_option_is_one_the_reader_understands():
+    """Each option is a long flag with only keywords the plain-line reader
+    follows: ``action="store_true"``, ``type``, ``choices``, ``required``,
+    ``default`` (not a str beside a type, which argparse would convert) and
+    ``help``.  An option added with ``nargs``, ``append``, a ``dest`` or the
+    like fails here before the reader can misread it."""
+    from minhess.cli import _COMMANDS
+
+    assert sorted(_COMMANDS) == sorted(SUBCOMMANDS)
+    understood = {"action", "type", "choices", "required", "default", "help"}
+    for command, (_, _, options) in _COMMANDS.items():
+        flags = [flag for flag, _ in options]
+        assert len(set(flags)) == len(flags), command
+        for flag, keywords in options:
+            assert flag.startswith("--") and flag[2:3].isalpha(), (command, flag)
+            assert set(keywords) <= understood, (command, flag)
+            assert keywords.get("action", "store_true") == "store_true", (command, flag)
+            # argparse would convert a str default by the type on every parse
+            assert not ("type" in keywords and isinstance(keywords.get("default"), str))
+
+
+# sha256 of the help each line prints on stdout, at 80 columns.
+HELP_DIGESTS = {
+    "-h": "9e8f5b60babb95be26fc2cbfae60b74101ce2b2cdd3d172647b4b2120c9df7ce",
+    "admissible -h": "0c0f170ad9debac8e31d54bb72c46a6c3537450fad31699c0b1fc66917921316",
+    "decompose -h": "c0146ebec1664fe00bbd5378b61018d045bf4a8963e29405dfd57a7016c3840a",
+    "closure -h": "c32ee1560072479debcaf8aaf75d47471bcc8bea618357c021d9d412668f39af",
+    "fixed-point-smooth -h": "dd1145e63f9c5f728f23541bca56513bfb97328ae37d9c19338362d44f2ff539",
+    "peterson-singular-locus -h":
+        "cb45ab712aa7bfa6d75e243ebea15b7c1d8e622d86653295b110f7a3c43db323",
+    "count-smooth -h": "548020716ddb5019bdcebb3ea59224cad4575f578d5b9d2c1752f4b3697d63eb",
+    "class -h": "5bb806f4f62134376c5ab67e11dd0f081c09c5e05dfeb9620bf4f39c0982fc65",
+    "oracle -h": "f55ed868e25e3efa8716097310b911eda4064c6b713cf10e7578653d657362fd",
+    "verify -h": "fdf06359e5cdb11ca5ae74d3870e481d63f9ca5518b03c52f6e7226fb86df422",
+}
+
+
+def test_help_text_is_byte_stable(capsys, monkeypatch):
+    """The top-level help and each subcommand's help print the same bytes
+    as ever, so an option whose help, order or presence changes shows."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert sorted(HELP_DIGESTS) == sorted(["-h", *(f"{c} -h" for c in SUBCOMMANDS)])
+    for line, digest in HELP_DIGESTS.items():
+        with pytest.raises(SystemExit) as exc:
+            main(line.split())
+        out, err = capsys.readouterr()
+        assert (exc.value.code, err) == (0, ""), line
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, line
+
+
+PRIVATE_ARGPARSE_ATTRIBUTES = {
+    "_actions", "_defaults", "_mutually_exclusive_groups", "_option_string_actions",
+    "_StoreAction",
+}
+
+
+def private_argparse_reads(source):
+    """The private argparse names a module's source reads: any ``argparse._*``
+    or ``from argparse import _*``, and the parser internals above by any
+    attribute access."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and (
+            node.attr in PRIVATE_ARGPARSE_ATTRIBUTES
+            or node.attr.startswith("_")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "argparse"
+        ):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "argparse":
+            found += [(node.lineno, a.name) for a in node.names if a.name.startswith("_")]
+    return sorted(found)
+
+
+def test_no_module_reads_a_private_argparse_name():
+    """The command line states its options in its own table and reads
+    argparse only through its public interface."""
+    assert private_argparse_reads(
+        "import argparse\np._actions\nargparse._StoreAction\nfrom argparse import _SubParsersAction"
+    ) == [(2, "_actions"), (3, "_StoreAction"), (4, "_SubParsersAction")]
+    src = Path(minhess.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        assert private_argparse_reads(path.read_text(encoding="utf-8")) == [], path.name
 
 
 def fresh_process(argv, **kwargs):
@@ -904,9 +1002,9 @@ def fresh_process(argv, **kwargs):
 def test_reused_parser_matches_fresh_processes(capsys):
     """The parser is built once per process; successive commands through it
     print what each prints in a process of its own."""
-    from minhess.cli import _parsers
+    from minhess.cli import _parser
 
-    assert _parsers()[0] is _parsers()[0]
+    assert _parser() is _parser()
     commands = [
         ["oracle", "--mu", "3,1", "--w", "s2"],
         ["decompose", "--family", "B", "--rank", "4", "--J", "1,2,4", "--w", "1,3,4"],
