@@ -14,7 +14,7 @@ from typing import Dict, FrozenSet, Iterable, NamedTuple, Tuple
 
 from .errors import DomainError
 from .hess import HessConfig, require_admissible
-from .roots import Coeffs, RootSystem, parabolic
+from .roots import Coeffs, RootSystem, parabolic, require_enumerable
 from .weyl import WeylElement, root_pair
 
 K_THEORY = "k_theory"
@@ -112,7 +112,7 @@ class ChernPolynomial(NamedTuple):
 
 def expand_typeA(expr: ClassExpression, rs: RootSystem) -> ChernPolynomial:
     """Expanded Chern-root polynomial of a cohomology-form class, multiplied
-    out one linear factor at a time."""
+    out one factor at a time; a running table past the bound is refused."""
     if expr.form != COHOMOLOGY:
         raise DomainError("only cohomology-form classes expand to polynomials")
     if rs.cartan.family != "A":
@@ -127,4 +127,5 @@ def expand_typeA(expr: ClassExpression, rs: RootSystem) -> ChernPolynomial:
                 raised = m[:k] + (m[k] + 1,) + m[k + 1 :]
                 product[raised] = product.get(raised, 0) + term
         terms = {m: c for m, c in product.items() if c}
+        require_enumerable(len(terms), f"{rs.cartan.name} Chern expansion")
     return ChernPolynomial(n, tuple(sorted(terms.items(), reverse=True)))

@@ -41,7 +41,7 @@ from .errors import DomainError
 from .hess import HessConfig, config_from_mu, typeA_point
 from .roots import Coeffs, RootSystem
 from .singular import SINGULAR, SMOOTH
-from .weyl import Composition, WeylElement
+from .weyl import Composition, WeylElement, _pair_index
 
 CELL_POINT_NOTE = (
     "full rank certifies a smooth point; a rank deficit certifies a singular "
@@ -170,17 +170,16 @@ def _commutator_rows(base: Matrix, rs: RootSystem, etas: Iterable[int]) -> List[
     base[i][a] [b = j] - [i = a] base[b][j], so row eta touches only the
     gamma = (a, j) with base[i][a] != 0 and (i, b) with base[b][j] != 0; an
     entry that cancels is dropped."""
-    unit = {(a - 1, b - 1): k for k, (a, b) in enumerate(rs.pairs)}
+    index = _pair_index(rs)
     rows = []
     for i, j in map(rs.pairs.__getitem__, etas):
-        i, j = i - 1, j - 1
-        touched = {(a, j) for a, x in enumerate(base[i]) if x}
-        touched.update((i, b) for b, r in enumerate(base) if r[j])
+        touched = {(a, j) for a, x in enumerate(base[i - 1], 1) if x}
+        touched.update((i, b) for b, r in enumerate(base, 1) if r[j - 1])
         row = []
-        for a, b in touched & unit.keys():
-            x = (base[i][a] if b == j else 0) - (base[b][j] if a == i else 0)
+        for a, b in touched & index.keys():
+            x = (base[i - 1][a - 1] if b == j else 0) - (base[b - 1][j - 1] if a == i else 0)
             if x:
-                row.append((unit[a, b], x))
+                row.append((index[a, b], x))
         rows.append(tuple(row))
     return rows
 
@@ -190,7 +189,7 @@ def _closed_form_rows(X: Matrix, cfg: HessConfig) -> List[Row]:
     the eigenvalue difference eta(diag) at z_eta, minus the elementary-matrix
     structure constant at z_gamma whenever eta differs from gamma by a
     block simple root; a zero of either is left out."""
-    index = {pair: k for k, pair in enumerate(cfg.rs.pairs)}
+    index = _pair_index(cfg.rs)
     block_simples = {(a, a + 1) for a in cfg.J}
     rows = []
     for eta in cfg.rs.pairs:

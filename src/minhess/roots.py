@@ -32,7 +32,6 @@ Perm = Union[bytes, Tuple[int, ...]]
 _Matrix = Tuple[Tuple[int, ...], ...]
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
-DEFAULT_ENUMERATION_BOUND = 10**6  # cosets per enumeration, and A-D root table entries
 
 # positive roots per rank; 0 at a rank where the family has no simple system
 POSITIVE_COUNT = {
@@ -54,6 +53,17 @@ WEYL_ORDER = {
     "F": lambda n: 1152,
     "G": lambda n: 12,
 }
+
+DEFAULT_ENUMERATION_BOUND = 10**6  # the one bound on what any enumeration counts
+
+
+def require_enumerable(count: int, label: str) -> None:
+    """Refuse a count of what ``label`` names past the bound, read at the
+    call, in EnumerationBoundError's one message shape."""
+    if count > DEFAULT_ENUMERATION_BOUND:
+        raise EnumerationBoundError(
+            f"{label}: {count} entries exceed the enumeration bound {DEFAULT_ENUMERATION_BOUND}"
+        )
 
 
 def height(root: Coeffs) -> int:
@@ -158,9 +168,8 @@ def cartan_datum(family: str, rank: int) -> CartanDatum:
         raise DomainError(f"unknown family {family!r}")
     if rank < 1:
         raise DomainError("rank must be positive")
-    size = POSITIVE_COUNT[family](rank) * rank if family in "ABCD" else 0
-    if size > DEFAULT_ENUMERATION_BOUND:
-        raise EnumerationBoundError(f"{family}{rank} root table: {size} entries exceed the bound")
+    if family in "ABCD":
+        require_enumerable(POSITIVE_COUNT[family](rank) * rank, f"{family}{rank} root table")
     if family == "A":
         return CartanDatum("A", rank, tuple(map(tuple, _tree_matrix(rank, _chain(rank)))))
     if family in ("B", "C"):

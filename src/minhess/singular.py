@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import DomainError, EnumerationBoundError
+from .errors import DomainError
 from .hess import HessConfig, decompose_admissible, require_admissible, typeA_point
 from .roots import (
     CartanDatum,
@@ -31,14 +31,12 @@ from .roots import (
     is_positive,
     negate,
     parabolic,
+    require_enumerable,
 )
 from .weyl import Composition, WeylElement, longest_element, one_line
 
 SMOOTH = "smooth"
 SINGULAR = "singular"
-
-# the most subsets K a whole Peterson singular locus may visit
-DEFAULT_PETERSON_BOUND = 2**20
 
 # reasons
 SMOOTH_BY_CRITERION = "SmoothByCriterion"
@@ -329,11 +327,8 @@ def typeA_hess_schubert_smooth(w, mu) -> SmoothnessVerdict:
 
 def peterson_singular_locus(component: CartanDatum) -> Tuple[Tuple[int, ...], ...]:
     """All K, in the component's own labels, whose cell lies in the singular
-    locus; more than DEFAULT_PETERSON_BOUND subsets K are refused."""
-    if 2**component.rank > DEFAULT_PETERSON_BOUND:
-        raise EnumerationBoundError(
-            f"2^{component.rank} subsets exceed the bound {DEFAULT_PETERSON_BOUND}"
-        )
+    locus; 2^rank subsets K past the enumeration bound are refused."""
+    require_enumerable(2**component.rank, f"{component.name} Peterson subsets")
     smooth = _smooth_K(component)
     universe = range(1, component.rank + 1)
     return tuple(

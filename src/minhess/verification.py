@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import classes, hess, oracle, singular
-from .errors import DomainError, EnumerationBoundError
-from .roots import DEFAULT_ENUMERATION_BOUND, build_root_system, cartan_datum
+from .errors import DomainError
+from .roots import build_root_system, cartan_datum, require_enumerable
 from .weyl import (
     WeylElement,
     compositions,
@@ -249,13 +249,11 @@ def suite_cross_validate(max_rank: Optional[int] = None) -> List[Check]:
     """Every admissible (w, mu) with n <= max_rank + 1 (default 4) through
     all smoothness routes.  Before the sweep starts, the first n whose
     cosets n!/prod(mu_i!), summed over the compositions mu of n, exceed
-    DEFAULT_ENUMERATION_BOUND is refused: n = 9, with 7087261."""
+    the enumeration bound is refused: n = 9, with 7087261."""
     max_rank = 4 if max_rank is None else max_rank
     for n in range(2, max_rank + 2):
-        cosets = sum(math.factorial(n) // math.prod(map(math.factorial, mu))
-                     for mu in compositions(n))
-        if cosets > DEFAULT_ENUMERATION_BOUND:
-            raise EnumerationBoundError(f"n={n}: {cosets} cosets exceed the enumeration bound")
+        require_enumerable(sum(math.factorial(n) // math.prod(map(math.factorial, mu))
+                               for mu in compositions(n)), f"n={n} cosets")
     checks: List[Check] = []
     mismatches = 0
     dual_path = 0
@@ -320,12 +318,11 @@ _PAPER_NODES = {
 
 def suite_cominuscule(max_rank: Optional[int] = None) -> List[Check]:
     """Every proper subset K in every type up to max_rank (default 8).  A
-    max_rank whose subsets exceed the Peterson bound is refused at once."""
+    running total of subsets past the bound (17 on) is refused first."""
     max_rank = 8 if max_rank is None else max_rank
-    bound = singular.DEFAULT_PETERSON_BOUND
     sizes = (2**rank - 1 for ranks in _FAMILY_RANKS.values() for rank in ranks(max_rank))
-    if any(count > bound for count in itertools.accumulate(sizes)):  # lazy, for a huge max_rank
-        raise EnumerationBoundError(f"max_rank {max_rank} scans more than {bound} subsets")
+    for total in itertools.accumulate(sizes):  # lazy, for a huge max_rank
+        require_enumerable(total, f"max_rank {max_rank} subsets")
     bad = 0
     scanned = 0
     containment = 0

@@ -20,8 +20,8 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import DomainError, EnumerationBoundError
-from .roots import DEFAULT_ENUMERATION_BOUND, Coeffs, Perm, RootSystem, parabolic
+from .errors import DomainError
+from .roots import Coeffs, Perm, RootSystem, parabolic, require_enumerable
 
 
 def _simple_perm(rs: RootSystem, i: int) -> Perm:
@@ -254,7 +254,7 @@ def enumerate_min_reps(
     (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4): every shortest
     representative has a reduced word all of whose prefixes are again
     shortest representatives, so a right-multiplication search finds each
-    exactly once.  DEFAULT_ENUMERATION_BOUND caps the coset count.
+    exactly once.  The enumeration bound caps the coset count.
 
     Each element w other than e is reached once, from its canonical parent
     w * s_m with m = min des(w), so its word is the parent's plus (m).
@@ -269,10 +269,7 @@ def enumerate_min_reps(
     count = order // parabolic(rs, Jset).weyl_order()
     if not Jset <= gens:
         raise DomainError(f"J={sorted(Jset)} is not contained in {sorted(gens)}")
-    if count > DEFAULT_ENUMERATION_BOUND:
-        raise EnumerationBoundError(
-            f"coset count {count} exceeds enumeration bound {DEFAULT_ENUMERATION_BOUND}"
-        )
+    require_enumerable(count, f"{rs.cartan.name} cosets")
     N = rs.npos
     # (i, s_i's permutation, its entries at the simple roots alpha_j, j < i)
     steps = []

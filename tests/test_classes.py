@@ -11,8 +11,8 @@ from math import prod
 
 import pytest
 
-from minhess import classes, hess
-from minhess.errors import DomainError
+from minhess import classes, hess, roots
+from minhess.errors import DomainError, EnumerationBoundError
 from minhess.roots import build_root_system, negate, root_key
 from minhess.weyl import WeylElement, compositions, from_one_line, longest_element
 from references import support
@@ -183,3 +183,19 @@ def test_expand_symmetry_under_diagram_flip():
         assert {m: c for m, c in poly2.coeffs} == {
             m: c for m, c in transformed.items() if c
         }
+
+
+def test_expansion_refuses_a_running_table_past_the_bound(monkeypatch):
+    """The running table of terms is checked after each factor: with the
+    bound at 800, the identity at mu = (6), whose table peaks at 840 terms
+    before its 720 = 6! end, is refused, and mu = (5), 120 terms, answers."""
+    monkeypatch.setattr(roots, "DEFAULT_ENUMERATION_BOUND", 800)
+
+    def identity_expansion(n):
+        cfg = hess.config_from_mu((n,))
+        expr = classes.hess_schubert_class(WeylElement.identity(cfg.rs), cfg)
+        return classes.expand_typeA(expr, cfg.rs)
+
+    assert len(identity_expansion(5).coeffs) == 120
+    with pytest.raises(EnumerationBoundError, match="^A5 Chern expansion: 840 entries exceed"):
+        identity_expansion(6)

@@ -594,12 +594,13 @@ def test_cross_validate_refuses_an_oversized_rank_before_sweeping(capsys, monkey
         raise AssertionError("the oracle ran before the coset total was checked")
 
     monkeypatch.setattr(oracle, "jacobian_at_fixed_point", refuse)
-    for max_rank in ("8", "17"):
+    for max_rank in ("8", "17", "1000000"):
         code, out, err = run(capsys, "verify", "--suite", "cross-validate", "--max-rank", max_rank)
         assert code == 1
         assert not out
         assert json.loads(err) == {"error": {
-            "kind": "domain", "message": "n=9: 7087261 cosets exceed the enumeration bound",
+            "kind": "domain",
+            "message": "n=9 cosets: 7087261 entries exceed the enumeration bound 1000000",
         }}
 
 
@@ -610,13 +611,35 @@ def test_cominuscule_refuses_an_oversized_rank_before_scanning(capsys, monkeypat
         raise AssertionError("the scan ran before the size bound was checked")
 
     monkeypatch.setattr(singular, "cominuscule_check", refuse)
-    for max_rank in ("17", "100"):
+    # the first running total past the bound: A, B, C and D to rank 17, or
+    # A to rank 19
+    for max_rank, total in (("17", 1048487), ("100", 1048555)):
         code, out, err = run(capsys, "verify", "--suite", "cominuscule", "--max-rank", max_rank)
         assert code == 1
         assert not out
         assert json.loads(err) == {"error": {
             "kind": "domain",
-            "message": f"max_rank {max_rank} scans more than 1048576 subsets",
+            "message": f"max_rank {max_rank} subsets: {total} entries exceed the enumeration"
+                       " bound 1000000",
+        }}
+
+
+def test_peterson_locus_refuses_rank_20_before_scanning(capsys, monkeypatch):
+    """2^20 subsets K pass the enumeration bound, so A20 and A21 are refused
+    before the smooth set is found or any subset is visited."""
+    from minhess import singular
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the smooth set was built before the bound was checked")
+
+    monkeypatch.setattr(singular, "_smooth_K", refuse)
+    for rank in (20, 21):
+        code, out, err = run(capsys, "peterson-singular-locus", "--family", "A", "--rank", str(rank))
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": {
+            "kind": "domain",
+            "message": f"A{rank} Peterson subsets: {2**rank} entries exceed the enumeration"
+                       " bound 1000000",
         }}
 
 

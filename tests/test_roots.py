@@ -7,14 +7,18 @@ reflection-closure output must match those sets exactly.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import itertools
 import random
 import re
 from fractions import Fraction
 
+from pathlib import Path
+
 import pytest
 
+import minhess
 from minhess import classes, hess, roots, singular
 from minhess.errors import DomainError
 from minhess.roots import (
@@ -426,3 +430,44 @@ def test_cartan_datum_refuses_a_root_table_past_the_bound_before_building_it(mon
     for family, rank in (("A", 126), ("D", 101)):
         with pytest.raises(DomainError, match=f"^{family}{rank} root table: "):
             cartan_datum(family, rank)
+
+
+def enumeration_bound_uses(source, module):
+    """Where a module's source steps outside the one enumeration bound: a
+    module other than roots.py naming DEFAULT_ENUMERATION_BOUND (by name,
+    attribute or import), or any module binding another ``*_BOUND`` at
+    module level."""
+    found = []
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name == "DEFAULT_ENUMERATION_BOUND" and module != "roots.py":
+            found.append(name)
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        found += [
+            t.id for t in targets
+            if isinstance(t, ast.Name) and t.id.endswith("_BOUND")
+            and t.id != "DEFAULT_ENUMERATION_BOUND"
+        ]
+    return found
+
+
+def test_only_roots_knows_the_enumeration_bound():
+    """roots.DEFAULT_ENUMERATION_BOUND is the only size bound, and only
+    roots.py names it; every other module calls require_enumerable."""
+    planted = "from .roots import DEFAULT_ENUMERATION_BOUND as B\nX_BOUND = 2\nroots.B = B"
+    assert enumeration_bound_uses(planted, "roots.py") == ["X_BOUND"]
+    planted = "from .roots import DEFAULT_ENUMERATION_BOUND\nroots.DEFAULT_ENUMERATION_BOUND"
+    assert enumeration_bound_uses(planted, "weyl.py") == ["DEFAULT_ENUMERATION_BOUND"] * 2
+    assert enumeration_bound_uses("Y_BOUND: int = 3", "roots.py") == ["Y_BOUND"]
+    src = Path(minhess.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        assert enumeration_bound_uses(path.read_text(encoding="utf-8"), path.name) == [], path.name
