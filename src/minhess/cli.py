@@ -3,7 +3,11 @@
 Every query prints one JSON document on stdout (or DOT when asked for a
 graph) with a stable shape: the echoed command, the resolved configuration,
 an operation-specific payload, and the rule tags the classification relied
-on.  A command that ends in an error prints nothing on stdout.  Domain and
+on.  A long list (the elements of ``admissible --list``, the cells of
+``closure``) is held as its items' words and written in pieces of thousands
+of items, between the text before it and the rest; nothing is written until
+every word is made and the rest of the text is built.  So a command that
+ends in an error prints nothing on stdout.  Domain and
 input failures print a machine-readable error object on stderr and exit
 with status 1; usage errors exit 2; verification failures exit 3; any other
 exception is reported the same way with kind ``internal`` and exits 4.  A
@@ -29,9 +33,9 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from . import classes, hess, oracle, singular, verification
+from . import classes, hess, oracle, singular
 from .errors import DomainError
 from .roots import RootSystem, build_root_system, cartan_datum, root_str
 from .weyl import Composition, WeylElement, _letter_text, from_one_line, one_line_str
@@ -65,6 +69,33 @@ def _frac(q: oracle.Entry) -> _Rational:
 _ZERO = _frac(0)
 
 
+@functools.lru_cache(maxsize=None)
+def _element_frame(indent: str, one_line: bool) -> Tuple[str, ...]:
+    """What the texts of elements at ``indent`` share, with or without a
+    one-line text: the text before the one-line text, before the first
+    letter, between letters, after the last letter, and for an empty word."""
+    inner = indent + "  "
+    key = ("," if one_line else "{") + inner + '"word": '
+    return (
+        "{" + inner + '"one_line": ',
+        key + "[" + inner + "  ",
+        "," + inner + "  ",
+        inner + "]" + indent + "}",
+        key + "[]" + indent + "}",
+    )
+
+
+def _element_text(
+    frame: Tuple[str, ...], letters: Tuple[str, ...], word: Tuple[int, ...], one_line: Optional[str]
+) -> str:
+    """The text of ``{"one_line": one_line, "word": word}`` (without
+    "one_line" when it is None) in a frame from ``_element_frame``; each
+    letter's text is looked up in ``letters``, not formatted."""
+    line_start, start, sep, end, empty = frame
+    text = f"{start}{sep.join([letters[i] for i in word])}{end}" if word else empty
+    return text if one_line is None else f"{line_start}{_str_text(one_line)}{text}"
+
+
 class _Element:
     """A Weyl element in an answer, written as ``{"one_line": ..., "word":
     [...]}``: its canonical word, and its one-line text in type A only.
@@ -78,25 +109,106 @@ class _Element:
         self.one_line = one_line
 
     def json_text(self, indent: str) -> str:
-        inner = indent + "  "
-        if self.word:
-            letters = inner + "  "
-            # each letter's text is looked up in the table, not formatted
-            table = self.letters
-            spelled = ("," + letters).join([table[i] for i in self.word])
-            word = "[" + letters + spelled + inner + "]"
-        else:
-            word = "[]"
-        if self.one_line is None:
-            return f'{{{inner}"word": {word}{indent}}}'
-        one_line = _str_text(self.one_line)
-        return f'{{{inner}"one_line": {one_line},{inner}"word": {word}{indent}}}'
+        frame = _element_frame(indent, self.one_line is not None)
+        return _element_text(frame, self.letters, self.word, self.one_line)
 
 
 def _element(w: WeylElement) -> _Element:
     rs = w.rs
     one_line = one_line_str(w) if rs.cartan.family == "A" else None
     return _Element(w.word(), _letter_text(rs), one_line)
+
+
+# items per write: a write per item costs a fifth of a listing's time, and
+# one write for the whole list holds its whole text
+_CHUNK = 4096
+
+
+class _LongList:
+    """A long list in an answer, held as the few facts its items are written
+    from rather than as an object per item.  ``texts(indent, start, stop)``
+    gives the texts of items start..stop at ``indent``, and ``chunks`` the
+    list's text in pieces of ``_CHUNK`` items; ``_emit`` writes them."""
+
+    __slots__ = ()
+
+    def chunks(self, indent: str) -> Iterator[str]:
+        n = len(self)
+        if not n:
+            yield "[]"
+            return
+        inner = indent + "  "
+        for start in range(0, n, _CHUNK):
+            items = self.texts(inner, start, start + _CHUNK)
+            items[0] = ("[" if start == 0 else ",") + inner + items[0]
+            if start + _CHUNK >= n:
+                items[-1] += indent + "]"
+            yield ("," + inner).join(items)
+
+
+class _Elements(_LongList):
+    """A list of Weyl elements, each written as an ``_Element`` is: held as
+    their canonical words and, in type A only, their one-line texts."""
+
+    __slots__ = ("words", "one_lines", "letters")
+
+    def __init__(self, rs: RootSystem, elements: Iterable[WeylElement]):
+        self.letters = _letter_text(rs)
+        self.words: List[Tuple[int, ...]] = []
+        self.one_lines: Optional[List[str]] = [] if rs.cartan.family == "A" else None
+        words, lines = self.words, self.one_lines
+        for w in elements:
+            words.append(w.word())
+            if lines is not None:
+                lines.append(one_line_str(w))
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def texts(self, indent: str, start: int, stop: int) -> List[str]:
+        frame = _element_frame(indent, self.one_lines is not None)
+        letters, words = self.letters, self.words[start:stop]
+        if self.one_lines is None:
+            return [_element_text(frame, letters, word, None) for word in words]
+        lines = self.one_lines[start:stop]
+        return [_element_text(frame, letters, word, line) for word, line in zip(words, lines)]
+
+
+class _Cells(_LongList):
+    """The cells of a closure, each written as ``{"dim": ..., "v": ...,
+    "x": ...}``: held as their dimensions and two lists of elements."""
+
+    __slots__ = ("dims", "v", "x")
+
+    def __init__(self, rs: RootSystem, cells: Sequence[hess.ClosureCell]):
+        self.dims = [c.dim for c in cells]
+        self.v = _Elements(rs, (c.v for c in cells))
+        self.x = _Elements(rs, (c.x for c in cells))
+
+    def __len__(self) -> int:
+        return len(self.dims)
+
+    def texts(self, indent: str, start: int, stop: int) -> List[str]:
+        inner = indent + "  "
+        v = self.v.texts(inner, start, stop)
+        x = self.x.texts(inner, start, stop)
+        return [
+            f'{{{inner}"dim": {d},{inner}"v": {vt},{inner}"x": {xt}{indent}}}'
+            for d, vt, xt in zip(self.dims[start:stop], v, x)
+        ]
+
+
+class _Hole:
+    """Where ``_emit`` writes a long list: its text is the list's
+    indentation between two NULs, which JSON text never holds."""
+
+    __slots__ = ()
+
+    def json_text(self, indent: str) -> str:
+        return f"\0{indent}\0"
+
+
+_HOLE = _Hole()
 
 
 def _verdict(v: singular.SmoothnessVerdict) -> Dict[str, object]:
@@ -114,10 +226,10 @@ def _json_text(value: object, indent: str = "\n") -> str:
     With an indent the stdlib encodes in pure Python, token by token.  Here
     lists, tuples and dicts with ``str`` keys are joined in one recursion,
     ``str`` and ``int`` items, ``str`` dict values, ``True``, ``False`` and
-    ``None`` are encoded in place, and the two leaves of an answer write
-    their own text: an ``_Element`` (a Weyl element) as the dict
-    ``{"one_line": ..., "word": [...]}`` and a ``_Rational`` as
-    ``{"den": ..., "num": ...}``.  Every other value goes
+    ``None`` are encoded in place, and the leaves of an answer write their
+    own text: an ``_Element`` (a Weyl element) as the dict ``{"one_line":
+    ..., "word": [...]}``, a ``_Rational`` as ``{"den": ..., "num": ...}``,
+    and the ``_Hole`` of ``_emit`` as its mark.  Every other value goes
     to ``json.dumps``, so the text and any error are the stdlib's; there a
     leaf, which subclasses no JSON type, is a TypeError.  Only the stack
     differs: a value that contains itself raises RecursionError (the
@@ -128,14 +240,14 @@ def _json_text(value: object, indent: str = "\n") -> str:
         return _str_text(value)
     if type(value) is int:
         return repr(value)
-    if isinstance(value, (_Element, _Rational)):
+    if isinstance(value, (_Element, _Rational, _Hole)):
         return value.json_text(indent)
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         items = [
-            x.json_text(inner) if type(x) is _Element
+            x.json_text(inner) if type(x) is _Rational
             else repr(x) if type(x) is int
             else _str_text(x) if isinstance(x, str)
             else _json_text(x, inner)
@@ -171,15 +283,29 @@ def _emit(
     command: str, config: Dict[str, object], payload: Dict[str, object], citations: Sequence[str]
 ) -> None:
     """Print the one JSON document every query answers with: the bytes of
-    ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, in one
-    write, so a payload that cannot be encoded prints nothing."""
+    ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline.
+
+    A ``_LongList`` in the payload is written in pieces: the text before
+    it, its items in chunks of ``_CHUNK``, and the rest.  All the text but
+    the chunks is made before the first write, and a long list holds only
+    words and texts made before ``_emit`` is called, which its chunks only
+    spell out, so a payload that cannot be encoded prints nothing.  A
+    reader that leaves partway makes a write raise BrokenPipeError, which
+    ``main`` ends with status 141."""
+    key = next((k for k, v in payload.items() if isinstance(v, _LongList)), None)
     doc = {
         "command": command,
         "config": config,
-        "payload": payload,
+        "payload": payload if key is None else {**payload, key: _HOLE},
         "citations": list(citations),
     }
-    sys.stdout.write(_json_text(doc) + "\n")
+    text = _json_text(doc) + "\n"
+    if key is not None:
+        head, indent, text = text.split("\0")
+        sys.stdout.write(head)
+        for chunk in payload[key].chunks(indent):
+            sys.stdout.write(chunk)
+    sys.stdout.write(text)
 
 
 INTERNAL_ERROR_EXIT = 4
@@ -262,7 +388,7 @@ def _cmd_admissible(args) -> int:
     cfg = _resolve_config(args)
     payload: Dict[str, object]
     if args.list:
-        elements = [_element(w) for w, _, _ in hess.enumerate_admissible(cfg)]
+        elements = _Elements(cfg.rs, (w for w, _, _ in hess.enumerate_admissible(cfg)))
         payload = {"count": len(elements), "elements": elements}
     else:
         payload = {"count": sum(hess.poincare_polynomial(cfg))}
@@ -311,12 +437,8 @@ def _cmd_closure(args) -> int:
     if args.dot:
         sys.stdout.write(_closure_dot(cfg, cells) + "\n")
         return 0
-    payload = {
-        "cells": [
-            {"v": _element(c.v), "x": _element(c.x), "dim": c.dim} for c in cells
-        ]
-    }
-    del cells  # free every cell's two elements before the text is built
+    payload = {"cells": _Cells(cfg.rs, cells)}
+    del cells  # free every cell's two elements before the text is written
     _emit("closure", _config_doc(cfg, w), payload, ["closure-intersection-criterion"])
     return 0
 
@@ -447,6 +569,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verification  # here only: loading it costs every cold start ~7 ms
+
     checks = verification.run_suite(args.suite, args.max_rank)
     failures = [c for c in checks if not c.ok]
     _emit(
@@ -471,6 +595,9 @@ _CONFIG = (
     ("--mu", {"help": "type A composition, comma separated"}),
 )
 _W = ("--w", {"required": True, "help": "one-line notation (type A) or reflection word"})
+# the names of verification.SUITES, stated here so that loading the command
+# line does not load verification (a test checks that the two agree)
+_SUITES = ("cominuscule", "cross-validate", "fig1", "paper-tables")
 
 # Each subcommand's help, handler and options in help order, an option being
 # a long flag and the keywords of its ``add_argument``: argparse's parser and
@@ -514,7 +641,7 @@ _COMMANDS = {
         ("--u1", {"help": "rational unipotent matrix as JSON, or @file"}),
     )),
     "verify": ("run a verification suite", _cmd_verify, (
-        ("--suite", {"required": True, "choices": tuple(sorted(verification.SUITES))}),
+        ("--suite", {"required": True, "choices": _SUITES}),
         ("--max-rank", {"type": int, "default": None}),
     )),
 }

@@ -2,19 +2,22 @@
 
 Each suite returns a list of named checks with pass/fail flags; the CLI
 turns any unexpected failure into a nonzero exit.  The table suite pins the
-regression data for the worked examples, the cross-validate suite replays
-the triple smoothness comparison at desk scale and judges closures by the
-oracle on the Levi of des(w), the cominuscule suite checks the Weyl action
-and the highest-root no-linear-term rule against the paper's list of nodes
-in every type, and the fig1 suite instantiates the shared-linear case table.
-Only cross-validate and cominuscule take a max_rank.  The closure check, a
-reference, reads the Levi of des(w) from the one-line of w, not from ``hess``.
+regression data for the worked examples and counts the closure of the top
+cell by its cells' dimensions against the Poincare polynomial, the
+cross-validate suite replays the triple smoothness comparison at desk scale
+and judges closures by the oracle on the Levi of des(w), the cominuscule
+suite checks the Weyl action and the highest-root no-linear-term rule
+against the paper's list of nodes in every type, and the fig1 suite
+instantiates the shared-linear case table.  Only cross-validate and
+cominuscule take a max_rank.  The closure check, a reference, reads the
+Levi of des(w) from the one-line of w, not from ``hess``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -188,6 +191,22 @@ def suite_paper_tables() -> List[Check]:
             for p in itertools.product(range(5), repeat=4)
         )
     checks.append(Check("class-expansion-3421", ok))
+
+    # the closure of the top cell counted by its cells' dimensions: tau_w0 =
+    # e, so its cells are every admissible element, and the count must be
+    # the Poincare polynomial, which binomials over the cosets give
+    scanned, bad = 0, []
+    for family, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]:
+        system = build_root_system(family, rank)
+        w0 = longest_element(system, range(1, rank + 1))
+        for size in range(rank + 1):
+            for J in itertools.combinations(range(1, rank + 1), size):
+                scanned += 1
+                config = hess.hess_config(system, J)
+                dims = Counter(c.dim for c in hess.closure_intersecting_cells(w0, config))
+                if tuple(dims[k] for k in range(max(dims) + 1)) != hess.poincare_polynomial(config):
+                    bad.append(f"{family}{rank} J={','.join(map(str, J))}")
+    checks.append(Check("top-closure-poincare", not bad, f"{scanned} sets J, mismatched {bad}"))
     return checks
 
 

@@ -21,10 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minhess
-from minhess import cli, hess, oracle
+from minhess import cli, hess, oracle, verification
 from minhess.cli import _json_text, main
 from minhess.roots import build_root_system
-from minhess.weyl import WeylElement, one_line_str
+from minhess.weyl import WeylElement, longest_element, one_line_str
 from references import in_closure
 
 
@@ -71,9 +71,11 @@ def outputs_digest(capsys, commands):
 
 def test_readme_outputs_are_pinned(capsys):
     """Every README example, hashed: the example outputs are byte-stable
-    across changes that keep every answer."""
+    across changes that keep every answer.  Re-pinned when paper-tables
+    gained its last check, top-closure-poincare; every other output kept
+    its bytes."""
     assert outputs_digest(capsys, readme_commands()) == (
-        "36c36873fd3182eb433ea46dfdb43fb2ff7e88bfda46971e16360c9d22ab6af5"
+        "c0ef9d24e2275fba544e67a3b5215543e494093664e2a4653488a5152f315d61"
     )
 
 
@@ -162,6 +164,69 @@ def test_element_leaf_text_is_the_dict_text(family, rank, J, limit):
     for w in elements:
         for indent in ("\n", "\n      "):
             assert _json_text(cli._element(w), indent) == stdlib_text(element_dict(w), indent)
+
+
+INDENTS = ("\n", "\n  ", "\n      ")
+
+
+def long_list_texts(leaf, indent, monkeypatch):
+    """The text of a long-list leaf at indent, as its chunks join up with
+    4096 (the default), 7 and 1 items a chunk."""
+    texts = ["".join(leaf.chunks(indent))]
+    for size in (7, 1):
+        monkeypatch.setattr(cli, "_CHUNK", size)
+        texts.append("".join(leaf.chunks(indent)))
+    monkeypatch.undo()
+    return texts
+
+
+@pytest.mark.parametrize("family, rank, J, limit", [
+    ("G", 2, (), None),
+    ("A", 3, (1, 3), None),
+    ("A", 9, (1, 2, 5), 300),
+    ("E", 6, (1, 3, 5), 300),
+    ("A", 10, (2, 3, 4, 5, 6, 7, 8, 9), 300),
+], ids=str)
+def test_elements_leaf_text_is_the_list_text(family, rank, J, limit, monkeypatch):
+    """The listing leaf writes the list of element dicts: G2 J=() holds the
+    identity's empty word, A3 one-lines below n = 10 and A9 and A10
+    bracketed ones, E6 no one-lines at all."""
+    cfg = hess.hess_config(build_root_system(family, rank), J)
+    elements = [w for w, _, _ in itertools.islice(hess.enumerate_admissible(cfg), limit)]
+    leaf = cli._Elements(cfg.rs, elements)
+    assert len(leaf) == len(elements)
+    for indent in INDENTS:
+        expected = stdlib_text([element_dict(w) for w in elements], indent)
+        assert long_list_texts(leaf, indent, monkeypatch) == [expected] * 3
+
+
+@pytest.mark.parametrize("family, rank, J, w", [
+    ("A", 3, (1, 3), "3421"),
+    ("A", 9, (1, 2, 5), "[3,2,1,8,4,7,5,6,10,9]"),
+    ("A", 10, (2, 3, 4, 5, 6, 7, 8, 9), "[1,6,5,4,3,2,7,9,8,11,10]"),
+    ("G", 2, (1,), "1,2,1,2,1,2"),
+    ("E", 6, (1, 3, 5), "4,5,6,5,4,3,2,4,2,1"),
+], ids=str)
+def test_cells_leaf_text_is_the_list_text(family, rank, J, w, monkeypatch):
+    """The closure leaf writes the list of {"dim", "v", "x"} dicts: type A
+    cells below n = 10 and from n = 10 on, and G2's top closure, whose
+    first cell has the identity as both v and x."""
+    cfg = hess.hess_config(build_root_system(family, rank), J)
+    cells = hess.closure_intersecting_cells(cli._parse_element(cfg.rs, w), cfg)
+    leaf = cli._Cells(cfg.rs, cells)
+    assert len(leaf) == len(cells) > 1
+    plain = [{"dim": c.dim, "v": element_dict(c.v), "x": element_dict(c.x)} for c in cells]
+    for indent in INDENTS:
+        assert long_list_texts(leaf, indent, monkeypatch) == [stdlib_text(plain, indent)] * 3
+
+
+def test_empty_long_lists_are_the_empty_list_text(monkeypatch):
+    for family, rank in (("A", 2), ("G", 2)):
+        rs = build_root_system(family, rank)
+        for leaf in (cli._Elements(rs, []), cli._Cells(rs, ())):
+            assert len(leaf) == 0
+            for indent in INDENTS:
+                assert long_list_texts(leaf, indent, monkeypatch) == ["[]"] * 3
 
 
 @pytest.mark.parametrize("q", [0, 1, -1, -7, 10**30, Fraction(1, 2), Fraction(-3, 4), Fraction(-10**20, 3)])
@@ -734,6 +799,30 @@ def test_unencodable_payload_prints_nothing_on_stdout(capsys, monkeypatch):
     assert error["message"] == "TypeError: Object of type Fraction is not JSON serializable"
 
 
+E6_W0 = ",".join(map(str, longest_element(build_root_system("E", 6), range(1, 7)).word()))
+
+
+@pytest.mark.parametrize("argv", [
+    ["admissible", "--family", "E", "--rank", "6", "--J", "1,3,5", "--list"],
+    ["closure", "--family", "E", "--rank", "6", "--J", "1,3,5", "--w", E6_W0],
+], ids=lambda argv: argv[0])
+def test_an_error_midway_through_a_long_answer_prints_nothing(capsys, monkeypatch, argv):
+    """A long list is written in chunks, but only once all its items are
+    made: an enumeration that fails after more than a chunk of its 7920
+    items is an internal error, and no part of the answer reaches stdout."""
+    admissible = hess._admissible
+
+    def failing(*args):
+        yield from itertools.islice(admissible(*args), 5000)
+        raise RuntimeError("injected after 5000 items")
+
+    monkeypatch.setattr(hess, "_admissible", failing)
+    assert cli._CHUNK < 5000
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert json.loads(err)["error"]["message"] == "RuntimeError: injected after 5000 items"
+
+
 ELEMENT_TEXTS = [
     "e", "", "21", "3421", "12312", "[2,1]", "[3,4,2,1]", "[1,1]", "1,3,4", "s1,s3,s4",
     "s3", "s0", "4", "1,9", "[", "1,", "s", "ss2", "x", "[1,e]", "-1", "00",
@@ -1013,13 +1102,18 @@ def test_no_module_reads_a_private_argparse_name():
         assert private_argparse_reads(path.read_text(encoding="utf-8")) == [], path.name
 
 
-def fresh_process(argv, **kwargs):
-    """Run the command line in a process of its own, on this source tree."""
+def fresh_argv(argv):
+    """The command and environment that run the command line in a process
+    of its own, on this source tree."""
     src = str(Path(minhess.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    return subprocess.run(
-        [sys.executable, "-m", "minhess.cli", *argv], env=env, timeout=60, **kwargs
-    )
+    return [sys.executable, "-m", "minhess.cli", *argv], env
+
+
+def fresh_process(argv, **kwargs):
+    """Run the command line in a process of its own, on this source tree."""
+    command, env = fresh_argv(argv)
+    return subprocess.run(command, env=env, timeout=60, **kwargs)
 
 
 def test_reused_parser_matches_fresh_processes(capsys):
@@ -1056,6 +1150,24 @@ def test_cold_import_loads_no_dataclasses_inspect_or_traceback():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+def test_verify_suites_are_named_without_loading_verification():
+    """The option table names the suites that verification.SUITES holds, so
+    that importing the command line does not load minhess.verification;
+    `verify` loads it."""
+    assert cli._SUITES == tuple(sorted(verification.SUITES))
+    src = str(Path(minhess.__file__).resolve().parents[1])
+    probe = (
+        "import sys, minhess.cli; print('minhess.verification' in sys.modules); "
+        "minhess.cli.main(['verify', '--suite', 'fig1']); "
+        "print('minhess.verification' in sys.modules, file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout.split("\n", 1)[0], proc.stderr) == (0, "False", "True\n")
+
+
 def test_closed_stdout_exits_quietly_with_sigpipe_status():
     """A reader that has closed its end of the pipe, as `| head -1` does,
     ends the command with 128 + SIGPIPE and no error document."""
@@ -1067,3 +1179,17 @@ def test_closed_stdout_exits_quietly_with_sigpipe_status():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_reader_leaving_midway_through_a_chunked_answer_exits_quietly():
+    """A reader that takes the first line of a listing and leaves, as `|
+    head -1` does: the answer (7920 elements, two chunks of about 1 MB,
+    each more than a pipe holds) meets the closed pipe partway, and the
+    command ends with 128 + SIGPIPE and no error document."""
+    command, env = fresh_argv(["admissible", "--family", "E", "--rank", "6", "--J", "1,3,5", "--list"])
+    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.wait(timeout=60)
+    assert (proc.returncode, stderr) == (141, b"")

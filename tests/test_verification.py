@@ -123,3 +123,26 @@ def test_cominuscule_suite_fails_on_a_flipped_node_table(monkeypatch):
     monkeypatch.setitem(verification._PAPER_NODES, "E", lambda n: {6: {1, 6}}.get(n, set()))
     check = verification.suite_cominuscule(7)[0]
     assert check.name == "cominuscule-characterization" and not check.ok
+
+
+PAPER_TABLE_CHECKS = [
+    "delta-v-table-a3", "delta-v-table-b4", "coset-count-b4", "decomposition-table-b4",
+    "admissibility-table-3421", "closure-x-factors-3421", "specific-flags", "hess-schubert-b4",
+    "hess-schubert-one-line-table", "count-smooth-431", "jacobian-regression",
+    "class-expansion-3421", "top-closure-poincare",
+]
+
+
+def test_paper_tables_fails_on_a_closure_dimension_read_as_the_length(monkeypatch):
+    """The top-closure check counts 44 sets J (every J of A3, B3, C3, D4 and
+    G2) and is the one check that reads a closure cell's dim: with dim
+    planted as l(x) in place of |des(x)|, it fails and every other passes."""
+    checks = verification.run_suite("paper-tables")
+    assert [c.name for c in checks] == PAPER_TABLE_CHECKS
+    assert all(c.ok for c in checks)
+    assert checks[-1].detail == "44 sets J, mismatched []"
+    cell = hess.ClosureCell
+    monkeypatch.setattr(hess, "ClosureCell", lambda v, x, dim: cell(v, x, x.length()))
+    checks = verification.run_suite("paper-tables")
+    assert [c.name for c in checks if not c.ok] == ["top-closure-poincare"]
+    assert checks[-1].detail.startswith("44 sets J, mismatched ['A3 J=")
