@@ -126,7 +126,7 @@ def delta_v(v: WeylElement, cfg: HessConfig) -> FrozenSet[int]:
     _require_same_system(v, cfg)
     if not is_min_rep(v, cfg.J):
         raise DomainError("delta_v requires a shortest right coset representative")
-    return _simple_among(cfg.rs, v.perm[: cfg.rs.rank], ~cfg.rs.simple_mask(cfg.J))
+    return _simple_among(cfg.rs, v.perm[: cfg.rs.rank], _outside(cfg.J))
 
 
 def _simple_among(rs: RootSystem, ks: Iterable[int], outside: int) -> FrozenSet[int]:
@@ -140,7 +140,7 @@ def _simple_among(rs: RootSystem, ks: Iterable[int], outside: int) -> FrozenSet[
     if hits and max(hits) >= rs.rank:
         K = [i + 1 for i in range(rs.rank) if not outside >> i & 1]
         raise RuntimeError(f"a root supported on {K} is not simple")
-    return frozenset(k + 1 for k in hits)
+    return frozenset(map((1).__add__, hits))
 
 
 @lru_cache(maxsize=None)
@@ -185,35 +185,50 @@ def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposi
     factor (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4): v = y_K w
     is shortest in its coset exactly when y_K is that factor.
 
+    Every fact is read once, from the permutations the call holds:
+    admissibility and K from w^{-1} (the index of w^{-1}(alpha_j) is
+    positive, or a negative simple root for j in K), the shortest-coset
+    check from v^{-1} = w^{-1} y_K, and the masks of J and des(w) from a
+    table built once per set of simple roots; ``descent_decomposition``
+    checks its factorization by lengths alone.
+
     The last result is kept, and a call with an equal w (same root system
     and permutation) and an equal configuration returns it unchanged: the
     smoothness routes on one element share one decomposition.  Only the
     last is kept, since the routes visit one element at a time; a refusal
     is never kept, so it is raised on every call."""
-    require_admissible(w, cfg)
+    _require_same_system(w, cfg)
     rs = cfg.rs
+    N, J = rs.npos, cfg.J
     winv = w.inverse()
-    K = frozenset(j for j in cfg.J if winv.perm[j - 1] >= rs.npos)
+    # winv.perm[j - 1] is the index of w^{-1}(alpha_j): w is admissible
+    # when each is positive or a negative simple root (an index below
+    # N + rank), and the j of the latter are K
+    K = frozenset(j for j in J if winv.perm[j - 1] >= N)
+    if any(winv.perm[j - 1] >= N + rs.rank for j in K):
+        raise DomainError(f"{w!r} is not admissible for J={sorted(J)}")
     y = longest_element(rs, K)
-    v = y * w  # y is an involution
-    if not is_min_rep(v, cfg.J):
+    v = WeylElement(rs, _compose(rs, y.perm, w.perm))  # y is an involution
+    vinv = WeylElement(rs, _compose(rs, winv.perm, y.perm))
+    # vinv.perm[j - 1] is the index of v^{-1}(alpha_j)
+    if any(vinv.perm[j - 1] >= N for j in J):
         raise RuntimeError("coset factor is not the longest element of its support")
-    delta = _simple_among(rs, v.perm[: rs.rank], ~rs.simple_mask(cfg.J))
+    delta = _simple_among(rs, v.perm[: rs.rank], _outside(J))
     if not K <= delta:
         raise RuntimeError("K is not contained in Delta(v)")
     des = w.descents()
     tau, y_des = descent_decomposition(w)
     tau_inv = _compose(rs, y_des.perm, winv.perm)  # y_des * w^-1
     # tau_inv[j - 1] is the index of tau^{-1}(alpha_j)
-    if any(tau_inv[j - 1] >= rs.npos for j in cfg.J):
+    tau_images = [tau_inv[j - 1] for j in J]
+    if any(k >= N for k in tau_images):
         raise RuntimeError("tau is not a shortest right coset representative mod J")
     # J_w: the simple roots of the Levi of des among tau^{-1}(J)
-    Jw = _simple_among(rs, (tau_inv[j - 1] for j in cfg.J), ~rs.simple_mask(des))
+    Jw = _simple_among(rs, tau_images, _outside(des))
     # consistency of the two factorizations: y_des(alpha_k) for k in J_w
     # against v^{-1}(-alpha_k) for k in K
-    vinv = winv * y
     left = {y_des.perm[k - 1] for k in Jw}
-    right = {vinv.perm[rs.npos + k - 1] for k in K}
+    right = {vinv.perm[N + k - 1] for k in K}
     if left != right:
         raise RuntimeError("descent and coset factorizations are inconsistent")
     vinv_K = frozenset(vinv.perm[k - 1] + 1 for k in K)
@@ -223,6 +238,13 @@ def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposi
     if des != v_des | vinv_K or v_des & vinv_K:
         raise RuntimeError("descent set does not split as des(v) u v^{-1}(K)")
     return AdmissibleDecomposition(w, K, v, tau, des, y_des, Jw, delta, vinv_K)
+
+
+@lru_cache(maxsize=None)
+def _outside(K: FrozenSet[int]) -> int:
+    """The complement of the mask of a set K of simple roots, the form
+    ``_simple_among`` takes, built once per set."""
+    return ~RootSystem.simple_mask(K)
 
 
 def _admissible(
@@ -238,7 +260,7 @@ def _admissible(
     this generator, as does the table of the y_K by K."""
     gens = sorted(gens)
     idx = [i - 1 for i in gens]
-    outside = ~rs.simple_mask(J)
+    outside = _outside(J)
     known: Dict[Perm, Tuple[int, ...]] = {}
     ys: Dict[Tuple[int, ...], WeylElement] = {}
     for v in enumerate_min_reps(rs, J, within=gens):
@@ -296,7 +318,7 @@ def _cells_below(
     rs = b.rs
     N, support = rs.npos, rs.support_mask
     des_b = b.descents()
-    outside = ~rs.simple_mask(des_b)
+    outside = _outside(des_b)
     b_inv = b.inverse()
     below = []
     for k, (a, des_a) in enumerate(zip(cells, descents)):
@@ -336,7 +358,7 @@ def poincare_polynomial(cfg: HessConfig) -> Tuple[int, ...]:
     without building them; the coefficients sum to the number of admissible
     elements.  DEFAULT_ENUMERATION_BOUND counts the cosets W_J \\ W."""
     rs = cfg.rs
-    outside = ~rs.simple_mask(cfg.J)
+    outside = _outside(cfg.J)
     coeffs: Counter = Counter()
     for v in enumerate_min_reps(rs, cfg.J):
         m = len(_simple_among(rs, v.perm[: rs.rank], outside))

@@ -8,26 +8,29 @@ defining equations.  No result from the rest of the package feeds the
 computation, which is the point: verdicts can be cross-checked against the
 combinatorial routes.
 
-To first order (I + Z)^-1 X (I + Z) = X + [X, Z], so the linear parts of the
-defining equations, which are all the Jacobian needs, are the entries of the
-commutator [X, Z].  At a fixed point its row eta depends only on the
+To first order (I + Z)^-1 X (I + Z) = X + [X, Z], so the linear parts of
+the defining equations, which are all the Jacobian needs, are the entries
+of the commutator [X, Z].  At a fixed point its row eta depends only on the
 composition and eta, so two tables of the rows for every root eta are built
 once per composition, neither read from the other: the conjugation's, by
 one commutator-row helper from the nonzeros of X, and the closed form's,
-from eigenvalue differences and structure constants.  A fixed-point
-Jacobian reads its table's chart rows at the chart's columns, and a cell
-point runs the same helper on the recentered matrix.  The chart is kept
-for the last point.  Rows are stored sparse and zero-free, and ranked by
-exact integer elimination, the only elimination here, once every row with
-a column of its own is peeled off.  The rank of the last matrix is kept in
-a one-entry memo keyed by its rows, so the closed form, whose rows equal
-the conjugation's, takes the rank already found.  The rows are the entries
-the point must leave zero to lie in the Hessenberg space, so the chart's
-constant terms decide membership: one test, on every call, refuses a point
-outside the variety for every entry point.  Nothing from ``hess`` is
-consulted.  X has the eigenvalues l-1, l-3, ..., 1-l.  Entries stay ``int``
-unless an entry of a translate u1 is non-integral, and only then are
-``Fraction``.
+from eigenvalue differences and structure constants.  Both store each row
+in root order, the order of the chart's columns.  A fixed-point Jacobian
+reads its table's chart rows at the chart's columns, through a list of each
+column's position indexed by root index, so each read comes out in column
+order with no sort; a cell point runs the same helper on the recentered
+matrix.  The chart, whose matrix units come from a table built once per
+root system, is kept for the last point.  Rows are stored sparse and
+zero-free, and ranked by exact integer elimination, the only elimination
+here, once every row with a column of its own is peeled off.  The rank of
+the last matrix is kept in a one-entry memo keyed by its rows, so the
+closed form, whose rows equal the conjugation's, takes the rank already
+found.  The rows are the entries the point must leave zero to lie in the
+Hessenberg space, so the chart's constant terms decide membership: one
+test, on every call, refuses a point outside the variety for every entry
+point.  Nothing from ``hess`` is consulted.  X has the eigenvalues l-1,
+l-3, ..., 1-l.  Entries stay ``int`` unless an entry of a translate u1 is
+non-integral, and only then are ``Fraction``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
 from .hess import HessConfig, config_from_mu, typeA_point
@@ -164,12 +167,20 @@ def _regular_table(comp: Composition) -> Matrix:
 # -- row tables, charts and Jacobians ------------------------------------------
 
 
+def _in_root_order(rs: RootSystem, row: Iterable[Tuple[int, Entry]]) -> Row:
+    """A row's (root index, value) pairs sorted in root order, the order of
+    a chart's columns, so that a read at the columns comes out in column
+    order with no sort."""
+    key = rs.index_keys
+    return tuple(sorted(row, key=lambda pair: key[pair[0]]))
+
+
 def _commutator_rows(base: Matrix, rs: RootSystem, etas: Iterable[int]) -> List[Row]:
-    """Row eta of [base, Z] for each root index eta, Z over every root: the
-    coefficient of z_gamma, gamma = (a, b), in the entry eta = (i, j) is
-    base[i][a] [b = j] - [i = a] base[b][j], so row eta touches only the
-    gamma = (a, j) with base[i][a] != 0 and (i, b) with base[b][j] != 0; an
-    entry that cancels is dropped."""
+    """Row eta of [base, Z] for each root index eta, Z over every root, in
+    root order: the coefficient of z_gamma, gamma = (a, b), in the entry
+    eta = (i, j) is base[i][a] [b = j] - [i = a] base[b][j], so row eta
+    touches only the gamma = (a, j) with base[i][a] != 0 and (i, b) with
+    base[b][j] != 0; an entry that cancels is dropped."""
     index = _pair_index(rs)
     rows = []
     for i, j in map(rs.pairs.__getitem__, etas):
@@ -180,15 +191,15 @@ def _commutator_rows(base: Matrix, rs: RootSystem, etas: Iterable[int]) -> List[
             x = (base[i - 1][a - 1] if b == j else 0) - (base[b - 1][j - 1] if a == i else 0)
             if x:
                 row.append((index[a, b], x))
-        rows.append(tuple(row))
+        rows.append(_in_root_order(rs, row))
     return rows
 
 
 def _closed_form_rows(X: Matrix, cfg: HessConfig) -> List[Row]:
-    """Row eta of [X, Z] for every root eta, assembled with no conjugation:
-    the eigenvalue difference eta(diag) at z_eta, minus the elementary-matrix
-    structure constant at z_gamma whenever eta differs from gamma by a
-    block simple root; a zero of either is left out."""
+    """Row eta of [X, Z] for every root eta, in root order, assembled with
+    no conjugation: the eigenvalue difference eta(diag) at z_eta, minus the
+    elementary-matrix structure constant at z_gamma whenever eta differs
+    from gamma by a block simple root; a zero of either is left out."""
     index = _pair_index(cfg.rs)
     block_simples = {(a, a + 1) for a in cfg.J}
     rows = []
@@ -203,7 +214,7 @@ def _closed_form_rows(X: Matrix, cfg: HessConfig) -> List[Row]:
                 c = _structure_constant(gamma, alpha, eta)
                 if c:
                     row[k] = -c
-        rows.append(tuple(row.items()))
+        rows.append(_in_root_order(cfg.rs, row.items()))
     return rows
 
 
@@ -219,10 +230,11 @@ def _row_tables(comp: Composition) -> Tuple[List[Row], List[Row]]:
 class _Chart(NamedTuple):
     """The chart at w, in root order: the row roots w(Phi^- minus the negative
     simples) as indices and 0-based matrix units, the position of each
-    column root w(Phi^-), and the row and column roots."""
+    column root w(Phi^-) in a list indexed by root index (None off the
+    chart), and the row and column roots."""
     rows: Tuple[int, ...]
     units: Tuple[Tuple[int, int], ...]
-    column: Dict[int, int]
+    column: List[Optional[int]]
     roots: Tuple[Tuple[Coeffs, ...], Tuple[Coeffs, ...]]
 
 
@@ -240,9 +252,18 @@ def _chart_at(element: WeylElement, cfg: HessConfig) -> _Chart:
     key = rs.index_keys.__getitem__
     rows = tuple(sorted(element.perm[rs.npos + rs.rank :], key=key))
     cols = sorted(element.perm[rs.npos :], key=key)
-    units = tuple((i - 1, j - 1) for i, j in map(rs.pairs.__getitem__, rows))
+    column: List[Optional[int]] = [None] * len(rs.root_list)
+    for k, gamma in enumerate(cols):
+        column[gamma] = k
     roots = tuple(tuple(map(rs.root_list.__getitem__, ks)) for ks in (rows, cols))
-    return _Chart(rows, units, {gamma: k for k, gamma in enumerate(cols)}, roots)
+    return _Chart(rows, tuple(map(_matrix_units(rs).__getitem__, rows)), column, roots)
+
+
+@lru_cache(maxsize=None)
+def _matrix_units(rs: RootSystem) -> Tuple[Tuple[int, int], ...]:
+    """The 0-based matrix unit (i - 1, j - 1) of each root index, the root
+    eps_i - eps_j, built once per root system."""
+    return tuple((i - 1, j - 1) for i, j in rs.pairs)
 
 
 def _require_in_variety(base: Matrix, chart: _Chart, point: str) -> None:
@@ -284,10 +305,11 @@ class JacobianResult(NamedTuple):
 
 def _ranked(chart: _Chart, rows: Iterable[Row], note: str = "") -> JacobianResult:
     """The Jacobian with its rank and verdict, the chart's rows of [base, Z]
-    read at the chart's columns and stored in column order."""
+    read at the chart's columns: rows and columns are both in root order,
+    so each read comes out in column order."""
     column = chart.column
-    stored = tuple(tuple(sorted([(column[g], x) for g, x in row if g in column]))
-                   for row in rows)
+    stored = tuple([tuple([(k, x) for g, x in row if (k := column[g]) is not None])
+                    for row in rows])
     rk = _stored_rank(stored)
     verdict = SMOOTH if rk == len(stored) else SINGULAR
     return JacobianResult(*chart.roots, stored, rk, verdict, note)

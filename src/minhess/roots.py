@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from operator import mul
+from operator import add, mul
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Tuple, Union
 
 from .errors import DomainError, EnumerationBoundError
@@ -359,15 +359,12 @@ def from_cartan(datum: CartanDatum) -> RootSystem:
 def bracket_set(
     rs: RootSystem, left: Iterable[Coeffs], right: Iterable[Coeffs]
 ) -> Tuple[Coeffs, ...]:
-    """All roots expressible as a sum of one root from each input set."""
+    """All roots expressible as a sum of one root from each input set, in
+    root_key order; every input is checked to be a root first."""
     left = [rs.check_root(r) for r in left]
     right = [rs.check_root(r) for r in right]
-    out = set()
-    for a in left:
-        for b in right:
-            s = tuple(x + y for x, y in zip(a, b))
-            if s in rs.roots:
-                out.add(s)
+    roots = rs.roots
+    out = {s for a in left for b in right if (s := tuple(map(add, a, b))) in roots}
     return tuple(sorted(out, key=root_key))
 
 

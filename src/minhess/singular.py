@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import factorial
+from math import factorial, inf
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError
@@ -204,30 +204,66 @@ def hess_fixed_point_smooth(w: WeylElement, cfg: HessConfig) -> SmoothnessVerdic
 
 def contains_pattern(seq: Sequence[int], pattern: Sequence[int]) -> Optional[Tuple[int, ...]]:
     """First index tuple (in lexicographic order) realizing the pattern as an
-    order-isomorphic subsequence, or None.  Naive scan; block sizes are small."""
-    rel = _order_relation(tuple(pattern))
-    for idx in itertools.combinations(range(len(seq)), len(pattern)):
-        if all(seq[idx[a]] < seq[idx[b]] for a, b in rel):
-            return idx
-    return None
+    order-isomorphic subsequence, or None: seq's entries at positions a and
+    b must be in the order of pattern[a] < pattern[b].  Partial tuples are
+    extended in lexicographic order, and an index joins one only if its
+    entry keeps the prefix in the pattern's order, so a prefix that breaks
+    it is never extended and the first full tuple is the plain scan's."""
+    k, n = len(pattern), len(seq)
+    steps = _extension_bounds(tuple(pattern))
+    vals: List = [None] * k + [-inf, inf]  # vals[k] and vals[k + 1] bound nothing
+    idx = [0] * k
+    m = i = 0
+    while m < k:
+        lo_at, hi_at, ties = steps[m]
+        lo, hi = vals[lo_at], vals[hi_at]
+        if ties:
+            lo, hi = max(map(vals.__getitem__, ties[0])), min(map(vals.__getitem__, ties[1]))
+        for i in range(i, n - k + m + 1):
+            if lo < seq[i] < hi:
+                idx[m], vals[m] = i, seq[i]
+                m, i = m + 1, i + 1
+                break
+        else:
+            if m == 0:
+                return None
+            m -= 1
+            i = idx[m] + 1
+    return tuple(idx)
 
 
 @lru_cache(maxsize=None)
-def _order_relation(pattern: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
-    """The position pairs (a, b) with pattern[a] < pattern[b], built once
-    per pattern."""
+def _extension_bounds(pattern: Tuple[int, ...]) -> Tuple[Tuple[int, int, Optional[Tuple]], ...]:
+    """For each position m of the pattern, the earlier positions whose
+    entries bound entry m from below and from above: those holding the
+    largest pattern value under pattern[m], and the smallest over it, k and
+    k + 1 when there are none.  In a prefix that keeps the pattern's order,
+    every other earlier relation of m follows from these; tied pattern
+    values bind no order between them, so a tie gives all of its positions
+    as the third entry, else None.  Built once per pattern."""
     k = len(pattern)
-    return tuple((a, b) for a in range(k) for b in range(k) if pattern[a] < pattern[b])
+    steps = []
+    for m, value in enumerate(pattern):
+        below = [pattern[a] for a in range(m) if pattern[a] < value]
+        above = [pattern[a] for a in range(m) if pattern[a] > value]
+        lows = [a for a in range(m) if below and pattern[a] == max(below)] or [k]
+        highs = [a for a in range(m) if above and pattern[a] == min(above)] or [k + 1]
+        ties = (tuple(lows), tuple(highs)) if len(lows) + len(highs) > 2 else None
+        steps.append((lows[0], highs[0], ties))
+    return tuple(steps)
 
 
-def _block_windows(w_line: Sequence[int], mu: Composition) -> List[Tuple[int, Tuple[int, ...]]]:
-    """Per block: (block number, positions of its values in the one-line)."""
-    pos = [0] * (len(w_line) + 1)  # pos[v]: the position of the value v
-    for i, v in enumerate(w_line):
-        pos[v] = i
-    return [
-        (p, tuple(sorted(pos[lo : hi + 1]))) for p, (lo, hi) in enumerate(mu.blocks(), start=1)
-    ]
+_PATTERNS = ((1, 2, 3), (2, 1, 4, 3))
+
+
+@lru_cache(maxsize=None)
+def _block_table(mu: Composition) -> Tuple[Tuple[int, int, int, Tuple[Tuple[int, ...], ...]], ...]:
+    """Each block of mu for the pattern route: its number, its value range
+    (lo, hi) and the patterns no longer than it, built once per composition."""
+    return tuple(
+        (p, lo, hi, tuple(q for q in _PATTERNS if len(q) <= hi - lo + 1))
+        for p, (lo, hi) in enumerate(mu.blocks(), start=1)
+    )
 
 
 def typeA_fixed_point_smooth(w, mu) -> SmoothnessVerdict:
@@ -239,21 +275,29 @@ def typeA_fixed_point_smooth(w, mu) -> SmoothnessVerdict:
     element, cfg = typeA_point(w, mu)
     require_admissible(element, cfg)
     line = one_line(element)
-    windows = _block_windows(line, cfg.mu)
-    for p, positions in windows:
-        if positions[-1] - positions[0] != len(positions) - 1:
+    pos = [0] * (len(line) + 1)  # pos[v]: the position of the value v
+    for i, v in enumerate(line):
+        pos[v] = i
+    spans = []
+    for p, lo, hi, patterns in _block_table(cfg.mu):
+        where = pos[lo : hi + 1]
+        first, last = min(where), max(where)
+        if last - first != hi - lo:
             return SmoothnessVerdict(
                 SINGULAR,
                 BLOCK_SPLIT,
                 ("block-pattern-criterion",),
-                detail=(p, positions),
+                detail=(p, tuple(sorted(where))),
             )
-    for p, positions in windows:
-        induced = [line[i] for i in positions]
-        for pattern in ((1, 2, 3), (2, 1, 4, 3)):
+        spans.append((first, last + 1, patterns))
+    # each block's values fill the positions first .. last, so the induced
+    # pattern is that slice of the one-line
+    for first, end, patterns in spans:
+        induced = line[first:end]
+        for pattern in patterns:
             hit = contains_pattern(induced, pattern)
             if hit is not None:
-                where = tuple(positions[i] + 1 for i in hit)  # 1-based
+                where = tuple(first + i + 1 for i in hit)  # 1-based
                 return SmoothnessVerdict(
                     SINGULAR,
                     PATTERN_HIT,
@@ -278,10 +322,10 @@ def hess_schubert_smooth(w: WeylElement, cfg: HessConfig) -> SmoothnessVerdict:
     """Smoothness of the closure of w's cell: smooth iff no root is a sum of
     an element of v^{-1}(K) and a descent of w."""
     dec = decompose_admissible(w, cfg)
-    rs = cfg.rs
-    left = [rs.simple_root(i) for i in sorted(dec.vinv_K)]
-    right = [rs.simple_root(i) for i in sorted(dec.des)]
-    witnesses = bracket_set(rs, left, right)
+    simple = cfg.rs.simple_roots
+    left = [simple[i - 1] for i in dec.vinv_K]
+    right = [simple[i - 1] for i in dec.des]
+    witnesses = bracket_set(cfg.rs, left, right)
     if witnesses:
         return SmoothnessVerdict(
             SINGULAR,

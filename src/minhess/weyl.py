@@ -224,14 +224,14 @@ def min_right_coset_rep(w: WeylElement, J: Iterable[int]) -> Tuple[WeylElement, 
 
 def descent_decomposition(w: WeylElement) -> Tuple[WeylElement, WeylElement]:
     """The reduced factorization w = tau * y_des with tau shortest in its
-    left coset modulo the descent parabolic; the one statement of it."""
+    left coset modulo the descent parabolic; the one statement of it.
+    Reducedness is checked as l(tau) + l(y_des) = l(w), each length a count
+    of negative images, so no word is stripped."""
     rs = w.rs
     des = w.descents()
     y = longest_element(rs, des)
-    tau = w * y  # y is an involution
-    # y is interned, so its canonical word, and with it its length, is
-    # worked out once
-    if tau.length() + len(y.word()) != w.length():
+    tau = WeylElement(rs, _compose(rs, w.perm, y.perm))  # y is an involution
+    if tau.length() + y.length() != w.length():
         raise RuntimeError("descent factorization is not reduced")
     if any(tau.perm[i - 1] >= rs.npos for i in des):
         raise RuntimeError("tau is not a shortest left coset representative")
@@ -314,8 +314,16 @@ def one_line(w: WeylElement) -> Tuple[int, ...]:
     """The permutation [w(1), ..., w(n)] of a type A element, read off
     w(eps_i - eps_{i+1}) = eps_{w(i)} - eps_{w(i+1)}."""
     _require_type_a(w.rs)
-    pairs = [w.rs.pairs[k] for k in w.perm[: w.rs.rank]]
-    return (pairs[0][0],) + tuple(b for _, b in pairs)
+    firsts, seconds = _pair_ends(w.rs)
+    images = w.perm[: w.rs.rank]
+    return (firsts[images[0]],) + tuple(map(seconds.__getitem__, images))
+
+
+@lru_cache(maxsize=None)
+def _pair_ends(rs: RootSystem) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The i and the j of each type A root index's pair (i, j), as two
+    tables built once per root system."""
+    return tuple(i for i, _ in rs.pairs), tuple(j for _, j in rs.pairs)
 
 
 def from_one_line(rs: RootSystem, perm: Sequence[int]) -> WeylElement:

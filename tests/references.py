@@ -3,6 +3,8 @@ against, stated once here."""
 
 from __future__ import annotations
 
+import itertools
+
 from minhess import hess, oracle
 from minhess.errors import DomainError
 
@@ -75,3 +77,15 @@ def paper_no_linear_term(family, rank, K):
     if family == "E" and rank == 7:
         return beta != 7
     return True  # E_8, F_4, G_2
+
+
+def first_pattern_tuple(seq, pattern):
+    """The plain scan for a pattern: every index tuple in lexicographic
+    order, the first whose entries are in the order of the pattern's
+    (seq[a] < seq[b] wherever pattern[a] < pattern[b]), or None."""
+    k = len(pattern)
+    rel = [(a, b) for a in range(k) for b in range(k) if pattern[a] < pattern[b]]
+    for idx in itertools.combinations(range(len(seq)), k):
+        if all(seq[idx[a]] < seq[idx[b]] for a, b in rel):
+            return idx
+    return None

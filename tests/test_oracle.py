@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from minhess import hess, oracle, singular, verification
 from minhess.cli import _u1_entry, main
 from minhess.errors import DomainError, EnumerationBoundError
-from minhess.weyl import compositions, from_one_line, one_line
+from minhess.roots import root_key
+from minhess.weyl import compositions, from_one_line, longest_element, min_right_coset_rep, one_line
 from references import matrix_admissible
 
 
@@ -853,3 +854,34 @@ def test_the_row_tables_hide_no_planted_defect(monkeypatch):
         monkeypatch.undo()
         oracle._row_tables.cache_clear()
     assert dual_path()
+
+
+def test_tuple_permutation_charts_at_mu_12_11():
+    """n = 23 stores permutations as tuples (2N > 256).  At w0 and at a few
+    seeded admissible points of mu = (12, 11), the chart's columns are in
+    root order, every stored row is in column order, the conjugation and
+    closed-form Jacobians are equal, and the verdict is the pattern and
+    Levi routes' verdict."""
+    mu = (12, 11)
+    cfg = hess.config_from_mu(mu)
+    assert cfg.rs.perm_type is tuple
+    rng = random.Random(0)
+    points = [from_one_line(cfg.rs, tuple(range(23, 0, -1)))]
+    for _ in range(3):
+        line = list(range(1, 24))
+        rng.shuffle(line)
+        _, v = min_right_coset_rep(from_one_line(cfg.rs, line), cfg.J)
+        K = [k for k in sorted(hess.delta_v(v, cfg)) if rng.random() < 0.5]
+        points.append(longest_element(cfg.rs, K) * v)
+    for w in points:
+        _, chart = oracle._chart(w, mu)
+        cols = chart.roots[1]
+        assert list(cols) == sorted(cols, key=root_key)
+        jac = oracle.jacobian_at_fixed_point(w, mu)
+        closed = oracle.linear_terms_closed_form(w, mu)
+        for row in jac.sparse_rows:
+            assert [k for k, _ in row] == sorted({k for k, _ in row})
+        assert (jac.rows, jac.cols, jac.sparse_rows) == (closed.rows, closed.cols, closed.sparse_rows)
+        assert jac.rank == closed.rank
+        assert jac.verdict == singular.typeA_fixed_point_smooth(w, mu).verdict
+        assert jac.verdict == singular.hess_fixed_point_smooth(w, cfg).verdict

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from minhess.weyl import (
     from_one_line,
     longest_element,
 )
-from references import paper_no_linear_term, paper_smooth_K
+from references import first_pattern_tuple, paper_no_linear_term, paper_smooth_K
 
 FULL = lambda n: frozenset(range(1, n + 1))
 
@@ -515,3 +516,35 @@ def test_pattern_witness_is_order_isomorphic(seq):
     if hit is not None:
         a, b, c, d = (seq[i] for i in hit)
         assert b < a < d < c
+
+
+PATTERNS = [(1, 2, 3), (2, 1, 4, 3), (1, 3, 2), (3, 1, 2)]
+
+
+def test_contains_pattern_is_the_plain_scan_on_every_short_permutation():
+    """The pruned search returns the plain scan's tuple, the first in
+    lexicographic order, so a PatternHit detail keeps its bytes."""
+    for n in range(8):
+        for seq in itertools.permutations(range(1, n + 1)):
+            for pattern in PATTERNS:
+                assert singular.contains_pattern(seq, pattern) == first_pattern_tuple(seq, pattern)
+
+
+def test_contains_pattern_is_the_plain_scan_on_random_sequences():
+    """Seeded sequences of length <= 12 with repeated values, and patterns
+    with tied values, which bind no order between the tied positions."""
+    rng = random.Random(0)
+    for _ in range(3000):
+        seq = [rng.randint(1, 9) for _ in range(rng.randint(0, 12))]
+        for pattern in PATTERNS + [(1, 1), (2, 1, 2), (3, 3, 1, 2)]:
+            assert singular.contains_pattern(seq, pattern) == first_pattern_tuple(seq, pattern)
+
+
+def test_pattern_route_on_one_large_block():
+    """w0 at mu = (90) is one block that avoids both patterns: the search
+    drops every prefix that breaks a pattern's order, so this returns at
+    once rather than trying every index tuple."""
+    seq = list(range(90, 0, -1))
+    assert singular.contains_pattern(seq, (1, 2, 3)) is None
+    assert singular.contains_pattern(seq, (2, 1, 4, 3)) is None
+    assert singular.typeA_fixed_point_smooth(seq, (90,)).is_smooth
