@@ -126,7 +126,7 @@ def delta_v(v: WeylElement, cfg: HessConfig) -> FrozenSet[int]:
     _require_same_system(v, cfg)
     if not is_min_rep(v, cfg.J):
         raise DomainError("delta_v requires a shortest right coset representative")
-    return _simple_among(cfg.rs, v.perm[: cfg.rs.rank], _outside(cfg.J))
+    return _simple_among(cfg.rs, v.perm[: cfg.rs.rank], ~cfg.rs.simple_mask(cfg.J))
 
 
 def _simple_among(rs: RootSystem, ks: Iterable[int], outside: int) -> FrozenSet[int]:
@@ -188,9 +188,8 @@ def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposi
     Every fact is read once, from the permutations the call holds:
     admissibility and K from w^{-1} (the index of w^{-1}(alpha_j) is
     positive, or a negative simple root for j in K), the shortest-coset
-    check from v^{-1} = w^{-1} y_K, and the masks of J and des(w) from a
-    table built once per set of simple roots; ``descent_decomposition``
-    checks its factorization by lengths alone.
+    check from v^{-1} = w^{-1} y_K; ``descent_decomposition`` checks its
+    factorization by lengths alone.
 
     The last result is kept, and a call with an equal w (same root system
     and permutation) and an equal configuration returns it unchanged: the
@@ -208,12 +207,12 @@ def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposi
     if any(winv.perm[j - 1] >= N + rs.rank for j in K):
         raise DomainError(f"{w!r} is not admissible for J={sorted(J)}")
     y = longest_element(rs, K)
-    v = WeylElement(rs, _compose(rs, y.perm, w.perm))  # y is an involution
-    vinv = WeylElement(rs, _compose(rs, winv.perm, y.perm))
+    v = y * w  # y is an involution
+    vinv = winv * y
     # vinv.perm[j - 1] is the index of v^{-1}(alpha_j)
     if any(vinv.perm[j - 1] >= N for j in J):
         raise RuntimeError("coset factor is not the longest element of its support")
-    delta = _simple_among(rs, v.perm[: rs.rank], _outside(J))
+    delta = _simple_among(rs, v.perm[: rs.rank], ~rs.simple_mask(J))
     if not K <= delta:
         raise RuntimeError("K is not contained in Delta(v)")
     des = w.descents()
@@ -224,7 +223,7 @@ def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposi
     if any(k >= N for k in tau_images):
         raise RuntimeError("tau is not a shortest right coset representative mod J")
     # J_w: the simple roots of the Levi of des among tau^{-1}(J)
-    Jw = _simple_among(rs, tau_images, _outside(des))
+    Jw = _simple_among(rs, tau_images, ~rs.simple_mask(des))
     # consistency of the two factorizations: y_des(alpha_k) for k in J_w
     # against v^{-1}(-alpha_k) for k in K
     left = {y_des.perm[k - 1] for k in Jw}
@@ -240,13 +239,6 @@ def decompose_admissible(w: WeylElement, cfg: HessConfig) -> AdmissibleDecomposi
     return AdmissibleDecomposition(w, K, v, tau, des, y_des, Jw, delta, vinv_K)
 
 
-@lru_cache(maxsize=None)
-def _outside(K: FrozenSet[int]) -> int:
-    """The complement of the mask of a set K of simple roots, the form
-    ``_simple_among`` takes, built once per set."""
-    return ~RootSystem.simple_mask(K)
-
-
 def _admissible(
     rs: RootSystem, gens: Iterable[int], J: FrozenSet[int]
 ) -> Iterator[Tuple[WeylElement, WeylElement, FrozenSet[int]]]:
@@ -260,7 +252,7 @@ def _admissible(
     this generator, as does the table of the y_K by K."""
     gens = sorted(gens)
     idx = [i - 1 for i in gens]
-    outside = _outside(J)
+    outside = ~rs.simple_mask(J)
     known: Dict[Perm, Tuple[int, ...]] = {}
     ys: Dict[Tuple[int, ...], WeylElement] = {}
     for v in enumerate_min_reps(rs, J, within=gens):
@@ -318,7 +310,7 @@ def _cells_below(
     rs = b.rs
     N, support = rs.npos, rs.support_mask
     des_b = b.descents()
-    outside = _outside(des_b)
+    outside = ~rs.simple_mask(des_b)
     b_inv = b.inverse()
     below = []
     for k, (a, des_a) in enumerate(zip(cells, descents)):
@@ -358,7 +350,7 @@ def poincare_polynomial(cfg: HessConfig) -> Tuple[int, ...]:
     without building them; the coefficients sum to the number of admissible
     elements.  DEFAULT_ENUMERATION_BOUND counts the cosets W_J \\ W."""
     rs = cfg.rs
-    outside = _outside(cfg.J)
+    outside = ~rs.simple_mask(cfg.J)
     coeffs: Counter = Counter()
     for v in enumerate_min_reps(rs, cfg.J):
         m = len(_simple_among(rs, v.perm[: rs.rank], outside))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import factorial, inf
+from math import factorial
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError
@@ -210,18 +210,16 @@ def contains_pattern(seq: Sequence[int], pattern: Sequence[int]) -> Optional[Tup
     entry keeps the prefix in the pattern's order, so a prefix that breaks
     it is never extended and the first full tuple is the plain scan's."""
     k, n = len(pattern), len(seq)
-    steps = _extension_bounds(tuple(pattern))
-    vals: List = [None] * k + [-inf, inf]  # vals[k] and vals[k + 1] bound nothing
+    relation = _order_relation(tuple(pattern))
+    vals = [0] * k
     idx = [0] * k
     m = i = 0
     while m < k:
-        lo_at, hi_at, ties = steps[m]
-        lo, hi = vals[lo_at], vals[hi_at]
-        if ties:
-            lo, hi = max(map(vals.__getitem__, ties[0])), min(map(vals.__getitem__, ties[1]))
+        below, above = relation[m]
         for i in range(i, n - k + m + 1):
-            if lo < seq[i] < hi:
-                idx[m], vals[m] = i, seq[i]
+            x = seq[i]
+            if all(vals[a] < x for a in below) and all(x < vals[a] for a in above):
+                idx[m], vals[m] = i, x
                 m, i = m + 1, i + 1
                 break
         else:
@@ -233,24 +231,15 @@ def contains_pattern(seq: Sequence[int], pattern: Sequence[int]) -> Optional[Tup
 
 
 @lru_cache(maxsize=None)
-def _extension_bounds(pattern: Tuple[int, ...]) -> Tuple[Tuple[int, int, Optional[Tuple]], ...]:
-    """For each position m of the pattern, the earlier positions whose
-    entries bound entry m from below and from above: those holding the
-    largest pattern value under pattern[m], and the smallest over it, k and
-    k + 1 when there are none.  In a prefix that keeps the pattern's order,
-    every other earlier relation of m follows from these; tied pattern
-    values bind no order between them, so a tie gives all of its positions
-    as the third entry, else None.  Built once per pattern."""
-    k = len(pattern)
-    steps = []
-    for m, value in enumerate(pattern):
-        below = [pattern[a] for a in range(m) if pattern[a] < value]
-        above = [pattern[a] for a in range(m) if pattern[a] > value]
-        lows = [a for a in range(m) if below and pattern[a] == max(below)] or [k]
-        highs = [a for a in range(m) if above and pattern[a] == min(above)] or [k + 1]
-        ties = (tuple(lows), tuple(highs)) if len(lows) + len(highs) > 2 else None
-        steps.append((lows[0], highs[0], ties))
-    return tuple(steps)
+def _order_relation(pattern: Tuple[int, ...]) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """For each position m of the pattern, the earlier positions a with
+    pattern[a] < pattern[m] and those with pattern[a] > pattern[m], built
+    once per pattern."""
+    return tuple(
+        (tuple(a for a in range(m) if pattern[a] < value),
+         tuple(a for a in range(m) if pattern[a] > value))
+        for m, value in enumerate(pattern)
+    )
 
 
 _PATTERNS = ((1, 2, 3), (2, 1, 4, 3))

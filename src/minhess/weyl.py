@@ -230,7 +230,7 @@ def descent_decomposition(w: WeylElement) -> Tuple[WeylElement, WeylElement]:
     rs = w.rs
     des = w.descents()
     y = longest_element(rs, des)
-    tau = WeylElement(rs, _compose(rs, w.perm, y.perm))  # y is an involution
+    tau = w * y  # y is an involution
     if tau.length() + y.length() != w.length():
         raise RuntimeError("descent factorization is not reduced")
     if any(tau.perm[i - 1] >= rs.npos for i in des):
@@ -314,16 +314,8 @@ def one_line(w: WeylElement) -> Tuple[int, ...]:
     """The permutation [w(1), ..., w(n)] of a type A element, read off
     w(eps_i - eps_{i+1}) = eps_{w(i)} - eps_{w(i+1)}."""
     _require_type_a(w.rs)
-    firsts, seconds = _pair_ends(w.rs)
-    images = w.perm[: w.rs.rank]
-    return (firsts[images[0]],) + tuple(map(seconds.__getitem__, images))
-
-
-@lru_cache(maxsize=None)
-def _pair_ends(rs: RootSystem) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """The i and the j of each type A root index's pair (i, j), as two
-    tables built once per root system."""
-    return tuple(i for i, _ in rs.pairs), tuple(j for _, j in rs.pairs)
+    pairs = [w.rs.pairs[k] for k in w.perm[: w.rs.rank]]
+    return (pairs[0][0],) + tuple(b for _, b in pairs)
 
 
 def from_one_line(rs: RootSystem, perm: Sequence[int]) -> WeylElement:
