@@ -63,27 +63,38 @@ Nonzeros = Tuple[Tuple[int, Entry], ...]
 Row = Tuple[Tuple[int, Entry], ...]
 
 
-def rank(sparse_rows: Iterable[Iterable[Tuple[int, Entry]]]) -> int:
+def rank(sparse_rows: Iterable[Sequence[Tuple[int, Entry]]]) -> int:
     """Rank by exact integer elimination on sparse rows of (column, value)
-    pairs, the oracle's only elimination.  A row with a nonzero in a column
-    no other row touches is independent of the rest, so each such row is
-    counted and dropped, until none is left.  Each remaining row becomes a
-    {column: int} row: as it is when every value is an int, else scaled by
-    the lowest common denominator of its entries.  A pivot row is set aside,
-    and only the rows nonzero in the column of its first entry are combined
-    with it, each result divided by the gcd of its entries."""
-    rows = [nz for nz in ({c: x for c, x in row if x} for row in sparse_rows) if nz]
+    pairs, each row read twice, the oracle's only elimination.  Each row's
+    nonzero columns make one int bitmask.  A row with a bit outside the
+    columns two rows share is independent of the rest, so each such row is
+    counted and dropped, until none is left.  Only the rows that remain
+    become {column: int} rows: as they are when every value is an int, else
+    scaled by the lowest common denominator of their entries.  A pivot row
+    is set aside, and only the rows nonzero in the column of its first
+    entry are combined with it, each result divided by the gcd of its
+    entries."""
+    masked = []
+    seen = shared = 0
+    for row in sparse_rows:
+        mask = 0
+        for c, x in row:
+            if x:
+                mask |= 1 << c
+        if mask:
+            masked.append((mask, row))
+            shared |= seen & mask
+            seen |= mask
     r = 0
-    while rows:
-        seen, shared = set(), set()
-        for row in rows:
-            shared |= seen.intersection(row)
-            seen.update(row)
-        if len(shared) == len(seen):
-            break
-        kept = [row for row in rows if shared.issuperset(row)]
-        r += len(rows) - len(kept)
-        rows = kept
+    while seen != shared:
+        kept = [pair for pair in masked if not pair[0] & ~shared]
+        r += len(masked) - len(kept)
+        masked = kept
+        seen = shared = 0
+        for mask, _ in masked:
+            shared |= seen & mask
+            seen |= mask
+    rows = [{c: x for c, x in row if x} for _, row in masked]
     if not all(type(x) is int for row in rows for x in row.values()):
         for k, nz in enumerate(rows):
             lcd = lcm(*(x.denominator for x in nz.values()))

@@ -32,6 +32,7 @@ from .roots import (
     negate,
     parabolic,
     require_enumerable,
+    root_key,
 )
 from .weyl import Composition, WeylElement, longest_element, one_line
 
@@ -190,13 +191,17 @@ def hess_fixed_point_smooth(w: WeylElement, cfg: HessConfig) -> SmoothnessVerdic
             ("levi-reduction", "delta-v-criterion"),
             detail=(tuple(sorted(dec.delta_v)), tuple(sorted(cfg.J))),
         )
-    inner = peterson_fixed_point_smooth(parabolic(cfg.rs, cfg.J), dec.K)
-    return SmoothnessVerdict(
-        inner.verdict,
-        inner.reason,
-        ("levi-reduction", "delta-v-criterion") + inner.citations,
-        detail=inner.detail,
-    )
+    return _levi_verdict(cfg.rs, cfg.J, dec.K)
+
+
+@lru_cache(maxsize=None)
+def _levi_verdict(rs: RootSystem, J: FrozenSet[int], K: FrozenSet[int]) -> SmoothnessVerdict:
+    """The Levi route's verdict at y_K once Delta(v) = J, kept per root
+    system, J and K.  A verdict is read from ``_smooth_K`` once, so a
+    defect planted there after a lookup shows only once this memo is
+    cleared."""
+    inner = peterson_fixed_point_smooth(parabolic(rs, J), K)
+    return inner._replace(citations=("levi-reduction", "delta-v-criterion") + inner.citations)
 
 
 # -- the type A route ---------------------------------------------------------
@@ -309,20 +314,29 @@ def count_smooth_flags(mu) -> int:
 
 def hess_schubert_smooth(w: WeylElement, cfg: HessConfig) -> SmoothnessVerdict:
     """Smoothness of the closure of w's cell: smooth iff no root is a sum of
-    an element of v^{-1}(K) and a descent of w."""
+    an element of v^{-1}(K) and a descent of w.  Both are simple roots, so
+    the sums are read from ``_simple_sums``, and the detail is the first
+    in root_key order."""
     dec = decompose_admissible(w, cfg)
-    simple = cfg.rs.simple_roots
-    left = [simple[i - 1] for i in dec.vinv_K]
-    right = [simple[i - 1] for i in dec.des]
-    witnesses = bracket_set(cfg.rs, left, right)
+    sums = _simple_sums(cfg.rs)
+    witnesses = [root for i in dec.vinv_K for j in dec.des if (root := sums.get((i, j)))]
     if witnesses:
         return SmoothnessVerdict(
             SINGULAR,
             BRACKET_NONEMPTY,
             ("bracket-criterion",),
-            detail=(witnesses[0],),
+            detail=(min(witnesses, key=root_key),),
         )
     return SmoothnessVerdict(SMOOTH, SMOOTH_BY_CRITERION, ("bracket-criterion",))
+
+
+@lru_cache(maxsize=None)
+def _simple_sums(rs: RootSystem) -> Dict[Tuple[int, int], Coeffs]:
+    """alpha_i + alpha_j for each pair (i, j) of simple indices whose sum is
+    a root, found by ``bracket_set``, built once per root system."""
+    simple, indices = rs.simple_roots, range(1, rs.rank + 1)
+    return {(i, j): found[0] for i in indices for j in indices
+            if (found := bracket_set(rs, [simple[i - 1]], [simple[j - 1]]))}
 
 
 def typeA_hess_schubert_smooth(w, mu) -> SmoothnessVerdict:

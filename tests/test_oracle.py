@@ -789,6 +789,48 @@ def test_rank_of_explicit_zeros_and_empty_rows():
     assert oracle.rank([((0, zero), (1, Fraction(1, 2))), ((1, Fraction(-3)),), ()]) == 1
 
 
+# columns on both sides of the 64-bit word and past 1000, so the peel's
+# masks are wider than one machine word
+WIDE_COLUMNS = (0, 5, 62, 63, 64, 65, 127, 128, 640, 999, 1000, 1001, 1500)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_rank_of_wide_sparse_rows(seed):
+    """Rows over WIDE_COLUMNS against Gauss-Jordan on their dense form:
+    rows over shared columns and combinations of them, which do not peel,
+    rows given a column of their own, which do, explicit zeros, Fraction
+    values and duplicate rows, in shuffled order."""
+    rng = random.Random(seed)
+    value = lambda: rng.choice([1, -2, 3, Fraction(1, 2), Fraction(-5, 3)])
+    shared = rng.sample(WIDE_COLUMNS, rng.randint(1, 5))
+    own = [c for c in WIDE_COLUMNS if c not in shared]
+    dense = [{c: value() for c in shared if rng.random() < 0.7} for _ in range(rng.randint(1, 5))]
+    for _ in range(rng.randint(0, 3)):
+        coeffs = [rng.choice([0, 1, -1, 2]) for _ in dense]
+        dense.append({c: sum(k * row.get(c, 0) for k, row in zip(coeffs, dense)) for c in shared})
+    for row in rng.sample(dense, min(len(dense), len(own))):
+        row[own.pop(rng.randrange(len(own)))] = value()
+    dense += [dict(row) for row in rng.choices(dense, k=rng.randint(0, 2))]
+    rows = []
+    for row in dense:
+        entries = list(row.items()) + [(c, 0) for c in rng.sample(own, min(2, len(own)))]
+        rows.append(tuple(sorted(entries)))
+    rng.shuffle(rows)
+    matrix = [[dict(row).get(c, 0) for c in WIDE_COLUMNS] for row in rows]
+    assert oracle.rank(rows) == gauss_jordan_rank(matrix)
+
+
+def test_the_peel_tells_columns_past_64_apart(monkeypatch):
+    """Row k of four owns columns 64 + k and 1024 + k, which a mask cut to
+    64 bits would take for column k, a column the other three rows share:
+    every row peels, and the elimination takes no gcd."""
+    rows = [
+        tuple([(c, 1) for c in range(4) if c != k] + [(64 + k, 2), (1024 + k, Fraction(1, 3))])
+        for k in range(4)
+    ]
+    assert rank_and_gcd_calls(monkeypatch, rows) == (4, 0)
+
+
 def test_the_closed_form_takes_the_conjugations_rank(monkeypatch):
     """The memo holds one matrix.  With it cleared, the conjugation
     Jacobian and then the closed form at one point run one elimination

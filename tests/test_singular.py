@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from minhess import hess, singular
 from minhess.errors import DomainError, EnumerationBoundError
-from minhess.roots import CartanDatum, build_root_system, cartan_datum, parabolic
+from minhess.roots import CartanDatum, bracket_set, build_root_system, cartan_datum, parabolic
 from minhess.weyl import (
     Composition,
     WeylElement,
@@ -441,6 +441,43 @@ def test_hess_schubert_dual_route_agreement(n):
             a = singular.hess_schubert_smooth(w, cfg).verdict
             b = singular.typeA_hess_schubert_smooth(w, mu).verdict
             assert a == b
+
+
+SIMPLE_SUM_SYSTEMS = (
+    [("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
+    + [("C", r) for r in range(3, 9)] + [("D", r) for r in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("family,rank", SIMPLE_SUM_SYSTEMS)
+def test_simple_sum_table_is_bracket_set(family, rank):
+    """On every ordered pair (i, j) of simple indices, i = j included, the
+    table holds alpha_i + alpha_j exactly when bracket_set finds that sum."""
+    rs = build_root_system(family, rank)
+    table = singular._simple_sums(rs)
+    for i, j in itertools.product(range(1, rank + 1), repeat=2):
+        found = bracket_set(rs, [rs.simple_root(i)], [rs.simple_root(j)])
+        assert found == ((table[i, j],) if (i, j) in table else ()), (i, j)
+    assert set(table) <= set(itertools.product(range(1, rank + 1), repeat=2))
+
+
+@pytest.mark.parametrize("family,rank,J", [
+    ("B", 3, (1, 2, 3)), ("C", 3, (1, 3)), ("D", 4, (1, 2, 3, 4)), ("G", 2, (1, 2)),
+    ("F", 4, (2, 3)),
+])
+def test_bracket_witness_is_bracket_sets_first(family, rank, J):
+    """Every admissible w's bracket verdict names as its witness the first
+    root bracket_set finds for v^{-1}(K) against des(w), and is singular
+    exactly when it finds one."""
+    rs = build_root_system(family, rank)
+    cfg = hess.hess_config(rs, J)
+    for w, _, _ in hess.enumerate_admissible(cfg):
+        dec = hess.decompose_admissible(w, cfg)
+        found = bracket_set(rs, map(rs.simple_root, dec.vinv_K), map(rs.simple_root, dec.des))
+        verdict = singular.hess_schubert_smooth(w, cfg)
+        assert verdict.is_smooth == (not found)
+        assert verdict.detail == found[:1]
 
 
 @pytest.mark.parametrize("family,rank", [

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from minhess import hess, singular, verification
+from minhess.roots import build_root_system, cartan_datum
 from minhess.weyl import Composition, compositions, one_line
 from references import matrix_admissible, paper_no_linear_term
 
@@ -92,6 +93,51 @@ def test_cross_validation_decomposes_each_pair_once(monkeypatch):
     monkeypatch.setattr(hess, "descent_decomposition", counted)
     assert all(check.ok for check in verification.suite_cross_validate(3))
     assert len(calls) == pairs
+
+
+def failed_cross_validation(max_rank):
+    """The name and detail of each cross-validation check that fails."""
+    return {c.name: c.detail for c in verification.suite_cross_validate(max_rank) if not c.ok}
+
+
+def test_a_smooth_k_planted_after_a_sweep_fails_triple_agreement(monkeypatch):
+    """After an unpatched sweep in the same process, A3's K = {1, 3} added
+    to _smooth_K fails smoothness-triple-agreement once the Levi verdict
+    memo, which read _smooth_K during that sweep, is cleared; with the
+    defect removed and the memo cleared again, every check passes."""
+    assert failed_cross_validation(3) == {}
+    a3, smooth_K = cartan_datum("A", 3), singular._smooth_K
+
+    def planted(datum):
+        return smooth_K(datum) | {frozenset({1, 3})} if datum == a3 else smooth_K(datum)
+
+    try:
+        monkeypatch.setattr(singular, "_smooth_K", planted)
+        singular._levi_verdict.cache_clear()
+        assert failed_cross_validation(3) == {
+            "smoothness-triple-agreement": "148 admissible pairs, 1 mismatches"
+        }
+    finally:
+        monkeypatch.undo()
+        singular._levi_verdict.cache_clear()
+    assert failed_cross_validation(3) == {}
+
+
+def test_a_simple_sum_dropped_from_the_table_fails_both_bracket_checks(monkeypatch):
+    """With A3's alpha_1 + alpha_2 dropped from the simple-sum table, the
+    bracket criterion misses it, and both checks that compare the bracket
+    route with another fail."""
+    a3, sums = build_root_system("A", 3), singular._simple_sums
+
+    def planted(rs):
+        table = sums(rs)
+        return {pair: s for pair, s in table.items() if pair != (1, 2)} if rs is a3 else table
+
+    monkeypatch.setattr(singular, "_simple_sums", planted)
+    assert failed_cross_validation(3) == {
+        "hess-schubert-dual-route": "5 mismatches",
+        "hess-schubert-levi-oracle": "5 mismatches",
+    }
 
 
 def test_paper_node_table_is_the_no_linear_term_table():
